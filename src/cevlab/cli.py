@@ -15,7 +15,9 @@ import csv
 import io
 import math
 import sys
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from . import __version__
 from .config import EXPERIMENTS, RunConfig, parse_config
@@ -59,6 +61,24 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _row_text(row: np.ndarray, sep: str) -> str:
+    """Cells of a 1-D numeric array joined by ``sep``, each written exactly as
+    ``_format_float`` (floats) or ``str`` (integers) writes it.
+
+    Finite rows take one C-level ``%`` call; ``"%.17g"`` and
+    ``format(x, ".17g")`` agree on every finite double.  A row holding NaN or
+    an infinity goes cell by cell, so its ``NaN`` / ``Infinity`` tokens
+    survive.
+    """
+    if row.dtype.kind == "f":
+        if not np.isfinite(row).all():
+            return sep.join(map(_format_float, row.tolist()))
+        cell = "%.17g"
+    else:
+        cell = "%d"
+    return sep.join([cell] * row.size) % tuple(row.tolist())
+
+
 def _json_dumps(obj: object, indent: int = 0) -> str:
     """Minimal JSON writer; floats carry 17 significant digits so every value
     round-trips bit-for-bit through json.loads."""
@@ -78,6 +98,15 @@ def _json_dumps(obj: object, indent: int = 0) -> str:
         if all(not isinstance(v, (Mapping, list, tuple)) for v in obj):
             return "[" + ", ".join(parts) + "]"
         return "[\n" + ",\n".join(inner + p for p in parts) + "\n" + pad + "]"
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind not in "fiu" or obj.ndim not in (1, 2):
+            raise TypeError(f"cannot serialize {obj.ndim}-D {obj.dtype} array")
+        if obj.ndim == 1:
+            return "[" + _row_text(obj, ", ") + "]"
+        if len(obj) == 0:
+            return "[]"
+        rows = ",\n".join(inner + "[" + _row_text(row, ", ") + "]" for row in obj)
+        return "[\n" + rows + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
@@ -104,14 +133,53 @@ def _provenance(config: RunConfig) -> dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+class _Trajectories(NamedTuple):
+    """Simulated paths as arrays: ``times`` (n+1,), ``values`` and ``events``
+    (n_paths, n+1); one CSV row per (path, step)."""
+
+    times: np.ndarray
+    values: np.ndarray
+    events: np.ndarray
+
+
+def _trajectory_csv(buf: io.StringIO, traj: _Trajectories) -> None:
+    """Write ``path,step,time,value,z_negative`` rows, one ``%`` call per path.
+
+    The step and time cells are the same for every path, so they are
+    formatted once into a per-path line template.  The cells never need
+    quoting, so the lines equal ``csv.writer``'s.
+    """
+    steps = "".join(
+        f"%d,{k},{_format_float(t)},%.17g,%d\r\n"
+        for k, t in enumerate(traj.times.tolist())
+    )
+    # times print as digits, '.', 'e', signs or NaN/Infinity: never '%'
+    steps_nonfinite = steps.replace("%.17g", "%s")
+    cells = [0, 0.0, 0] * len(traj.times)
+    for p, (values, events) in enumerate(zip(traj.values, traj.events)):
+        cells[0::3] = [p] * len(values)
+        cells[2::3] = events.tolist()
+        if np.isfinite(values).all():
+            cells[1::3] = values.tolist()
+            buf.write(steps % tuple(cells))
+        else:
+            cells[1::3] = [_format_float(v) for v in values.tolist()]
+            buf.write(steps_nonfinite % tuple(cells))
+
+
+def _csv_text(
+    header: Sequence[str], rows: Sequence[Sequence[object]] | _Trajectories
+) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)  # RFC-4180 CRLF line endings by default
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(
-            [_format_float(c) if isinstance(c, float) else c for c in row]
-        )
+    if isinstance(rows, _Trajectories):
+        _trajectory_csv(buf, rows)
+    else:
+        for row in rows:
+            writer.writerow(
+                [_format_float(c) if isinstance(c, float) else c for c in row]
+            )
     return buf.getvalue()
 
 
@@ -143,10 +211,6 @@ def _run_simulate(config: RunConfig):
         config.scheme, config.params, config.grid, config.n_paths, config.seed
     )
     times = config.grid.times()
-    rows = []
-    for p in range(config.n_paths):
-        for k in range(config.grid.n_steps + 1):
-            rows.append((p, k, float(times[k]), float(values[p, k]), int(events[p, k])))
     results = {
         "n_paths": config.n_paths,
         "n_steps": config.grid.n_steps,
@@ -154,15 +218,16 @@ def _run_simulate(config: RunConfig):
         "sign_flip_count": stats.sign_flip_count,
         "clamp_count": stats.clamp_count,
         "min_value": stats.min_value,
-        "times": [float(t) for t in times],
-        "paths": [[float(v) for v in row] for row in values],
-        "z_negative": [[int(e) for e in row] for row in events],
+        "times": times,
+        "paths": values,
+        "z_negative": events,
     }
     summary = (
         f"simulated {config.n_paths} paths x {config.grid.n_steps} steps "
         f"({config.scheme.value}): min={stats.min_value:.6g} "
         f"sign_flips={stats.sign_flip_count} clamps={stats.clamp_count}"
     )
+    rows = _Trajectories(times, values, events)
     return results, ("path", "step", "time", "value", "z_negative"), rows, summary
 
 

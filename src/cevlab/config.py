@@ -23,6 +23,9 @@ EXPERIMENTS = ("check", "simulate", "convergence", "moments", "negativity", "pri
 # CI-bearing reports get a path floor; raw path dumps and event counts do not.
 _MIN_REPORT_PATHS = 1000
 _REPORT_EXPERIMENTS = ("convergence", "moments", "price")
+# Experiments that have no scheme choice: a scheme key naming another scheme
+# would be recorded in the provenance of a run that never used it.
+_SEMI_DISCRETE_ONLY = ("negativity", "price")
 
 _MODEL_KEYS = ("k", "l", "sigma", "a", "x0")
 _REQUIRED_KEYS = _MODEL_KEYS + ("t_end", "n_steps", "experiment")
@@ -185,6 +188,11 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
     grid = TimeGrid(t_end=_float(values, "t_end"), n_steps=_int(values, "n_steps"))
 
     scheme = SchemeId.parse(values.get("scheme", SchemeId.SEMI_DISCRETE.value))
+    if experiment in _SEMI_DISCRETE_ONLY and scheme is not SchemeId.SEMI_DISCRETE:
+        raise ValidationError(
+            f"{experiment} always steps {SchemeId.SEMI_DISCRETE.value}; "
+            f"scheme {scheme.value} is not supported"
+        )
     n_paths = _int(values, "n_paths") if "n_paths" in values else 1000
     seed = _int(values, "seed") if "seed" in values else 0
     if not 0 <= seed < 2**64:
@@ -235,11 +243,7 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
     # stability pre-checks: 'check' reports infeasibility as data, everything
     # else that steps the semi-discrete scheme must start from a feasible grid
     if experiment in ("simulate", "moments", "negativity", "price"):
-        needs_stability = scheme is SchemeId.SEMI_DISCRETE or experiment in (
-            "negativity",
-            "price",
-        )
-        if needs_stability:
+        if scheme is SchemeId.SEMI_DISCRETE:
             report = validate_assumption_a(params, grid.dt)
             if not report.feasible:
                 raise ValidationError(

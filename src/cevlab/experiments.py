@@ -191,6 +191,10 @@ class LevelSpec:
     master_seed: int
 
     def __post_init__(self) -> None:
+        for name in ("ref_exponent", "n_paths", "master_seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValidationError(f"{name} must be an int, got {type(v).__name__}")
         exps = tuple(int(e) for e in self.test_exponents)
         object.__setattr__(self, "test_exponents", exps)
         if not exps:
@@ -305,11 +309,13 @@ def fit_order(points: Iterable[tuple[float, float]]) -> tuple[float, float, floa
     """Least-squares line through (ln dt, ln rmse); the slope is the order.
 
     Returns (slope, intercept, r2).  Requires at least two points with
-    distinct dt, all values strictly positive.
+    distinct dt, all values finite and strictly positive.
     """
     pts = list(points)
     if len(pts) < 2:
         raise InsufficientPoints(f"need >= 2 points, got {len(pts)}")
+    if not all(math.isfinite(dt) and math.isfinite(err) for dt, err in pts):
+        raise NonPositiveValue(f"all step sizes and errors must be finite, got {pts}")
     if any(dt <= 0.0 or err <= 0.0 for dt, err in pts):
         raise NonPositiveValue("all step sizes and errors must be > 0")
     u = np.log(np.array([dt for dt, _ in pts]))

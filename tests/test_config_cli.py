@@ -1,13 +1,39 @@
 """Config parsing, flag overrides, CSV/JSON artifacts, and CLI exit codes."""
 
+import hashlib
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cevlab import ParseError, SchemeId, ValidationError, parse_config
-from cevlab.cli import main
+from cevlab.cli import (
+    _csv_text,
+    _format_float,
+    _json_dumps,
+    _row_text,
+    _Trajectories,
+    main,
+)
 from cevlab.experiments import PayoffKind
+
+# Reference SHA-256 of every benchmark artifact (perfbench/README.md).
+REFERENCE_HASHES = Path(__file__).resolve().parents[1] / "perfbench" / "hashes.json"
+
+# The benchmark's standard model flags ($STD in perfbench/README.md).
+STD_FLAGS = [
+    "--model.k=1.0",
+    "--model.l=1.0",
+    "--model.sigma=1.0",
+    "--model.a=0.75",
+    "--model.x0=1.0",
+    "--grid.t_end=1.0",
+]
 
 STANDARD = """\
 # standard run configuration
@@ -121,6 +147,23 @@ class TestParseConfig:
             sim + "scheme = EulerNaive\n", {"grid.t_end": "64"}
         ).scheme is SchemeId.EULER_NAIVE
 
+    @pytest.mark.parametrize("experiment", ["price", "negativity"])
+    @pytest.mark.parametrize(
+        "scheme", ["EulerNaive", "EulerFullTruncation", "EulerReflected"]
+    )
+    def test_semi_discrete_only_experiments_reject_other_schemes(
+        self, experiment, scheme
+    ):
+        base = STANDARD.replace("experiment = check", f"experiment = {experiment}")
+        if experiment == "price":
+            base += "payoff = EuropeanCall\nstrike = 1\n"
+        with pytest.raises(ValidationError, match="always steps SemiDiscrete"):
+            parse_config(base + f"scheme = {scheme}\n")
+        # naming the scheme it does step stays valid
+        cfg = parse_config(base + "scheme = SemiDiscrete\n")
+        assert cfg.scheme is SchemeId.SEMI_DISCRETE
+        assert cfg == parse_config(base)
+
     def test_infeasible_convergence_level_named(self):
         base = STANDARD.replace("experiment = check", "experiment = convergence")
         with pytest.raises(ValidationError, match="e=4"):
@@ -173,6 +216,45 @@ class TestCliExitCodes:
         )
         assert code == 2
         assert "e=4" in capsys.readouterr().err
+
+    def test_ignored_scheme_is_exit_2(self, config_file, tmp_path, capsys):
+        out = tmp_path / "price.json"
+        code = main(
+            [
+                "price",
+                "--config",
+                str(config_file),
+                "--run.scheme=EulerNaive",
+                "--run.payoff=EuropeanCall",
+                "--run.strike=1.0",
+                "--run.n_paths=1000",
+                f"--out={out}",
+            ]
+        )
+        assert code == 2
+        assert "always steps SemiDiscrete" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_ladder_is_exit_3(self, config_file, tmp_path, capsys):
+        # Euler with k*dt ~ 1e99 overflows, so every level's rmse is NaN
+        out = tmp_path / "div.json"
+        code = main(
+            [
+                "convergence",
+                "--config",
+                str(config_file),
+                "--model.k=1e100",
+                "--run.scheme=EulerNaive",
+                "--run.levels=2,3,4",
+                "--run.ref_exponent=6",
+                "--run.n_paths=1000",
+                f"--out={out}",
+            ]
+        )
+        assert code == 3
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_output_is_exit_3(self, config_file, capsys):
         code = main(
@@ -348,3 +430,82 @@ class TestArtifacts:
         )
         assert isinstance(results["se_mean"], float)
         assert math.isfinite(results["sample_second_moment"])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_simulate_artifacts_match_reference_hashes(self, fmt, tmp_path, monkeypatch):
+        # the benchmark's smoke `dump` commands, byte for byte
+        monkeypatch.chdir(tmp_path)
+        artifact = f"dump_{fmt}.{fmt}"
+        args = ["simulate", *STD_FLAGS, "--grid.n_steps=64", "--run.n_paths=64"]
+        args += ["--run.seed=7", f"--output.format={fmt}", f"--out={artifact}"]
+        assert main(args) == 0
+        reference = json.loads(REFERENCE_HASHES.read_text(encoding="utf-8"))
+        digest = hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest()
+        assert digest == reference["dump/smoke/7"][artifact]
+
+
+# Floats the formatter must reproduce exactly: every finite double, signed
+# zero, subnormals, the ends of the range, and the non-finite tokens.
+_EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+     1.7976931348623157e308, -1.7976931348623157e308, math.nan, math.inf, -math.inf]
+)
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | _EDGE_FLOATS
+_INT_DTYPES = st.sampled_from([np.uint8, np.int32, np.int64, np.uint64])
+
+
+class TestArrayFormatting:
+    """The array formatters write exactly what per-cell formatting writes."""
+
+    @given(row=hnp.arrays(np.float64, st.integers(0, 12), elements=_FLOATS))
+    @settings(max_examples=300)
+    def test_float_row_matches_per_cell_format(self, row):
+        expected = ", ".join(_format_float(x) for x in row.tolist())
+        assert _row_text(row, ", ") == expected
+
+    @given(data=st.data(), dtype=_INT_DTYPES, size=st.integers(0, 12))
+    @settings(max_examples=100)
+    def test_int_row_matches_str(self, data, dtype, size):
+        row = data.draw(hnp.arrays(dtype, size))
+        assert _row_text(row, ",") == ",".join(str(x) for x in row.tolist())
+
+    @given(
+        data=st.data(),
+        shape=hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
+        floats=st.booleans(),
+    )
+    @settings(max_examples=150)
+    def test_json_array_layout_matches_nested_lists(self, data, shape, floats):
+        if floats:
+            arr = data.draw(hnp.arrays(np.float64, shape, elements=_FLOATS))
+        else:
+            arr = data.draw(hnp.arrays(np.uint8, shape))
+        doc = {"times": arr, "nested": {"paths": arr}}
+        listed = {"times": arr.tolist(), "nested": {"paths": arr.tolist()}}
+        assert _json_dumps(doc) == _json_dumps(listed)
+
+    @given(
+        data=st.data(),
+        n_paths=st.integers(0, 4),
+        n_cols=st.integers(1, 6),
+    )
+    @settings(max_examples=100)
+    def test_trajectory_csv_matches_csv_writer(self, data, n_paths, n_cols):
+        times = data.draw(hnp.arrays(np.float64, n_cols, elements=_FLOATS))
+        values = data.draw(hnp.arrays(np.float64, (n_paths, n_cols), elements=_FLOATS))
+        events = data.draw(hnp.arrays(np.uint8, (n_paths, n_cols)))
+        header = ("path", "step", "time", "value", "z_negative")
+        rows = [
+            (p, k, float(times[k]), float(values[p, k]), int(events[p, k]))
+            for p in range(n_paths)
+            for k in range(n_cols)
+        ]
+        assert _csv_text(header, _Trajectories(times, values, events)) == _csv_text(
+            header, rows
+        )
+
+    def test_unsupported_arrays_rejected(self):
+        with pytest.raises(TypeError):
+            _json_dumps(np.zeros((2, 2, 2)))
+        with pytest.raises(TypeError):
+            _json_dumps(np.array(["a"]))

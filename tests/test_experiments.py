@@ -74,6 +74,20 @@ class TestFitOrder:
         with pytest.raises(InsufficientPoints):
             fit_order([(0.1, 0.2), (0.1, 0.3)])
 
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [(0.5, math.nan), (0.25, 0.1)],
+            [(0.5, 0.2), (0.25, math.inf)],
+            [(math.nan, 0.2), (0.25, 0.1)],
+            [(math.inf, 0.2), (0.25, 0.1)],
+        ],
+    )
+    def test_rejects_non_finite_points(self, pts):
+        # a diverging ladder must not come back as a NaN order
+        with pytest.raises(NonPositiveValue, match="finite"):
+            fit_order(pts)
+
     @given(
         slope=st.floats(-2.0, 2.0),
         log_c=st.floats(-3.0, 3.0),
@@ -97,6 +111,25 @@ class TestLevelSpec:
             LevelSpec(ref_exponent=8, test_exponents=(), n_paths=10, master_seed=0)
         with pytest.raises(ValidationError):
             LevelSpec(ref_exponent=8, test_exponents=(-1, 4), n_paths=10, master_seed=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("master_seed", 1.5),
+            ("master_seed", 1.0),
+            ("master_seed", True),
+            ("master_seed", "1"),
+            ("n_paths", 10.0),
+            ("n_paths", True),
+            ("ref_exponent", 8.0),
+            ("ref_exponent", False),
+        ],
+    )
+    def test_rejects_non_int_fields_up_front(self, field, value):
+        kwargs = dict(ref_exponent=8, test_exponents=(4, 5), n_paths=10, master_seed=0)
+        kwargs[field] = value
+        with pytest.raises(ValidationError, match=f"{field} must be an int"):
+            LevelSpec(**kwargs)
 
 
 class TestStrongError:

@@ -120,6 +120,8 @@ class TestStabilityConditions:
             l = extra
         else:
             l = (a * sigma**2 / 2 + extra) / k
+        # a subnormal k overflows l to inf, which CevParams rightly rejects
+        assume(math.isfinite(l))
         params = CevParams(k=k, l=l, sigma=sigma, a=a, x0=x0)
         assume(params.k * params.l - 0.5 * params.a * params.sigma**2 >= 0.0)
         report = validate_assumption_a(params, max_stable_step(params))
