@@ -82,42 +82,71 @@ def _row_text(row: np.ndarray, sep: str) -> str:
 def _json_dumps(obj: object, indent: int = 0) -> str:
     """Minimal JSON writer; floats carry 17 significant digits so every value
     round-trips bit-for-bit through json.loads."""
+    pieces: list[str] = []
+    _json_pieces(obj, indent, pieces)
+    return "".join(pieces)
+
+
+def _json_pieces(obj: object, indent: int, out: list[str]) -> None:
+    """Append the text of ``obj`` to ``out`` piece by piece.
+
+    The document is joined once at the end, so a large array is copied into
+    the result once instead of once per enclosing container.
+    """
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, Mapping):
         if not obj:
-            return "{}"
-        body = ",\n".join(
-            f'{inner}"{key}": {_json_dumps(val, indent + 1)}' for key, val in obj.items()
-        )
-        return "{\n" + body + "\n" + pad + "}"
+            out.append("{}")
+            return
+        sep = "{\n"
+        for key, val in obj.items():
+            out.append(f'{sep}{inner}"{key}": ')
+            _json_pieces(val, indent + 1, out)
+            sep = ",\n"
+        out.append("\n" + pad + "}")
+        return
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
-            return "[]"
-        parts = [_json_dumps(val, indent + 1) for val in obj]
+            out.append("[]")
+            return
         if all(not isinstance(v, (Mapping, list, tuple)) for v in obj):
-            return "[" + ", ".join(parts) + "]"
-        return "[\n" + ",\n".join(inner + p for p in parts) + "\n" + pad + "]"
+            first, sep, last = "[", ", ", "]"
+        else:
+            first, sep, last = "[\n" + inner, ",\n" + inner, "\n" + pad + "]"
+        for val in obj:
+            out.append(first)
+            _json_pieces(val, indent + 1, out)
+            first = sep
+        out.append(last)
+        return
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind not in "fiu" or obj.ndim not in (1, 2):
             raise TypeError(f"cannot serialize {obj.ndim}-D {obj.dtype} array")
         if obj.ndim == 1:
-            return "[" + _row_text(obj, ", ") + "]"
+            out.append("[" + _row_text(obj, ", ") + "]")
+            return
         if len(obj) == 0:
-            return "[]"
-        rows = ",\n".join(inner + "[" + _row_text(row, ", ") + "]" for row in obj)
-        return "[\n" + rows + "\n" + pad + "]"
+            out.append("[]")
+            return
+        first, sep = "[\n" + inner + "[", "],\n" + inner + "["
+        for row in obj:
+            out.append(first + _row_text(row, ", "))
+            first = sep
+        out.append("]\n" + pad + "]")
+        return
     if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if obj is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(_format_float(obj))
+    elif isinstance(obj, str):
+        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+    elif obj is None:
+        out.append("null")
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def _provenance(config: RunConfig) -> dict[str, object]:

@@ -504,6 +504,27 @@ class TestArrayFormatting:
             header, rows
         )
 
+    def test_json_layout_of_every_value_kind(self):
+        doc = {
+            "empty_map": {}, "empty_list": [], "flag": True, "none": None,
+            "text": 'say "hi" \\ bye', "n": 3, "x": -0.5,
+            "flat": [1, 2.5, "a"],
+            "nested": [{"k": [1, 2]}, [], [3]],
+            "times": np.array([0.0, 0.5]),
+            "paths": np.array([[1.0, math.nan], [math.inf, 2.0]]),
+            "events": np.zeros((2, 3), dtype=np.uint8),
+            "no_rows": np.zeros((0, 3)),
+        }
+        expected = (
+            '{\n  "empty_map": {},\n  "empty_list": [],\n  "flag": true,\n'
+            '  "none": null,\n  "text": "say \\"hi\\" \\\\ bye",\n  "n": 3,\n'
+            '  "x": -0.5,\n  "flat": [1, 2.5, "a"],\n'
+            '  "nested": [\n    {\n      "k": [1, 2]\n    },\n    [],\n    [3]\n  ],\n'
+            '  "times": [0, 0.5],\n  "paths": [\n    [1, NaN],\n    [Infinity, 2]\n  ],\n'
+            '  "events": [\n    [0, 0, 0],\n    [0, 0, 0]\n  ],\n  "no_rows": []\n}'
+        )
+        assert _json_dumps(doc) == expected
+
     def test_unsupported_arrays_rejected(self):
         with pytest.raises(TypeError):
             _json_dumps(np.zeros((2, 2, 2)))
