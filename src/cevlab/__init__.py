@@ -13,13 +13,13 @@ from .errors import (
     InsufficientPoints,
     NegativeInner,
     NonDivisibleFactor,
+    NonFiniteResult,
     NonPositiveValue,
     ParseError,
     ValidationError,
 )
 from .config import RunConfig, parse_config
 from .experiments import (
-    BatchStats,
     ConvergenceReport,
     LevelRecord,
     LevelSpec,
@@ -47,6 +47,7 @@ from .model import (
     validate_assumption_a,
 )
 from .schemes import (
+    BatchStats,
     PathResult,
     SchemeId,
     StepFlags,
@@ -108,5 +109,6 @@ __all__ = [
     "InfeasibleLevel",
     "InsufficientPoints",
     "NonPositiveValue",
+    "NonFiniteResult",
     "CouplingError",
 ]

@@ -31,7 +31,7 @@ class StreamKey:
     def __post_init__(self) -> None:
         for name in ("master_seed", "path_index"):
             v = getattr(self, name)
-            if not isinstance(v, int) or not 0 <= v < _U64:
+            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < _U64:
                 raise ValidationError(f"{name} must be an integer in [0, 2^64)")
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import EXPERIMENTS, RunConfig, parse_config
-from .errors import CevlabError, InfeasibleLevel, ParseError, ValidationError
+from .errors import CevlabError, ParseError, ValidationError
 from .experiments import (
     LevelSpec,
     moment_check,
@@ -372,7 +372,7 @@ def run(config: RunConfig) -> int:
     summary.  Returns the process exit code."""
     try:
         results, header, rows, summary = _DISPATCH[config.experiment](config)
-    except (ValidationError, InfeasibleLevel) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CevlabError as exc:

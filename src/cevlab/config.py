@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ParseError, ValidationError
-from .experiments import LevelSpec, PayoffKind, PayoffSpec
-from .model import CevParams, TimeGrid, validate_assumption_a
+from .experiments import LevelSpec, PayoffKind, PayoffSpec, _require_feasible_ladder
+from .model import CevParams, TimeGrid, _require_feasible
 from .schemes import SchemeId
 
 __all__ = ["RunConfig", "parse_config", "EXPERIMENTS", "FLAG_TO_KEY"]
@@ -26,6 +26,10 @@ _REPORT_EXPERIMENTS = ("convergence", "moments", "price")
 # Experiments that have no scheme choice: a scheme key naming another scheme
 # would be recorded in the provenance of a run that never used it.
 _SEMI_DISCRETE_ONLY = ("negativity", "price")
+# Keys read by one experiment only: it requires them, and any other
+# experiment rejects them rather than ignore them.
+_EXPERIMENT_KEYS = {"levels": "convergence", "ref_exponent": "convergence",
+                    "payoff": "price", "strike": "price"}
 
 _MODEL_KEYS = ("k", "l", "sigma", "a", "x0")
 _REQUIRED_KEYS = _MODEL_KEYS + ("t_end", "n_steps", "experiment")
@@ -161,7 +165,7 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
 
     Raises ParseError for malformed or incomplete input and ValidationError
     when values violate a model invariant or the stability precondition of
-    the requested experiment.
+    the requested experiment, or set a key that the experiment ignores.
     """
     values = _parse_document(text)
     if overrides:
@@ -177,6 +181,11 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
             f"unknown experiment {values['experiment']!r}; "
             f"expected one of: {', '.join(EXPERIMENTS)}"
         )
+    for key, owner in _EXPERIMENT_KEYS.items():
+        if experiment == owner and key not in values:
+            raise ParseError(f"missing key: {key}")
+        if experiment != owner and key in values:
+            raise ValidationError(f"{key} applies only to {owner}, not to {experiment}")
 
     params = CevParams(
         k=_float(values, "k"),
@@ -204,21 +213,15 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
             f"{experiment} reports require n_paths >= {_MIN_REPORT_PATHS}"
         )
 
-    test_exponents: tuple[int, ...] | None = None
-    ref_exponent: int | None = None
+    spec: LevelSpec | None = None
     if experiment == "convergence":
-        if "levels" not in values:
-            raise ParseError("missing key: levels")
-        if "ref_exponent" not in values:
-            raise ParseError("missing key: ref_exponent")
         try:
             test_exponents = tuple(int(tok) for tok in values["levels"].split(","))
         except ValueError:
             raise ParseError(f"invalid levels list: {values['levels']!r}") from None
-        ref_exponent = _int(values, "ref_exponent")
         # constructing the ladder runs its invariants
-        LevelSpec(
-            ref_exponent=ref_exponent,
+        spec = LevelSpec(
+            ref_exponent=_int(values, "ref_exponent"),
             test_exponents=test_exponents,
             n_paths=max(n_paths, 2),
             master_seed=seed,
@@ -226,10 +229,6 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
 
     payoff: PayoffSpec | None = None
     if experiment == "price":
-        if "payoff" not in values:
-            raise ParseError("missing key: payoff")
-        if "strike" not in values:
-            raise ParseError("missing key: strike")
         payoff = PayoffSpec(
             kind=PayoffKind.parse(values["payoff"]),
             strike=_float(values, "strike"),
@@ -242,25 +241,11 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
 
     # stability pre-checks: 'check' reports infeasibility as data, everything
     # else that steps the semi-discrete scheme must start from a feasible grid
-    if experiment in ("simulate", "moments", "negativity", "price"):
-        if scheme is SchemeId.SEMI_DISCRETE:
-            report = validate_assumption_a(params, grid.dt)
-            if not report.feasible:
-                raise ValidationError(
-                    f"grid step dt={grid.dt:.6g} violates the stability conditions "
-                    f"(max stable step {report.max_step:.6g}, margin {report.margin:.6g})"
-                )
-    elif experiment == "convergence" and scheme is SchemeId.SEMI_DISCRETE:
-        assert test_exponents is not None and ref_exponent is not None
-        for e in tuple(test_exponents) + (ref_exponent,):
-            dt_level = grid.t_end / 2**e
-            report = validate_assumption_a(params, dt_level)
-            if not report.feasible:
-                raise ValidationError(
-                    f"level e={e} (dt={dt_level:.6g}) violates the stability "
-                    f"conditions (max stable step {report.max_step:.6g}, "
-                    f"margin {report.margin:.6g})"
-                )
+    if scheme is SchemeId.SEMI_DISCRETE and experiment != "check":
+        if spec is not None:
+            _require_feasible_ladder(params, spec, grid.t_end)
+        else:
+            _require_feasible(params, grid.dt, "grid step")
 
     return RunConfig(
         params=params,
@@ -269,8 +254,8 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
         scheme=scheme,
         n_paths=n_paths,
         seed=seed,
-        test_exponents=test_exponents,
-        ref_exponent=ref_exponent,
+        test_exponents=None if spec is None else spec.test_exponents,
+        ref_exponent=None if spec is None else spec.ref_exponent,
         payoff=payoff,
         out_format=out_format,
         out_path=out_path,

@@ -31,8 +31,9 @@ class GridMismatch(CevlabError, ValueError):
     """Increment array and time grid disagree in length or step size."""
 
 
-class InfeasibleLevel(CevlabError, ValueError):
-    """A refinement level's step size violates the stability condition."""
+class InfeasibleLevel(ValidationError):
+    """A grid step or refinement level's step size violates the stability
+    conditions."""
 
 
 class InsufficientPoints(CevlabError, ValueError):
@@ -41,6 +42,11 @@ class InsufficientPoints(CevlabError, ValueError):
 
 class NonPositiveValue(CevlabError, ValueError):
     """Log-log order fit requires strictly positive step sizes and errors."""
+
+
+class NonFiniteResult(CevlabError, ArithmeticError):
+    """A simulated path ended in a non-finite value, so the statistics built
+    from it would be NaN or infinite."""
 
 
 class CouplingError(CevlabError, ArithmeticError):

@@ -11,6 +11,7 @@ is bit-identical regardless of thread count.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -22,13 +23,13 @@ import numpy as np
 from .brownian import StreamKey, _block_sums, _generator
 from .errors import (
     CouplingError,
-    InfeasibleLevel,
     InsufficientPoints,
+    NonFiniteResult,
     NonPositiveValue,
     ValidationError,
 )
-from .model import CevParams, TimeGrid, analytic_mean, normal_cdf, validate_assumption_a
-from .schemes import SchemeId, _step_block
+from .model import CevParams, TimeGrid, _require_feasible, analytic_mean, normal_cdf
+from .schemes import BatchStats, SchemeId, _run_block
 
 __all__ = [
     "LevelSpec",
@@ -38,7 +39,6 @@ __all__ = [
     "PayoffKind",
     "PayoffSpec",
     "NegativityStats",
-    "BatchStats",
     "strong_error",
     "fit_order",
     "moment_check",
@@ -111,66 +111,6 @@ def _increment_block(
     return out
 
 
-@dataclass
-class _BlockStats:
-    """Diagnostics accumulated while stepping blocks of paths."""
-
-    sign_flips: int = 0
-    clamps: int = 0
-    min_value: float = math.inf
-    min_inner_pow: float = math.inf
-
-    def merge(self, other: "_BlockStats") -> None:
-        self.sign_flips += other.sign_flips
-        self.clamps += other.clamps
-        self.min_value = min(self.min_value, other.min_value)
-        self.min_inner_pow = min(self.min_inner_pow, other.min_inner_pow)
-
-
-def _run_block(
-    scheme: SchemeId,
-    params: CevParams,
-    dt: float,
-    dw: np.ndarray,
-    trajectory: np.ndarray | None = None,
-    event_matrix: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, _BlockStats]:
-    """Step a (B, n) increment block; returns (terminal, path_mean, stats).
-
-    ``path_mean`` is the arithmetic mean of the n post-step values (the
-    initial state excluded), as used by the Asian payoff.  Optional output
-    matrices of shape (B, n+1) capture full trajectories and per-step
-    negativity events.
-    """
-    n_block, n_steps = dw.shape
-    y = np.full(n_block, params.x0)
-    running = np.zeros(n_block)
-    stats = _BlockStats(min_value=float(params.x0))
-    if trajectory is not None:
-        trajectory[:, 0] = params.x0
-    for k in range(n_steps):
-        y, events, clamps, ipow_min = _step_block(scheme, y, dt, dw[:, k], params)
-        stats.sign_flips += int(np.count_nonzero(events))
-        stats.clamps += int(np.count_nonzero(clamps))
-        stats.min_value = min(stats.min_value, float(y.min()))
-        stats.min_inner_pow = min(stats.min_inner_pow, ipow_min)
-        running += y
-        if trajectory is not None:
-            trajectory[:, k + 1] = y
-        if event_matrix is not None:
-            event_matrix[:, k + 1] = events
-    return y, running / n_steps, stats
-
-
-def _feasibility_or_raise(params: CevParams, dt: float, what: str) -> None:
-    report = validate_assumption_a(params, dt)
-    if not report.feasible:
-        raise InfeasibleLevel(
-            f"{what} (dt={dt:.6g}) violates the stability conditions: "
-            f"max stable step {report.max_step:.6g}, margin {report.margin:.6g}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # report types
 # ---------------------------------------------------------------------------
@@ -212,6 +152,16 @@ class LevelSpec:
             raise ValidationError("n_paths must be >= 2")
         if not 0 <= self.master_seed < 2**64:
             raise ValidationError("master_seed must be an integer in [0, 2^64)")
+
+
+def _require_feasible_ladder(params: CevParams, spec: LevelSpec, t_end: float) -> None:
+    """Every test level and the reference level of the semi-discrete ladder
+    must satisfy the stability conditions; raises InfeasibleLevel otherwise."""
+    for e in spec.test_exponents:
+        _require_feasible(params, t_end / 2**e, f"test level e={e}")
+    _require_feasible(
+        params, t_end / 2**spec.ref_exponent, f"reference level r={spec.ref_exponent}"
+    )
 
 
 @dataclass(frozen=True)
@@ -261,15 +211,6 @@ class NegativityStats:
     z_negative_events: int
     clamp_events: int
     max_step_negativity_prob: float
-
-
-@dataclass(frozen=True)
-class BatchStats:
-    """Aggregate diagnostics of a batch of simulated trajectories."""
-
-    sign_flip_count: int
-    clamp_count: int
-    min_value: float
 
 
 class PayoffKind(enum.Enum):
@@ -353,11 +294,7 @@ def strong_error(
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ValidationError("t_end must be a positive finite number")
     if scheme is SchemeId.SEMI_DISCRETE:
-        for e in spec.test_exponents:
-            _feasibility_or_raise(params, t_end / 2**e, f"test level e={e}")
-        _feasibility_or_raise(
-            params, t_end / 2**spec.ref_exponent, f"reference level r={spec.ref_exponent}"
-        )
+        _require_feasible_ladder(params, spec, t_end)
 
     n_fine = 2**spec.ref_exponent
     dt_fine = t_end / n_fine
@@ -412,6 +349,42 @@ def strong_error(
     )
 
 
+def _run_paths(
+    scheme: SchemeId,
+    params: CevParams,
+    grid: TimeGrid,
+    n_paths: int,
+    seed: int,
+    n_threads: int | None,
+    trajectory: np.ndarray | None = None,
+    event_matrix: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, BatchStats]:
+    """Run n_paths keyed paths on ``grid`` through ``_run_block``, one fixed
+    block of paths per work item; returns (terminal, path_mean, stats).
+
+    Per-path results land in their path slots, and the block stats are merged
+    in block order, so nothing depends on the thread count.  Optional
+    (n_paths, n_steps+1) matrices capture trajectories and events.
+    """
+    terminal = np.empty(n_paths)
+    path_mean = np.empty(n_paths)
+    collected: dict[int, BatchStats] = {}
+
+    def work(block: tuple[int, int]) -> None:
+        start, stop = block
+        rows = slice(start, stop)
+        dw = _increment_block(seed, start, stop, grid.n_steps, grid.dt)
+        terminal[rows], path_mean[rows], collected[start] = _run_block(
+            scheme, params, grid.dt, dw,
+            None if trajectory is None else trajectory[rows],
+            None if event_matrix is None else event_matrix[rows],
+        )
+
+    _map_blocks(work, n_paths, n_threads)
+    blocks = [collected[start] for start in sorted(collected)]
+    return terminal, path_mean, functools.reduce(BatchStats.merge, blocks)
+
+
 def _terminal_stats(
     scheme: SchemeId,
     params: CevParams,
@@ -419,27 +392,25 @@ def _terminal_stats(
     n_paths: int,
     seed: int,
     n_threads: int | None,
-) -> tuple[np.ndarray, np.ndarray, _BlockStats]:
-    """Terminal values and path means for n_paths keyed paths on ``grid``."""
+) -> tuple[np.ndarray, np.ndarray, BatchStats]:
+    """Terminal values and path means for n_paths keyed paths on ``grid``.
+
+    Raises NonFiniteResult when a terminal value or path mean is not finite,
+    so no report is computed from a diverged path.
+    """
     if n_paths < 2:
         raise ValidationError("n_paths must be >= 2")
-    terminal = np.empty(n_paths)
-    path_mean = np.empty(n_paths)
-    collected: dict[int, _BlockStats] = {}
-
-    def work(block: tuple[int, int]) -> None:
-        start, stop = block
-        dw = _increment_block(seed, start, stop, grid.n_steps, grid.dt)
-        term, mean, stats = _run_block(scheme, params, grid.dt, dw)
-        terminal[start:stop] = term
-        path_mean[start:stop] = mean
-        collected[start] = stats
-
-    _map_blocks(work, n_paths, n_threads)
-    total = _BlockStats(min_value=math.inf)
-    for start in sorted(collected):
-        total.merge(collected[start])
-    return terminal, path_mean, total
+    terminal, path_mean, stats = _run_paths(
+        scheme, params, grid, n_paths, seed, n_threads
+    )
+    finite = np.isfinite(terminal) & np.isfinite(path_mean)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NonFiniteResult(
+            f"path {i} is not finite: terminal value {float(terminal[i])!r}, "
+            f"path mean {float(path_mean[i])!r}"
+        )
+    return terminal, path_mean, stats
 
 
 def moment_check(
@@ -493,8 +464,8 @@ def negativity_stats(
         max_prob = normal_cdf(-stats.min_inner_pow / scale)
     return NegativityStats(
         total_steps=n_paths * grid.n_steps,
-        z_negative_events=stats.sign_flips,
-        clamp_events=stats.clamps,
+        z_negative_events=stats.sign_flip_count,
+        clamp_events=stats.clamp_count,
         max_step_negativity_prob=max_prob,
     )
 
@@ -545,27 +516,7 @@ def simulate_paths_batch(
         raise ValidationError("n_paths must be >= 1")
     values = np.empty((n_paths, grid.n_steps + 1))
     events = np.zeros((n_paths, grid.n_steps + 1), dtype=np.uint8)
-    collected: dict[int, _BlockStats] = {}
-
-    def work(block: tuple[int, int]) -> None:
-        start, stop = block
-        dw = _increment_block(seed, start, stop, grid.n_steps, grid.dt)
-        _, _, stats = _run_block(
-            scheme,
-            params,
-            grid.dt,
-            dw,
-            trajectory=values[start:stop],
-            event_matrix=events[start:stop],
-        )
-        collected[start] = stats
-
-    _map_blocks(work, n_paths, n_threads)
-    total = _BlockStats(min_value=math.inf)
-    for start in sorted(collected):
-        total.merge(collected[start])
-    return values, events, BatchStats(
-        sign_flip_count=total.sign_flips,
-        clamp_count=total.clamps,
-        min_value=total.min_value,
+    _, _, stats = _run_paths(
+        scheme, params, grid, n_paths, seed, n_threads, values, events
     )
+    return values, events, stats

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NegativeInner, ValidationError
+from .errors import InfeasibleLevel, NegativeInner, ValidationError
 
 __all__ = [
     "INNER_CLAMP_REL",
@@ -141,6 +141,17 @@ def validate_assumption_a(params: CevParams, dt: float) -> AssumptionAReport:
         max_step=bound,
         margin=margin,
     )
+
+
+def _require_feasible(params: CevParams, dt: float, what: str) -> None:
+    """Raise InfeasibleLevel naming ``what`` unless step ``dt`` satisfies both
+    stability conditions; the one feasibility rule of every stepping run."""
+    report = validate_assumption_a(params, dt)
+    if not report.feasible:
+        raise InfeasibleLevel(
+            f"{what} (dt={dt:.6g}) violates the stability conditions: "
+            f"max stable step {report.max_step:.6g}, margin {report.margin:.6g}"
+        )
 
 
 def _inner_raw(y, dt: float, params: CevParams):

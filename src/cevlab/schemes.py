@@ -9,9 +9,10 @@ Euler-Maruyama variants (naive, full-truncation, reflected) are provided as
 baselines that illustrate what the update fixes: plain Euler leaves the
 positive half-line.
 
-All step maps are array-capable (numpy broadcasting over a vector of paths)
-and pure; ``simulate_path`` iterates one path on a grid and accumulates
-diagnostics.
+One kernel, ``_step_block``, steps a vector of paths under any scheme, and
+one runner, ``_run_block``, drives a (B, n) increment block through it.  The
+scalar functions are B=1 views of the two, so a batch row is bit-identical
+to ``simulate_path`` on the same increments.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "semidiscrete_step",
     "euler_step",
     "simulate_path",
+    "BatchStats",
 ]
 
 
@@ -83,33 +85,96 @@ class PathResult:
     min_value: float
 
 
-def _semidiscrete_kernel(y, dt: float, dw, params: CevParams):
-    """Array semi-discrete update; returns (y_next, z_negative, clamped)."""
-    inner, clamped = _inner_clamped(y, dt, params)
-    one_minus_a = 1.0 - params.a
-    ipow = np.power(inner, one_minus_a)
-    z = params.sigma * one_minus_a * dw + ipow
-    z_neg = z < 0.0
-    y_next = np.power(np.abs(z), 1.0 / one_minus_a)
-    return y_next, z_neg, clamped
+@dataclass(frozen=True)
+class BatchStats:
+    """Aggregate diagnostics of a batch of simulated trajectories.
+
+    ``min_inner_pow`` is the smallest inner^(1-a) over all pre-step states,
+    the monotone statistic behind the worst one-step sign-flip probability;
+    it is +inf for Euler variants, which have no inner expression.
+    """
+
+    sign_flip_count: int
+    clamp_count: int
+    min_value: float
+    min_inner_pow: float = math.inf
+
+    def merge(self, other: "BatchStats") -> "BatchStats":
+        """Stats of this batch followed by ``other``; fold blocks in path order."""
+        return BatchStats(
+            sign_flip_count=self.sign_flip_count + other.sign_flip_count,
+            clamp_count=self.clamp_count + other.clamp_count,
+            min_value=min(self.min_value, other.min_value),
+            min_inner_pow=min(self.min_inner_pow, other.min_inner_pow),
+        )
 
 
-def _euler_kernel(variant: SchemeId, x, dt: float, dw, params: CevParams):
-    """Array Euler update; returns (x_next, went_negative)."""
+def _step_block(scheme: SchemeId, y, dt: float, dw, params: CevParams):
+    """One vectorized step; returns (next, event_mask, clamp_mask, inner_pow_min).
+
+    ``event_mask`` marks a negative noise term z (semi-discrete) or a negative
+    proposed iterate (Euler variants).  ``inner_pow_min`` is the smallest
+    inner^(1-a) seen at the pre-step states; it is +inf for Euler variants,
+    whose clamp mask is all False.
+    """
+    if scheme is SchemeId.SEMI_DISCRETE:
+        inner, clamped = _inner_clamped(y, dt, params)
+        one_minus_a = 1.0 - params.a
+        ipow = np.power(inner, one_minus_a)
+        z = params.sigma * one_minus_a * dw + ipow
+        y_next = np.power(np.abs(z), 1.0 / one_minus_a)
+        return y_next, z < 0.0, clamped, float(np.min(ipow))
     k, l, sigma, a = params.k, params.l, params.sigma, params.a
-    if variant is SchemeId.EULER_NAIVE:
+    if scheme is SchemeId.EULER_NAIVE:
         # sign-preserving |x|^a keeps the iteration total below zero
-        diffusion = np.sign(x) * np.power(np.abs(x), a)
-        x_next = x + (k * l - k * x) * dt + sigma * diffusion * dw
-    elif variant is SchemeId.EULER_FULL_TRUNCATION:
-        xp = np.maximum(x, 0.0)
-        x_next = x + (k * l - k * xp) * dt + sigma * np.power(xp, a) * dw
-    elif variant is SchemeId.EULER_REFLECTED:
-        proposal = x + (k * l - k * x) * dt + sigma * np.power(np.abs(x), a) * dw
-        return np.abs(proposal), proposal < 0.0
-    else:
-        raise ValidationError(f"{variant} is not an Euler variant")
-    return x_next, x_next < 0.0
+        diffusion = np.sign(y) * np.power(np.abs(y), a)
+        y_next = y + (k * l - k * y) * dt + sigma * diffusion * dw
+        neg = y_next < 0.0
+    elif scheme is SchemeId.EULER_FULL_TRUNCATION:
+        yp = np.maximum(y, 0.0)
+        y_next = y + (k * l - k * yp) * dt + sigma * np.power(yp, a) * dw
+        neg = y_next < 0.0
+    else:  # EULER_REFLECTED
+        proposal = y + (k * l - k * y) * dt + sigma * np.power(np.abs(y), a) * dw
+        y_next, neg = np.abs(proposal), proposal < 0.0
+    return y_next, neg, np.zeros_like(neg), math.inf
+
+
+def _run_block(
+    scheme: SchemeId,
+    params: CevParams,
+    dt: float,
+    dw: np.ndarray,
+    trajectory: np.ndarray | None = None,
+    event_matrix: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, BatchStats]:
+    """Step a (B, n) increment block from x0; returns (terminal, path_mean, stats).
+
+    ``path_mean`` is the arithmetic mean of the n post-step values (the
+    initial state excluded), as used by the Asian payoff.  Optional output
+    matrices of shape (B, n+1) capture full trajectories and per-step
+    negativity events.
+    """
+    n_block, n_steps = dw.shape
+    y = np.full(n_block, params.x0)
+    running = np.zeros(n_block)
+    sign_flips = clamp_count = 0
+    min_value, min_inner_pow = float(params.x0), math.inf
+    if trajectory is not None:
+        trajectory[:, 0] = params.x0
+    for k in range(n_steps):
+        y, events, clamps, ipow_min = _step_block(scheme, y, dt, dw[:, k], params)
+        sign_flips += int(np.count_nonzero(events))
+        clamp_count += int(np.count_nonzero(clamps))
+        min_value = min(min_value, float(y.min()))
+        min_inner_pow = min(min_inner_pow, ipow_min)
+        running += y
+        if trajectory is not None:
+            trajectory[:, k + 1] = y
+        if event_matrix is not None:
+            event_matrix[:, k + 1] = events
+    stats = BatchStats(sign_flips, clamp_count, min_value, min_inner_pow)
+    return y, running / n_steps, stats
 
 
 def semidiscrete_step(
@@ -122,8 +187,10 @@ def semidiscrete_step(
     """
     if not y >= 0.0:
         raise ValidationError("y must be >= 0")
-    y_next, z_neg, clamped = _semidiscrete_kernel(float(y), dt, float(dw), params)
-    return float(y_next), StepFlags(bool(z_neg), bool(clamped))
+    y_next, z_neg, clamped, _ = _step_block(
+        SchemeId.SEMI_DISCRETE, np.array([y], float), dt, np.array([dw], float), params
+    )
+    return float(y_next[0]), StepFlags(bool(z_neg[0]), bool(clamped[0]))
 
 
 def euler_step(
@@ -136,26 +203,12 @@ def euler_step(
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValidationError("dt must be a positive finite number")
-    x_next, _ = _euler_kernel(variant, float(x), dt, float(dw), params)
-    return float(x_next)
-
-
-def _step_block(scheme: SchemeId, y, dt: float, dw, params: CevParams):
-    """Dispatch one vectorized step; returns (next, event_mask, clamp_mask, inner_pow_min).
-
-    ``inner_pow_min`` is the smallest inner^(1-a) seen at the pre-step states,
-    the monotone statistic behind the worst per-step sign-flip probability;
-    it is +inf for Euler variants, which have no inner expression.
-    """
-    if scheme is SchemeId.SEMI_DISCRETE:
-        inner, clamped = _inner_clamped(y, dt, params)
-        one_minus_a = 1.0 - params.a
-        ipow = np.power(inner, one_minus_a)
-        z = params.sigma * one_minus_a * dw + ipow
-        y_next = np.power(np.abs(z), 1.0 / one_minus_a)
-        return y_next, z < 0.0, clamped, float(np.min(ipow))
-    x_next, neg = _euler_kernel(scheme, y, dt, dw, params)
-    return x_next, neg, np.zeros_like(neg), math.inf
+    if not variant.is_euler:
+        raise ValidationError(f"{variant} is not an Euler variant")
+    x_next, _, _, _ = _step_block(
+        variant, np.array([x], float), dt, np.array([dw], float), params
+    )
+    return float(x_next[0])
 
 
 def simulate_path(
@@ -177,25 +230,13 @@ def simulate_path(
         raise GridMismatch(f"increment dt {inc.dt!r} does not match grid dt {grid.dt!r}")
 
     values = np.empty(grid.n_steps + 1)
-    values[0] = params.x0
-    sign_flips = 0
-    clamps = 0
-    y = params.x0
-    dw = inc.values
-    for k in range(grid.n_steps):
-        if scheme is SchemeId.SEMI_DISCRETE:
-            y, flags = semidiscrete_step(y, grid.dt, dw[k], params)
-            sign_flips += flags.z_negative
-            clamps += flags.clamped
-        else:
-            y, went_negative = _euler_kernel(scheme, float(y), grid.dt, float(dw[k]), params)
-            y = float(y)
-            sign_flips += bool(went_negative)
-        values[k + 1] = y
+    _, _, stats = _run_block(
+        scheme, params, grid.dt, inc.values[np.newaxis], trajectory=values[np.newaxis]
+    )
     return PathResult(
         times=grid.times(),
         values=values,
-        sign_flip_count=int(sign_flips),
-        clamp_count=int(clamps),
+        sign_flip_count=stats.sign_flip_count,
+        clamp_count=stats.clamp_count,
         min_value=float(values.min()),
     )

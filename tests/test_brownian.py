@@ -26,6 +26,13 @@ class TestStreamKey:
         with pytest.raises(ValidationError):
             StreamKey(master_seed=seed, path_index=path)
 
+    @pytest.mark.parametrize(
+        "seed, path", [(True, 0), (0, False), (True, False), (1.0, 0), (0, "1")]
+    )
+    def test_rejects_non_int_fields(self, seed, path):
+        with pytest.raises(ValidationError):
+            StreamKey(master_seed=seed, path_index=path)
+
 
 class TestSampleIncrements:
     def test_bit_identical_rerun(self):

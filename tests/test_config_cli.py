@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cevlab import ParseError, SchemeId, ValidationError, parse_config
+from cevlab.config import EXPERIMENTS
 from cevlab.cli import (
     _csv_text,
     _format_float,
@@ -33,6 +34,27 @@ STD_FLAGS = [
     "--model.a=0.75",
     "--model.x0=1.0",
     "--grid.t_end=1.0",
+]
+
+# The benchmark's smoke commands (perfbench/workloads.py) without their seed
+# and output flags: (workload, artifact, CLI arguments).
+_REPORT_STD = [*STD_FLAGS[:4], "--model.x0=2.0", STD_FLAGS[5]]
+_REPORT_GRID = [*_REPORT_STD, "--grid.n_steps=256", "--run.n_paths=1000"]
+_SMOKE_COMMANDS = [
+    ("dump", "dump_csv.csv", ["simulate", *STD_FLAGS, "--grid.n_steps=64", "--run.n_paths=64"]),
+    ("dump", "dump_json.json", ["simulate", *STD_FLAGS, "--grid.n_steps=64", "--run.n_paths=64"]),
+    ("ladder", "ladder.json", ["convergence", *STD_FLAGS, "--grid.n_steps=512",
+                               "--run.n_paths=1000", "--run.ref_exponent=9",
+                               "--run.levels=4,5,6,7"]),
+    ("reports", "moments_sd.json", ["moments", *_REPORT_GRID, "--run.scheme=SemiDiscrete"]),
+    ("reports", "moments_eft.json", ["moments", *_REPORT_GRID,
+                                     "--run.scheme=EulerFullTruncation"]),
+    ("reports", "call.json", ["price", *_REPORT_GRID, "--run.payoff=EuropeanCall",
+                              "--run.strike=1.4"]),
+    ("reports", "put.json", ["price", *_REPORT_GRID, "--run.payoff=EuropeanPut",
+                             "--run.strike=1.4"]),
+    ("reports", "negativity.json", ["negativity", *STD_FLAGS, "--grid.n_steps=16",
+                                    "--run.n_paths=1000"]),
 ]
 
 STANDARD = """\
@@ -169,6 +191,41 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="e=4"):
             parse_config(base + "levels = 4,5\nref_exponent = 9\n", {"grid.t_end": "16"})
 
+    @pytest.mark.parametrize(
+        "key, value, owner, experiment",
+        [
+            (key, value, owner, experiment)
+            for key, value, owner in [
+                ("levels", "4,5", "convergence"),
+                ("ref_exponent", "9", "convergence"),
+                ("payoff", "EuropeanPut", "price"),
+                ("strike", "1.0", "price"),
+            ]
+            for experiment in EXPERIMENTS
+            if experiment != owner
+        ],
+    )
+    def test_key_the_experiment_ignores_rejected(self, key, value, owner, experiment):
+        base = STANDARD.replace("experiment = check", f"experiment = {experiment}")
+        base += _EXPERIMENT_EXTRA.get(experiment, "")
+        with pytest.raises(ValidationError, match=f"{key} applies only to {owner}"):
+            parse_config(base + f"{key} = {value}\n")
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_provenance_keys_accepted_by_every_experiment(self, experiment):
+        base = STANDARD.replace("experiment = check", f"experiment = {experiment}")
+        base += _EXPERIMENT_EXTRA.get(experiment, "")
+        cfg = parse_config(base + "scheme = SemiDiscrete\nn_paths = 1000\nseed = 3\n")
+        text = "\n".join(f"{k} = {v}" for k, v in cfg.flat_items().items())
+        assert parse_config(text) == cfg
+
+
+# The keys that convergence and price require on top of STANDARD.
+_EXPERIMENT_EXTRA = {
+    "convergence": "levels = 4,5\nref_exponent = 9\n",
+    "price": "payoff = EuropeanCall\nstrike = 1\n",
+}
+
 
 @pytest.fixture
 def config_file(tmp_path):
@@ -255,6 +312,33 @@ class TestCliExitCodes:
         assert code == 3
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_ignored_key_is_exit_2(self, config_file, tmp_path, capsys):
+        out = tmp_path / "moments.json"
+        code = main(
+            [
+                "moments",
+                "--config",
+                str(config_file),
+                "--run.payoff=EuropeanPut",
+                "--run.strike=5",
+                "--run.n_paths=1000",
+                f"--out={out}",
+            ]
+        )
+        assert code == 2
+        assert "payoff applies only to price" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_moments_are_exit_3(self, tmp_path, monkeypatch, capsys):
+        # Euler with k*dt ~ 1e98 overflows, so the sample moments would be NaN
+        monkeypatch.chdir(tmp_path)
+        args = ["moments", *STD_FLAGS, "--grid.n_steps=64", "--model.k=1e100"]
+        args += ["--run.scheme=EulerNaive", "--run.n_paths=1000", "--out=m.json"]
+        assert main(args) == 3
+        assert "is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_unwritable_output_is_exit_3(self, config_file, capsys):
         code = main(
@@ -431,17 +515,20 @@ class TestArtifacts:
         assert isinstance(results["se_mean"], float)
         assert math.isfinite(results["sample_second_moment"])
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_simulate_artifacts_match_reference_hashes(self, fmt, tmp_path, monkeypatch):
-        # the benchmark's smoke `dump` commands, byte for byte
+    @pytest.mark.parametrize(
+        "workload, artifact, args", _SMOKE_COMMANDS, ids=[c[1] for c in _SMOKE_COMMANDS]
+    )
+    def test_smoke_artifacts_match_reference_hashes(
+        self, workload, artifact, args, tmp_path, monkeypatch
+    ):
+        # the benchmark's smoke commands at seed 7, byte for byte
         monkeypatch.chdir(tmp_path)
-        artifact = f"dump_{fmt}.{fmt}"
-        args = ["simulate", *STD_FLAGS, "--grid.n_steps=64", "--run.n_paths=64"]
-        args += ["--run.seed=7", f"--output.format={fmt}", f"--out={artifact}"]
+        fmt = artifact.rpartition(".")[2]
+        args = [*args, "--run.seed=7", f"--output.format={fmt}", f"--out={artifact}"]
         assert main(args) == 0
         reference = json.loads(REFERENCE_HASHES.read_text(encoding="utf-8"))
         digest = hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest()
-        assert digest == reference["dump/smoke/7"][artifact]
+        assert digest == reference[f"{workload}/smoke/7"][artifact]
 
 
 # Floats the formatter must reproduce exactly: every finite double, signed

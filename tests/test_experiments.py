@@ -13,6 +13,7 @@ from cevlab import (
     InfeasibleLevel,
     InsufficientPoints,
     LevelSpec,
+    NonFiniteResult,
     NonPositiveValue,
     PayoffKind,
     PayoffSpec,
@@ -184,6 +185,9 @@ class TestStrongError:
         with pytest.raises(InfeasibleLevel, match="e=4"):
             strong_error(standard_params, SchemeId.SEMI_DISCRETE, spec, 16.0)
 
+    def test_infeasible_level_is_a_validation_error(self):
+        assert issubclass(InfeasibleLevel, ValidationError)
+
     def test_euler_scheme_skips_stability_check(self):
         # the naive baseline has no stability precondition; a step far above
         # the semi-discrete bound still runs
@@ -217,6 +221,21 @@ class TestMomentCheck:
             report.sample_second_moment
             >= report.sample_mean**2 - 4 * report.se_second
         )
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_paths_raise_instead_of_nan(self):
+        # Euler with k*dt ~ 1e98 overflows to inf and then NaN
+        params = CevParams(k=1e100, l=1, sigma=1, a=0.75, x0=1)
+        grid = TimeGrid(1.0, 64)
+        with pytest.raises(NonFiniteResult, match=r"^path 0 is not finite"):
+            moment_check(params, SchemeId.EULER_NAIVE, grid, 100, seed=0)
+
+    def test_non_finite_result_is_arithmetic(self):
+        from cevlab import CevlabError
+
+        assert issubclass(NonFiniteResult, CevlabError)
+        assert issubclass(NonFiniteResult, ArithmeticError)
 
 
 class TestNegativityStats:

@@ -255,18 +255,41 @@ class TestSimulatePath:
 
 
 class TestBatchKernelConsistency:
-    def test_batch_rows_equal_scalar_paths_bitwise(self, standard_params):
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_batch_rows_equal_scalar_paths_bitwise(self, scheme):
         from cevlab import simulate_paths_batch
 
+        # the stress config sends the Euler baselines below zero
+        params = CevParams(k=1.0, l=0.61, sigma=1.0, a=0.6, x0=0.1)
         grid = TimeGrid(1.0, 32)
-        values, events, stats = simulate_paths_batch(
-            SchemeId.SEMI_DISCRETE, standard_params, grid, 6, seed=42
-        )
+        values, events, stats = simulate_paths_batch(scheme, params, grid, 6, seed=42)
         assert values.shape == (6, 33)
         for path in range(6):
             inc = sample_increments(StreamKey(42, path), 32, grid.dt)
-            res = simulate_path(SchemeId.SEMI_DISCRETE, standard_params, grid, inc)
+            res = simulate_path(scheme, params, grid, inc)
             assert (values[path] == res.values).all()
+            assert int(events[path].sum()) == res.sign_flip_count
         assert stats.min_value == min(
             float(values[p].min()) for p in range(6)
         )
+        assert stats.sign_flip_count == int(events.sum())
+
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_scalar_steps_equal_rows_of_one_vector_step(self, scheme):
+        from cevlab.schemes import _step_block
+
+        params = CevParams(k=1.0, l=0.61, sigma=1.0, a=0.6, x0=0.1)
+        dt = 1 / 4
+        rng = np.random.default_rng(7)
+        y = 10 ** rng.uniform(-4, 1, size=500)
+        if scheme.is_euler:
+            y[::3] *= -1.0  # the baselines step from negative states too
+        dw = rng.normal(0.0, math.sqrt(dt), size=500)
+        out, events, clamps, _ = _step_block(scheme, y, dt, dw, params)
+        for i in range(y.size):
+            if scheme.is_euler:
+                got = euler_step(scheme, float(y[i]), dt, float(dw[i]), params)
+            else:
+                got, flags = semidiscrete_step(float(y[i]), dt, float(dw[i]), params)
+                assert flags == (bool(events[i]), bool(clamps[i]))
+            assert got == out[i]
