@@ -25,6 +25,9 @@ from cevlab.experiments import PayoffKind
 
 # Reference SHA-256 of every benchmark artifact (perfbench/README.md).
 REFERENCE_HASHES = Path(__file__).resolve().parents[1] / "perfbench" / "hashes.json"
+# Reference stdout line of every pinned command below, and the SHA-256 of
+# each artifact that the benchmark does not pin.
+CLI_REFERENCE = Path(__file__).resolve().with_name("cli_reference.json")
 
 # The benchmark's standard model flags ($STD in perfbench/README.md).
 STD_FLAGS = [
@@ -56,6 +59,21 @@ _SMOKE_COMMANDS = [
     ("reports", "negativity.json", ["negativity", *STD_FLAGS, "--grid.n_steps=16",
                                     "--run.n_paths=1000"]),
 ]
+# The experiment x format pairs that no smoke command covers, pinned in
+# CLI_REFERENCE: (None, artifact, CLI arguments).
+_CLI_COMMANDS = [
+    (None, "check.csv", ["check", *STD_FLAGS, "--grid.n_steps=64", "--model.sigma=2.0"]),
+    (None, "check.json", ["check", *STD_FLAGS, "--grid.n_steps=64"]),
+    (None, "convergence.csv", ["convergence", *STD_FLAGS, "--grid.n_steps=256",
+                               "--run.n_paths=1000", "--run.ref_exponent=8",
+                               "--run.levels=3,4,5"]),
+    (None, "moments_er.csv", ["moments", *_REPORT_GRID, "--run.scheme=EulerReflected"]),
+    (None, "negativity.csv", ["negativity", *STD_FLAGS, "--grid.n_steps=16",
+                              "--run.n_paths=1000"]),
+    (None, "asian.csv", ["price", *_REPORT_GRID, "--run.payoff=AsianArithmeticCall",
+                         "--run.strike=1.4"]),
+]
+_PINNED_COMMANDS = _SMOKE_COMMANDS + _CLI_COMMANDS
 
 STANDARD = """\
 # standard run configuration
@@ -516,19 +534,24 @@ class TestArtifacts:
         assert math.isfinite(results["sample_second_moment"])
 
     @pytest.mark.parametrize(
-        "workload, artifact, args", _SMOKE_COMMANDS, ids=[c[1] for c in _SMOKE_COMMANDS]
+        "workload, artifact, args", _PINNED_COMMANDS, ids=[c[1] for c in _PINNED_COMMANDS]
     )
     def test_smoke_artifacts_match_reference_hashes(
-        self, workload, artifact, args, tmp_path, monkeypatch
+        self, workload, artifact, args, tmp_path, monkeypatch, capsys
     ):
-        # the benchmark's smoke commands at seed 7, byte for byte
+        # every experiment x format at seed 7, artifact and stdout byte for
+        # byte; the benchmark's smoke commands are pinned by its hash list
         monkeypatch.chdir(tmp_path)
         fmt = artifact.rpartition(".")[2]
         args = [*args, "--run.seed=7", f"--output.format={fmt}", f"--out={artifact}"]
         assert main(args) == 0
-        reference = json.loads(REFERENCE_HASHES.read_text(encoding="utf-8"))
+        expected = json.loads(CLI_REFERENCE.read_text(encoding="utf-8"))[artifact]
+        if workload is not None:
+            reference = json.loads(REFERENCE_HASHES.read_text(encoding="utf-8"))
+            expected["sha256"] = reference[f"{workload}/smoke/7"][artifact]
         digest = hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest()
-        assert digest == reference[f"{workload}/smoke/7"][artifact]
+        assert digest == expected["sha256"]
+        assert capsys.readouterr().out == expected["stdout"]
 
 
 # Floats the formatter must reproduce exactly: every finite double, signed
