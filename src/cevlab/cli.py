@@ -12,6 +12,7 @@ flags override file entries (e.g. ``--model.k=2 --grid.n_steps=128``,
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 import sys
@@ -87,14 +88,24 @@ def _json_dumps(obj: object, indent: int = 0) -> str:
     return "".join(pieces)
 
 
+def _fields(obj: object) -> Mapping[str, object]:
+    """A dataclass instance as the mapping of its fields in declaration
+    order, values uncopied; anything else as itself."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return obj
+
+
 def _json_pieces(obj: object, indent: int, out: list[str]) -> None:
     """Append the text of ``obj`` to ``out`` piece by piece.
 
-    The document is joined once at the end, so a large array is copied into
-    the result once instead of once per enclosing container.
+    A dataclass instance is written as the mapping of its fields.  The
+    document is joined once at the end, so a large array is copied into the
+    result once instead of once per enclosing container.
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
+    obj = _fields(obj)
     if isinstance(obj, Mapping):
         if not obj:
             out.append("{}")
@@ -110,7 +121,7 @@ def _json_pieces(obj: object, indent: int, out: list[str]) -> None:
         if len(obj) == 0:
             out.append("[]")
             return
-        if all(not isinstance(v, (Mapping, list, tuple)) for v in obj):
+        if not any(isinstance(_fields(v), (Mapping, list, tuple)) for v in obj):
             first, sep, last = "[", ", ", "]"
         else:
             first, sep, last = "[\n" + inner, ",\n" + inner, "\n" + pad + "]"
@@ -213,51 +224,24 @@ def _csv_text(
 
 
 def _run_check(config: RunConfig):
-    report = validate_assumption_a(config.params, config.grid.dt)
-    results = {
-        "feasible": report.feasible,
-        "drift_condition_ok": report.drift_condition_ok,
-        "step_condition_ok": report.step_condition_ok,
-        "max_step": report.max_step,
-        "margin": report.margin,
-    }
-    rows = [
-        ("feasible", float(report.feasible), 0.0),
-        ("drift_condition_ok", float(report.drift_condition_ok), 0.0),
-        ("step_condition_ok", float(report.step_condition_ok), 0.0),
-        ("max_step", report.max_step, 0.0),
-        ("margin", report.margin, 0.0),
-    ]
-    summary = (
-        f"feasible={str(report.feasible).lower()} "
-        f"max_step={report.max_step:.6g} margin={report.margin:.6g}"
-    )
-    return results, ("metric", "value", "se"), rows, summary
+    return validate_assumption_a(config.params, config.grid.dt)
 
 
 def _run_simulate(config: RunConfig):
     values, events, stats = simulate_paths_batch(
         config.scheme, config.params, config.grid, config.n_paths, config.seed
     )
-    times = config.grid.times()
-    results = {
+    return {
         "n_paths": config.n_paths,
         "n_steps": config.grid.n_steps,
         "scheme": config.scheme.value,
         "sign_flip_count": stats.sign_flip_count,
         "clamp_count": stats.clamp_count,
         "min_value": stats.min_value,
-        "times": times,
+        "times": config.grid.times(),
         "paths": values,
         "z_negative": events,
     }
-    summary = (
-        f"simulated {config.n_paths} paths x {config.grid.n_steps} steps "
-        f"({config.scheme.value}): min={stats.min_value:.6g} "
-        f"sign_flips={stats.sign_flip_count} clamps={stats.clamp_count}"
-    )
-    rows = _Trajectories(times, values, events)
-    return results, ("path", "step", "time", "value", "z_negative"), rows, summary
 
 
 def _run_convergence(config: RunConfig):
@@ -267,103 +251,72 @@ def _run_convergence(config: RunConfig):
         n_paths=config.n_paths,
         master_seed=config.seed,
     )
-    report = strong_error(config.params, config.scheme, spec, config.grid.t_end)
-    results = {
-        "levels": [
-            {
-                "exponent": rec.exponent,
-                "dt": rec.dt,
-                "mse": rec.mse,
-                "rmse": rec.rmse,
-                "ci_halfwidth": rec.ci_halfwidth,
-            }
-            for rec in report.levels
-        ],
-        "fitted_order": report.fitted_order,
-        "fit_intercept": report.fit_intercept,
-        "fit_r2": report.fit_r2,
-        "theoretical_order": report.theoretical_order,
-    }
-    rows = [
-        (rec.exponent, rec.dt, rec.mse, rec.rmse, rec.ci_halfwidth)
-        for rec in report.levels
-    ]
-    summary = (
-        f"fitted_order={report.fitted_order:.4f} (r2={report.fit_r2:.4f}, "
-        f"theoretical>={report.theoretical_order:.4g}) over {len(report.levels)} levels"
-    )
-    return results, ("level", "dt", "mse", "rmse", "ci95"), rows, summary
+    return strong_error(config.params, config.scheme, spec, config.grid.t_end)
 
 
 def _run_moments(config: RunConfig):
-    report = moment_check(
+    return moment_check(
         config.params, config.scheme, config.grid, config.n_paths, config.seed
     )
-    results = {
-        "sample_mean": report.sample_mean,
-        "sample_second_moment": report.sample_second_moment,
-        "se_mean": report.se_mean,
-        "se_second": report.se_second,
-        "analytic_mean": report.analytic_mean,
-        "abs_mean_error": report.abs_mean_error,
-    }
-    rows = [
-        ("sample_mean", report.sample_mean, report.se_mean),
-        ("sample_second_moment", report.sample_second_moment, report.se_second),
-        ("analytic_mean", report.analytic_mean, 0.0),
-        ("abs_mean_error", report.abs_mean_error, 0.0),
-    ]
-    summary = (
-        f"sample_mean={report.sample_mean:.6g} (se={report.se_mean:.3g}) "
-        f"analytic={report.analytic_mean:.6g} |err|={report.abs_mean_error:.3g}"
-    )
-    return results, ("metric", "value", "se"), rows, summary
 
 
 def _run_negativity(config: RunConfig):
-    stats = negativity_stats(config.params, config.grid, config.n_paths, config.seed)
-    results = {
-        "total_steps": stats.total_steps,
-        "z_negative_events": stats.z_negative_events,
-        "clamp_events": stats.clamp_events,
-        "max_step_negativity_prob": stats.max_step_negativity_prob,
-    }
-    rows = [
-        ("total_steps", float(stats.total_steps), 0.0),
-        ("z_negative_events", float(stats.z_negative_events), 0.0),
-        ("clamp_events", float(stats.clamp_events), 0.0),
-        ("max_step_negativity_prob", stats.max_step_negativity_prob, 0.0),
-    ]
-    summary = (
-        f"events={stats.z_negative_events}/{stats.total_steps} "
-        f"clamps={stats.clamp_events} "
-        f"max_prob={stats.max_step_negativity_prob:.3g}"
-    )
-    return results, ("metric", "value", "se"), rows, summary
+    return negativity_stats(config.params, config.grid, config.n_paths, config.seed)
 
 
 def _run_price(config: RunConfig):
     price, ci = price_payoff(
         config.params, config.payoff, config.grid, config.n_paths, config.seed
     )
-    results = {
+    return {
         "payoff": config.payoff.kind.value,
         "strike": config.payoff.strike,
         "price": price,
         "ci_halfwidth": ci,
     }
-    rows = [("price", price, ci / 1.96)]
-    summary = f"price={price:.6g} +/-{ci:.3g} (95% ci, {config.payoff.kind.value})"
-    return results, ("metric", "value", "se"), rows, summary
 
 
-_DISPATCH = {
-    "check": _run_check,
-    "simulate": _run_simulate,
-    "convergence": _run_convergence,
-    "moments": _run_moments,
-    "negativity": _run_negativity,
-    "price": _run_price,
+def _metric_rows(result: object, se: Mapping[str, str] = {}) -> list[tuple]:
+    """One ``(metric, value, se)`` row per field of ``result``; ``se`` maps a
+    metric to the field holding its standard error, which gets no row."""
+    fields = _fields(result)
+    return [(name, float(value), fields[se[name]] if name in se else 0.0)
+            for name, value in fields.items() if name not in se.values()]
+
+
+# What the result of ``_run_<experiment>`` becomes: the JSON ``results`` is
+# the result itself, the row rule makes the CSV rows under the header, and
+# the summary rule makes the stdout line.
+_METRIC_HEADER = ("metric", "value", "se")
+_ARTIFACTS = {  # experiment: (CSV header, row rule, summary rule)
+    "check": (
+        _METRIC_HEADER, _metric_rows,
+        lambda r: f"feasible={str(r.feasible).lower()} "
+        f"max_step={r.max_step:.6g} margin={r.margin:.6g}"),
+    "simulate": (
+        ("path", "step", "time", "value", "z_negative"),
+        lambda r: _Trajectories(r["times"], r["paths"], r["z_negative"]),
+        "simulated {n_paths} paths x {n_steps} steps ({scheme}): min={min_value:.6g} "
+        "sign_flips={sign_flip_count} clamps={clamp_count}".format_map),
+    "convergence": (
+        ("level", "dt", "mse", "rmse", "ci95"),
+        lambda r: [tuple(_fields(rec).values()) for rec in r.levels],
+        lambda r: f"fitted_order={r.fitted_order:.4f} (r2={r.fit_r2:.4f}, "
+        f"theoretical>={r.theoretical_order:.4g}) over {len(r.levels)} levels"),
+    "moments": (
+        _METRIC_HEADER,
+        lambda r: _metric_rows(
+            r, {"sample_mean": "se_mean", "sample_second_moment": "se_second"}),
+        lambda r: f"sample_mean={r.sample_mean:.6g} (se={r.se_mean:.3g}) "
+        f"analytic={r.analytic_mean:.6g} |err|={r.abs_mean_error:.3g}"),
+    "negativity": (
+        _METRIC_HEADER, _metric_rows,
+        lambda r: f"events={r.z_negative_events}/{r.total_steps} "
+        f"clamps={r.clamp_events} max_prob={r.max_step_negativity_prob:.3g}"),
+    "price": (
+        _METRIC_HEADER,
+        lambda r: [("price", r["price"], r["ci_halfwidth"] / 1.96)],
+        "price={price:.6g} +/-{ci_halfwidth:.3g} (95% ci, {payoff})".format_map),
 }
 
 
@@ -371,7 +324,9 @@ def run(config: RunConfig) -> int:
     """Execute the configured experiment, write its artifact, print a one-line
     summary.  Returns the process exit code."""
     try:
-        results, header, rows, summary = _DISPATCH[config.experiment](config)
+        header, rows, summary = _ARTIFACTS[config.experiment]
+        # by name when called, so a wrapper bound over ``_run_*`` sees the run
+        result = globals()[f"_run_{config.experiment}"](config)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -383,12 +338,12 @@ def run(config: RunConfig) -> int:
         return 3
 
     if config.out_format == "csv":
-        text = _csv_text(header, rows)
+        text = _csv_text(header, rows(result))
     else:
         document = {
             "experiment": config.experiment,
             "provenance": _provenance(config),
-            "results": results,
+            "results": result,
         }
         text = _json_dumps(document) + "\n"
     try:
@@ -397,7 +352,7 @@ def run(config: RunConfig) -> int:
     except OSError as exc:
         print(f"error: cannot write output file: {exc}", file=sys.stderr)
         return 3
-    print(f"{summary} -> {config.out_path}")
+    print(f"{summary(result)} -> {config.out_path}")
     return 0
 
 

@@ -31,22 +31,10 @@ _SEMI_DISCRETE_ONLY = ("negativity", "price")
 _EXPERIMENT_KEYS = {"levels": "convergence", "ref_exponent": "convergence",
                     "payoff": "price", "strike": "price"}
 
-_MODEL_KEYS = ("k", "l", "sigma", "a", "x0")
-_REQUIRED_KEYS = _MODEL_KEYS + ("t_end", "n_steps", "experiment")
+_REQUIRED_KEYS = ("k", "l", "sigma", "a", "x0", "t_end", "n_steps", "experiment")
 
-_ALL_KEYS = _REQUIRED_KEYS + (
-    "scheme",
-    "n_paths",
-    "seed",
-    "levels",
-    "ref_exponent",
-    "payoff",
-    "strike",
-    "format",
-    "out",
-)
-
-# Dotted flag name -> flat config key.
+# Dotted flag name -> flat config key; its values are every key a config
+# document may set.
 FLAG_TO_KEY = {
     "model.k": "k",
     "model.l": "l",
@@ -124,7 +112,7 @@ def _parse_document(text: str) -> dict[str, str]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in FLAG_TO_KEY.values():
             raise ParseError(f"line {lineno}: unknown key: {key}")
         if key in values:
             raise ParseError(f"line {lineno}: duplicate key: {key}")
@@ -226,6 +214,11 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
             n_paths=max(n_paths, 2),
             master_seed=seed,
         )
+        if grid.n_steps != 2**spec.ref_exponent:
+            raise ValidationError(
+                f"convergence steps on its reference grid: n_steps ({grid.n_steps}) "
+                f"must equal 2^ref_exponent ({2**spec.ref_exponent})"
+            )
 
     payoff: PayoffSpec | None = None
     if experiment == "price":

@@ -28,7 +28,7 @@ from .errors import (
     NonPositiveValue,
     ValidationError,
 )
-from .model import CevParams, TimeGrid, _require_feasible, analytic_mean, normal_cdf
+from .model import CevParams, TimeGrid, _require_feasible, _sign_flip_prob, analytic_mean
 from .schemes import BatchStats, SchemeId, _run_block
 
 __all__ = [
@@ -457,16 +457,11 @@ def negativity_stats(
     _, _, stats = _terminal_stats(
         SchemeId.SEMI_DISCRETE, params, grid, n_paths, seed, n_threads
     )
-    if params.sigma == 0.0:
-        max_prob = 0.0
-    else:
-        scale = params.sigma * (1.0 - params.a) * math.sqrt(grid.dt)
-        max_prob = normal_cdf(-stats.min_inner_pow / scale)
     return NegativityStats(
         total_steps=n_paths * grid.n_steps,
         z_negative_events=stats.sign_flip_count,
         clamp_events=stats.clamp_count,
-        max_step_negativity_prob=max_prob,
+        max_step_negativity_prob=_sign_flip_prob(stats.min_inner_pow, grid.dt, params),
     )
 
 

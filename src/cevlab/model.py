@@ -218,6 +218,15 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
+def _sign_flip_prob(inner_pow: float, dt: float, params: CevParams) -> float:
+    """One-step sign-flip probability from a state with inner^(1-a) equal to
+    ``inner_pow``; the formula of :func:`step_negativity_prob`."""
+    if params.sigma == 0.0:
+        return 0.0
+    scale = params.sigma * (1.0 - params.a) * math.sqrt(dt)
+    return normal_cdf(-inner_pow / scale)
+
+
 def step_negativity_prob(y: float, dt: float, params: CevParams) -> float:
     """Exact conditional probability that the next scheme noise term z goes
     nonpositive from state ``y``.
@@ -225,9 +234,6 @@ def step_negativity_prob(y: float, dt: float, params: CevParams) -> float:
     This is Phi(-inner^(1-a) / (sigma (1-a) sqrt(dt))) with Phi the standard
     normal CDF.  Returns 0 by convention for a noiseless model (sigma = 0).
     """
-    if params.sigma == 0.0:
-        return 0.0
     inner = inner_value(y, dt, params)
     ipow = 0.0 if inner == 0.0 else inner ** (1.0 - params.a)
-    scale = params.sigma * (1.0 - params.a) * math.sqrt(dt)
-    return normal_cdf(-ipow / scale)
+    return _sign_flip_prob(ipow, dt, params)

@@ -1,5 +1,6 @@
 """Config parsing, flag overrides, CSV/JSON artifacts, and CLI exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -15,6 +16,7 @@ from cevlab import ParseError, SchemeId, ValidationError, parse_config
 from cevlab.config import EXPERIMENTS
 from cevlab.cli import (
     _csv_text,
+    _fields,
     _format_float,
     _json_dumps,
     _row_text,
@@ -163,7 +165,9 @@ class TestParseConfig:
         base = STANDARD.replace("experiment = check", "experiment = convergence")
         with pytest.raises(ParseError, match="missing key: levels"):
             parse_config(base)
-        cfg = parse_config(base + "levels = 4,5,6\nref_exponent = 9\n")
+        cfg = parse_config(
+            base + "levels = 4,5,6\nref_exponent = 9\n", {"grid.n_steps": "512"}
+        )
         assert cfg.test_exponents == (4, 5, 6)
         assert cfg.ref_exponent == 9
 
@@ -207,7 +211,10 @@ class TestParseConfig:
     def test_infeasible_convergence_level_named(self):
         base = STANDARD.replace("experiment = check", "experiment = convergence")
         with pytest.raises(ValidationError, match="e=4"):
-            parse_config(base + "levels = 4,5\nref_exponent = 9\n", {"grid.t_end": "16"})
+            parse_config(
+                base + "levels = 4,5\nref_exponent = 9\n",
+                {"grid.t_end": "16", "grid.n_steps": "512"},
+            )
 
     @pytest.mark.parametrize(
         "key, value, owner, experiment",
@@ -238,9 +245,10 @@ class TestParseConfig:
         assert parse_config(text) == cfg
 
 
-# The keys that convergence and price require on top of STANDARD.
+# The keys that convergence and price require on top of STANDARD
+# (convergence: n_steps = 64 = 2^ref_exponent).
 _EXPERIMENT_EXTRA = {
-    "convergence": "levels = 4,5\nref_exponent = 9\n",
+    "convergence": "levels = 4,5\nref_exponent = 6\n",
     "price": "payoff = EuropeanCall\nstrike = 1\n",
 }
 
@@ -285,12 +293,25 @@ class TestCliExitCodes:
                 "--config",
                 str(config_file),
                 "--grid.t_end=16",
+                "--grid.n_steps=512",
                 "--run.levels=4,5",
                 "--run.ref_exponent=9",
             ]
         )
         assert code == 2
         assert "e=4" in capsys.readouterr().err
+
+    def test_convergence_n_steps_mismatch_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        # convergence steps on 2^ref_exponent and its own levels, so any other
+        # n_steps would be recorded in the provenance of a run that never used it
+        monkeypatch.chdir(tmp_path)
+        args = ["convergence", *STD_FLAGS, "--grid.n_steps=7", "--run.ref_exponent=8"]
+        args += ["--run.levels=3,4,5", "--run.n_paths=1000", "--output.format=json"]
+        assert main([*args, "--out=c.json"]) == 2
+        err = capsys.readouterr().err
+        assert "n_steps (7) must equal 2^ref_exponent (256)" in err
+        assert not (tmp_path / "c.json").exists()
+        assert main([*args, "--grid.n_steps=256", "--out=c.json"]) == 0
 
     def test_ignored_scheme_is_exit_2(self, config_file, tmp_path, capsys):
         out = tmp_path / "price.json"
@@ -405,6 +426,7 @@ class TestArtifacts:
                 "convergence",
                 "--config",
                 str(config_file),
+                "--grid.n_steps=256",
                 "--run.levels=3,4,5",
                 "--run.ref_exponent=8",
                 "--run.n_paths=1000",
@@ -456,6 +478,7 @@ class TestArtifacts:
             "convergence",
             "--config",
             str(config_file),
+            "--grid.n_steps=256",
             "--run.levels=3,4,5",
             "--run.ref_exponent=8",
             "--run.n_paths=1000",
@@ -495,6 +518,7 @@ class TestArtifacts:
                     "convergence",
                     "--config",
                     str(config_file),
+                    "--grid.n_steps=512",
                     "--run.levels=3,4,5",
                     "--run.ref_exponent=9",
                     "--run.n_paths=5000",
@@ -564,6 +588,13 @@ _FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) |
 _INT_DTYPES = st.sampled_from([np.uint8, np.int32, np.int64, np.uint64])
 
 
+@dataclasses.dataclass(frozen=True)
+class _Record:
+    n: int
+    x: float
+    values: object
+
+
 class TestArrayFormatting:
     """The array formatters write exactly what per-cell formatting writes."""
 
@@ -624,6 +655,16 @@ class TestArrayFormatting:
             "paths": np.array([[1.0, math.nan], [math.inf, 2.0]]),
             "events": np.zeros((2, 3), dtype=np.uint8),
             "no_rows": np.zeros((0, 3)),
+            "record": _Record(1, -0.5, np.array([0.0, 0.5])),
+            "records": [_Record(2, math.nan, np.array([3.0])), _Record(3, 1e-300, [])],
+        }
+        as_dicts = {
+            **doc,
+            "record": {"n": 1, "x": -0.5, "values": np.array([0.0, 0.5])},
+            "records": [
+                {"n": 2, "x": math.nan, "values": np.array([3.0])},
+                {"n": 3, "x": 1e-300, "values": []},
+            ],
         }
         expected = (
             '{\n  "empty_map": {},\n  "empty_list": [],\n  "flag": true,\n'
@@ -631,9 +672,16 @@ class TestArrayFormatting:
             '  "x": -0.5,\n  "flat": [1, 2.5, "a"],\n'
             '  "nested": [\n    {\n      "k": [1, 2]\n    },\n    [],\n    [3]\n  ],\n'
             '  "times": [0, 0.5],\n  "paths": [\n    [1, NaN],\n    [Infinity, 2]\n  ],\n'
-            '  "events": [\n    [0, 0, 0],\n    [0, 0, 0]\n  ],\n  "no_rows": []\n}'
+            '  "events": [\n    [0, 0, 0],\n    [0, 0, 0]\n  ],\n  "no_rows": [],\n'
+            '  "record": {\n    "n": 1,\n    "x": -0.5,\n    "values": [0, 0.5]\n  },\n'
+            '  "records": [\n    {\n      "n": 2,\n      "x": NaN,\n      "values": [3]\n'
+            '    },\n    {\n      "n": 3,\n      "x": 1e-300,\n'
+            '      "values": []\n    }\n  ]\n}'
         )
         assert _json_dumps(doc) == expected
+        assert _json_dumps(as_dicts) == expected
+        # a record's fields are walked shallowly: its arrays are not copied
+        assert _fields(doc["record"])["values"] is doc["record"].values
 
     def test_unsupported_arrays_rejected(self):
         with pytest.raises(TypeError):
