@@ -21,6 +21,11 @@ __all__ = ["StreamKey", "IncrementArray", "sample_increments", "coarsen"]
 _U64 = 2**64
 
 
+def _require_u64(name: str, v) -> None:
+    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < _U64:
+        raise ValidationError(f"{name} must be an integer in [0, 2^64), got {v!r}")
+
+
 @dataclass(frozen=True)
 class StreamKey:
     """Stateless identifier of one path's noise stream."""
@@ -29,10 +34,8 @@ class StreamKey:
     path_index: int
 
     def __post_init__(self) -> None:
-        for name in ("master_seed", "path_index"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < _U64:
-                raise ValidationError(f"{name} must be an integer in [0, 2^64)")
+        _require_u64("master_seed", self.master_seed)
+        _require_u64("path_index", self.path_index)
 
 
 @dataclass(frozen=True)
@@ -62,9 +65,42 @@ class IncrementArray:
         return self.values.size
 
 
-def _generator(key: StreamKey) -> np.random.Generator:
-    raw = np.array([key.master_seed, key.path_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=raw))
+def _increment_block(
+    master_seed: int, start: int, stop: int, n: int, dt: float
+) -> np.ndarray:
+    """(stop-start, n) matrix of per-path N(0, dt) increments.
+
+    Row i holds the first n draws of the stream keyed by
+    (master_seed, start+i).  One Philox and one Generator serve the whole
+    block: before each row the bit generator is reset to counter 0, key
+    [master_seed, path] and an empty output buffer, which is the state a
+    fresh ``Philox(key=[master_seed, path])`` starts from.  Generator caches
+    no normals, so every row is bit-identical to a freshly keyed stream.
+    The keys are validated once for the block, before any draw; each call
+    owns its generator, so concurrent calls share no state.
+    """
+    _require_u64("master_seed", master_seed)
+    if stop > start:
+        _require_u64("first path index", start)
+        _require_u64("last path index", stop - 1)
+    key = np.array([master_seed, 0], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    gen = np.random.Generator(bitgen)
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    out = np.empty((stop - start, n))
+    for path, row in zip(range(start, stop), out):
+        key[1] = path
+        bitgen.state = fresh
+        gen.standard_normal(out=row)
+    out *= math.sqrt(dt)
+    return out
 
 
 def sample_increments(key: StreamKey, n: int, dt: float) -> IncrementArray:
@@ -77,8 +113,8 @@ def sample_increments(key: StreamKey, n: int, dt: float) -> IncrementArray:
         raise ValidationError("n must be an integer >= 1")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValidationError("dt must be a positive finite number")
-    values = _generator(key).standard_normal(n)
-    values *= math.sqrt(dt)
+    path = key.path_index
+    values = _increment_block(key.master_seed, path, path + 1, n, dt)[0]
     return IncrementArray(dt=dt, values=values)
 
 

@@ -24,7 +24,6 @@ from . import __version__
 from .config import EXPERIMENTS, RunConfig, parse_config
 from .errors import CevlabError, ParseError, ValidationError
 from .experiments import (
-    LevelSpec,
     moment_check,
     negativity_stats,
     price_payoff,
@@ -245,13 +244,7 @@ def _run_simulate(config: RunConfig):
 
 
 def _run_convergence(config: RunConfig):
-    spec = LevelSpec(
-        ref_exponent=config.ref_exponent,
-        test_exponents=config.test_exponents,
-        n_paths=config.n_paths,
-        master_seed=config.seed,
-    )
-    return strong_error(config.params, config.scheme, spec, config.grid.t_end)
+    return strong_error(config.params, config.scheme, config.ladder, config.grid.t_end)
 
 
 def _run_moments(config: RunConfig):

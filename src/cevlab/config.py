@@ -67,8 +67,7 @@ class RunConfig:
     scheme: SchemeId
     n_paths: int
     seed: int
-    test_exponents: tuple[int, ...] | None
-    ref_exponent: int | None
+    ladder: LevelSpec | None
     payoff: PayoffSpec | None
     out_format: str
     out_path: str
@@ -91,10 +90,9 @@ class RunConfig:
             "format": self.out_format,
             "out": self.out_path,
         }
-        if self.test_exponents is not None:
-            items["levels"] = ",".join(str(e) for e in self.test_exponents)
-        if self.ref_exponent is not None:
-            items["ref_exponent"] = self.ref_exponent
+        if self.ladder is not None:
+            items["levels"] = ",".join(str(e) for e in self.ladder.test_exponents)
+            items["ref_exponent"] = self.ladder.ref_exponent
         if self.payoff is not None:
             items["payoff"] = self.payoff.kind.value
             items["strike"] = self.payoff.strike
@@ -211,7 +209,7 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
         spec = LevelSpec(
             ref_exponent=_int(values, "ref_exponent"),
             test_exponents=test_exponents,
-            n_paths=max(n_paths, 2),
+            n_paths=n_paths,
             master_seed=seed,
         )
         if grid.n_steps != 2**spec.ref_exponent:
@@ -247,8 +245,7 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
         scheme=scheme,
         n_paths=n_paths,
         seed=seed,
-        test_exponents=None if spec is None else spec.test_exponents,
-        ref_exponent=None if spec is None else spec.ref_exponent,
+        ladder=spec,
         payoff=payoff,
         out_format=out_format,
         out_path=out_path,

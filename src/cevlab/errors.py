@@ -20,7 +20,17 @@ class ParseError(CevlabError, ValueError):
 class NegativeInner(CevlabError, ArithmeticError):
     """The deterministic inner expression went negative beyond the rounding
     clamp threshold; the step condition is violated or the inputs are
-    numerically pathological.  Callers must not continue stepping."""
+    numerically pathological.  Callers must not continue stepping.
+
+    ``path`` is the offending path's position in the stepped batch; the
+    block runner makes it the global path index, whose StreamKey replays the
+    failure, and sets ``step``, the 0-based step (increment column) that
+    failed.  ``step`` is None outside a block run."""
+
+    def __init__(self, message: str, path: int | None = None, step: int | None = None):
+        super().__init__(message)
+        self.path = path
+        self.step = step
 
 
 class NonDivisibleFactor(CevlabError, ValueError):

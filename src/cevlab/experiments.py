@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .brownian import StreamKey, _block_sums, _generator
+from .brownian import _block_sums, _increment_block
 from .errors import (
     CouplingError,
     InsufficientPoints,
@@ -94,21 +94,6 @@ def _map_blocks(
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # list() drains the iterator so worker exceptions propagate here
         list(pool.map(work, blocks))
-
-
-def _increment_block(
-    master_seed: int, start: int, stop: int, n: int, dt: float
-) -> np.ndarray:
-    """(stop-start, n) matrix of per-path N(0, dt) increments.
-
-    Row i reproduces sample_increments(StreamKey(master_seed, start+i), n, dt)
-    bit-for-bit.
-    """
-    out = np.empty((stop - start, n))
-    for i, path in enumerate(range(start, stop)):
-        out[i] = _generator(StreamKey(master_seed, path)).standard_normal(n)
-    out *= math.sqrt(dt)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +290,7 @@ def strong_error(
         start, stop = block
         fine = _increment_block(spec.master_seed, start, stop, n_fine, dt_fine)
         fine_terminal_w = fine.sum(axis=1)
-        ref_term, _, _ = _run_block(scheme, params, dt_fine, fine)
+        ref_term, _, _ = _run_block(scheme, params, dt_fine, fine, first_path=start)
         for i, e in enumerate(spec.test_exponents):
             factor = 2 ** (spec.ref_exponent - e)
             coarse = _block_sums(fine, factor)
@@ -316,7 +301,9 @@ def strong_error(
                     f"coarse/fine terminal Brownian values diverged by "
                     f"{float(dev.max()):.3e} at level e={e}"
                 )
-            test_term, _, _ = _run_block(scheme, params, dt_fine * factor, coarse)
+            test_term, _, _ = _run_block(
+                scheme, params, dt_fine * factor, coarse, first_path=start
+            )
             sq_diff[i, start:stop] = (test_term - ref_term) ** 2
 
     _map_blocks(work, spec.n_paths, n_threads)
@@ -378,6 +365,7 @@ def _run_paths(
             scheme, params, grid.dt, dw,
             None if trajectory is None else trajectory[rows],
             None if event_matrix is None else event_matrix[rows],
+            first_path=start,
         )
 
     _map_blocks(work, n_paths, n_threads)

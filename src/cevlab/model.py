@@ -175,12 +175,14 @@ def _inner_clamped(y, dt: float, params: CevParams):
     """
     raw = _inner_raw(y, dt, params)
     tol = INNER_CLAMP_REL * np.maximum(1.0, y)
-    if np.any(raw < -tol):
-        worst = float(np.min(raw))
+    below = raw < -tol
+    if np.any(below):
+        first = int(np.argmax(below))
         raise NegativeInner(
-            f"inner expression reached {worst:.6e}, below the clamp threshold; "
-            f"step condition violated for dt={dt!r} (max stable step "
-            f"{max_stable_step(params):.6g})"
+            f"inner expression reached {float(np.ravel(raw)[first]):.6e}, below the "
+            f"clamp threshold; step condition violated for dt={dt!r} (max stable "
+            f"step {max_stable_step(params):.6g})",
+            path=first,
         )
     clamp = raw < 0.0
     return np.where(clamp, 0.0, raw), clamp

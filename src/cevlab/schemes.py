@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .brownian import IncrementArray
-from .errors import GridMismatch, ValidationError
+from .errors import GridMismatch, NegativeInner, ValidationError
 from .model import CevParams, TimeGrid, _inner_clamped
 
 __all__ = [
@@ -147,13 +147,15 @@ def _run_block(
     dw: np.ndarray,
     trajectory: np.ndarray | None = None,
     event_matrix: np.ndarray | None = None,
+    first_path: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, BatchStats]:
     """Step a (B, n) increment block from x0; returns (terminal, path_mean, stats).
 
     ``path_mean`` is the arithmetic mean of the n post-step values (the
     initial state excluded), as used by the Asian payoff.  Optional output
     matrices of shape (B, n+1) capture full trajectories and per-step
-    negativity events.
+    negativity events.  Row i is path ``first_path + i``: a NegativeInner
+    from the kernel is re-raised naming that global path and the step.
     """
     n_block, n_steps = dw.shape
     y = np.full(n_block, params.x0)
@@ -163,7 +165,13 @@ def _run_block(
     if trajectory is not None:
         trajectory[:, 0] = params.x0
     for k in range(n_steps):
-        y, events, clamps, ipow_min = _step_block(scheme, y, dt, dw[:, k], params)
+        try:
+            y, events, clamps, ipow_min = _step_block(scheme, y, dt, dw[:, k], params)
+        except NegativeInner as exc:
+            path = first_path + exc.path
+            raise NegativeInner(
+                f"path {path}, step {k}: {exc}", path=path, step=k
+            ) from exc
         sign_flips += int(np.count_nonzero(events))
         clamp_count += int(np.count_nonzero(clamps))
         min_value = min(min_value, float(y.min()))

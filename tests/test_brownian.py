@@ -1,6 +1,8 @@
 """Keyed increment streams and dyadic coarsening."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +17,14 @@ from cevlab import (
     coarsen,
     sample_increments,
 )
+from cevlab.experiments import _increment_block
+
+
+def _fresh_stream_row(seed, path, n, dt):
+    """Reference row built with numpy alone: a freshly keyed Philox stream."""
+    key = np.array([seed, path], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    return gen.standard_normal(n) * math.sqrt(dt)
 
 
 class TestStreamKey:
@@ -63,6 +73,59 @@ class TestSampleIncrements:
             sample_increments(StreamKey(1, 1), 0, 0.1)
         with pytest.raises(ValidationError):
             sample_increments(StreamKey(1, 1), 4, -0.1)
+
+
+class TestIncrementBlock:
+    @pytest.mark.parametrize("n", [1, 3, 16, 64, 4096])
+    @pytest.mark.parametrize(
+        "seed, start, stop",
+        [(20240601, 4096, 4100), (0, 0, 3), (2**64 - 1, 2**64 - 3, 2**64)],
+    )
+    def test_rows_match_fresh_philox_streams(self, seed, start, stop, n):
+        dt = 0.37
+        block = _increment_block(seed, start, stop, n, dt)
+        assert block.shape == (stop - start, n)
+        for i, path in enumerate(range(start, stop)):
+            assert block[i].tobytes() == _fresh_stream_row(seed, path, n, dt).tobytes()
+
+    def test_sample_increments_is_a_one_row_block(self):
+        inc = sample_increments(StreamKey(2**64 - 1, 2**64 - 1), 16, 0.5)
+        ref = _fresh_stream_row(2**64 - 1, 2**64 - 1, 16, 0.5)
+        assert inc.values.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "seed, start, stop",
+        [(2**64, 0, 4), (-1, 0, 4), (0, 2**64 - 2, 2**64 + 1), (0, -1, 3)],
+    )
+    def test_rejects_keys_outside_u64(self, seed, start, stop):
+        with pytest.raises(ValidationError):
+            _increment_block(seed, start, stop, 4, 0.1)
+
+    def test_concurrent_blocks_match_sequential(self):
+        """Threads filling different blocks at once share no generator state."""
+        blocks = [(11, 0, 256), (11, 256, 512), (12, 4096, 4352), (11, 512, 768)]
+        expected = [_increment_block(*b, 64, 0.01) for b in blocks]
+        got = [None] * len(blocks)
+        barrier = threading.Barrier(len(blocks))
+
+        def fill(i):
+            barrier.wait(timeout=10)
+            for _ in range(5):
+                got[i] = _increment_block(*blocks[i], 64, 0.01)
+
+        threads = [threading.Thread(target=fill, args=(i,)) for i in range(len(blocks))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for want, have in zip(expected, got):
+            assert have is not None and have.tobytes() == want.tobytes()
 
 
 class TestCoarsen:

@@ -23,7 +23,7 @@ from cevlab.cli import (
     _Trajectories,
     main,
 )
-from cevlab.experiments import PayoffKind
+from cevlab.experiments import LevelSpec, PayoffKind
 
 # Reference SHA-256 of every benchmark artifact (perfbench/README.md).
 REFERENCE_HASHES = Path(__file__).resolve().parents[1] / "perfbench" / "hashes.json"
@@ -168,8 +168,11 @@ class TestParseConfig:
         cfg = parse_config(
             base + "levels = 4,5,6\nref_exponent = 9\n", {"grid.n_steps": "512"}
         )
-        assert cfg.test_exponents == (4, 5, 6)
-        assert cfg.ref_exponent == 9
+        # the validated ladder is carried, with the run's path count and seed
+        assert cfg.ladder == LevelSpec(
+            ref_exponent=9, test_exponents=(4, 5, 6), n_paths=cfg.n_paths,
+            master_seed=cfg.seed,
+        )
 
     def test_report_experiments_enforce_path_floor(self):
         base = STANDARD.replace("experiment = check", "experiment = moments")

@@ -13,6 +13,7 @@ from cevlab import (
     InfeasibleLevel,
     InsufficientPoints,
     LevelSpec,
+    NegativeInner,
     NonFiniteResult,
     NonPositiveValue,
     PayoffKind,
@@ -344,6 +345,33 @@ class TestPricePayoff:
         assert stats.min_value < 0.0
         assert float((terminals < 0.0).mean()) > 0.0
         assert put_price > 0.0
+
+
+class TestNegativeInnerLocation:
+    def test_infeasible_step_names_path_and_step(self):
+        # dt=2 >> 2/2.75: the inner expression fails at x0 on the first step
+        p = CevParams(k=1, l=1, sigma=1, a=0.75, x0=2)
+        with pytest.raises(NegativeInner, match=r"^path 0, step 0: ") as info:
+            simulate_paths_batch(SchemeId.SEMI_DISCRETE, p, TimeGrid(8.0, 4), 8, seed=3)
+        assert (info.value.path, info.value.step) == (0, 0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_global_path_index_replays_from_its_stream_key(self, threads):
+        # dt=1.5 is infeasible too, but only paths that climb far fail; with
+        # seed 1 the first of them lies in the second 4096-path block
+        p = CevParams(k=1, l=1, sigma=0.25, a=0.75, x0=1)
+        grid = TimeGrid(6.0, 4)
+        with pytest.raises(NegativeInner) as info:
+            simulate_paths_batch(SchemeId.SEMI_DISCRETE, p, grid, 8192, 1, threads)
+        path, step = info.value.path, info.value.step
+        assert (path, step) == (5757, 3)
+        assert str(info.value).startswith(f"path {path}, step {step}: ")
+        # every earlier path runs clean, and the named one fails on its own
+        simulate_paths_batch(SchemeId.SEMI_DISCRETE, p, grid, path, 1, threads)
+        inc = sample_increments(StreamKey(1, path), grid.n_steps, grid.dt)
+        with pytest.raises(NegativeInner) as replay:
+            simulate_path(SchemeId.SEMI_DISCRETE, p, grid, inc)
+        assert replay.value.step == step
 
 
 class TestThreadEnvironment:
