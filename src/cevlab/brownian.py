@@ -2,15 +2,17 @@
 
 Each path owns a counter-based Philox stream keyed by (master_seed,
 path_index), so draws are bit-identical for the same key regardless of
-thread count or generation order, and streams for different paths never
-overlap.  Coarsening sums adjacent blocks of increments, which realizes the
-coupling of a coarse discretization to the fine path that drives it.
+thread count, generation order or how many draws are taken per call, and
+streams for different paths never overlap.  Coarsening sums adjacent blocks
+of increments, which realizes the coupling of a coarse discretization to the
+fine path that drives it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -65,6 +67,13 @@ class IncrementArray:
         return self.values.size
 
 
+def _require_keys(master_seed: int, start: int, stop: int) -> None:
+    _require_u64("master_seed", master_seed)
+    if stop > start:
+        _require_u64("first path index", start)
+        _require_u64("last path index", stop - 1)
+
+
 def _increment_block(
     master_seed: int, start: int, stop: int, n: int, dt: float
 ) -> np.ndarray:
@@ -79,10 +88,7 @@ def _increment_block(
     The keys are validated once for the block, before any draw; each call
     owns its generator, so concurrent calls share no state.
     """
-    _require_u64("master_seed", master_seed)
-    if stop > start:
-        _require_u64("first path index", start)
-        _require_u64("last path index", stop - 1)
+    _require_keys(master_seed, start, stop)
     key = np.array([master_seed, 0], dtype=np.uint64)
     bitgen = np.random.Philox(key=key)
     gen = np.random.Generator(bitgen)
@@ -103,6 +109,42 @@ def _increment_block(
     return out
 
 
+def _increment_chunks(
+    master_seed: int, start: int, stop: int, n: int, dt: float, chunk: int
+) -> Iterator[np.ndarray]:
+    """The increments of ``_increment_block(master_seed, start, stop, n, dt)``,
+    time-major and ``chunk`` steps at a time.
+
+    Yields (c, stop-start) arrays with c = ``chunk`` except possibly for the
+    last; stacked, they are the transpose of the block, bit for bit.  A run
+    of at most ``chunk`` steps is one re-keyed block, yielded as its
+    transposed view so that no second copy is held.  A longer run keeps one
+    live ``Philox(key=[master_seed, path])`` per path and resumes it chunk
+    after chunk: Philox offsets cannot be computed from the draw count,
+    because ``standard_normal`` rejects samples, and a generator caches no
+    normals between calls, so the chunked draws equal one long draw.  Those
+    chunks are C-contiguous.
+    """
+    if n <= chunk:
+        yield _increment_block(master_seed, start, stop, n, dt).T
+        return
+    _require_keys(master_seed, start, stop)
+    gens = [
+        np.random.Generator(
+            np.random.Philox(key=np.array([master_seed, path], dtype=np.uint64))
+        )
+        for path in range(start, stop)
+    ]
+    scale = math.sqrt(dt)
+    buf = np.empty((stop - start, chunk))
+    for lo in range(0, n, chunk):
+        rows = buf[:, : min(chunk, n - lo)]
+        for gen, row in zip(gens, rows):
+            gen.standard_normal(out=row)
+        rows *= scale
+        yield np.ascontiguousarray(rows.T)
+
+
 def sample_increments(key: StreamKey, n: int, dt: float) -> IncrementArray:
     """Draw ``n`` i.i.d. N(0, dt) increments from the stream of ``key``.
 
@@ -119,24 +161,25 @@ def sample_increments(key: StreamKey, n: int, dt: float) -> IncrementArray:
 
 
 def _block_sums(values: np.ndarray, factor: int) -> np.ndarray:
-    """Sum adjacent blocks of ``factor`` entries along the last axis.
+    """Sum adjacent blocks of ``factor`` entries along the leading (time) axis.
 
     Summation order inside a block: adjacent pairs are merged repeatedly
     while the remaining width is even, then any odd-width remainder is
     accumulated left to right.  With that fixed order,
     block_sums(block_sums(x, p), q) is bit-identical to block_sums(x, p*q)
     whenever p is a power of two, which covers every dyadic refinement this
-    package performs.
+    package performs.  Further axes (paths of a time-major chunk) are summed
+    independently.
     """
-    n = values.shape[-1]
-    blocks = values.reshape(values.shape[:-1] + (n // factor, factor))
+    n = values.shape[0]
+    blocks = values.reshape((n // factor, factor) + values.shape[1:])
     width = factor
     while width % 2 == 0 and width > 1:
-        blocks = blocks[..., 0::2] + blocks[..., 1::2]
+        blocks = blocks[:, 0::2] + blocks[:, 1::2]
         width //= 2
-    out = blocks[..., 0].copy()
+    out = blocks[:, 0].copy()
     for j in range(1, width):
-        out += blocks[..., j]
+        out += blocks[:, j]
     return out
 
 

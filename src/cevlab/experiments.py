@@ -1,11 +1,16 @@
 """Monte Carlo engine: strong-error estimation on coupled dyadic grids,
 moment diagnostics, sign-flip statistics, and a demonstration payoff pricer.
 
-Paths are independent work items.  Every entry point accepts ``n_threads``;
-when omitted the CEVLAB_THREADS environment variable (or the machine core
-count) decides.  Per-path noise comes from keyed streams and per-path
-results land in preallocated slots indexed by path, so every reported number
-is bit-identical regardless of thread count.
+Blocks of paths are independent work items.  Every entry point accepts
+``n_threads``; when omitted the CEVLAB_THREADS environment variable (or the
+machine core count) decides.  Per-path noise comes from keyed streams and
+per-path results land in preallocated slots indexed by path, so every
+reported number is bit-identical regardless of thread count.
+
+Every experiment runs through one driver, ``_walk_paths``: each block walks
+time once, in time-major chunks of ``_CHUNK_STEPS`` fine steps, and steps
+every grid level it needs from the same chunk.  Memory per block is bounded
+by the chunk, not by the number of steps.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .brownian import _block_sums, _increment_block
+from .brownian import _block_sums, _increment_block, _increment_chunks
 from .errors import (
     CouplingError,
     InsufficientPoints,
@@ -29,7 +34,11 @@ from .errors import (
     ValidationError,
 )
 from .model import CevParams, TimeGrid, _require_feasible, _sign_flip_prob, analytic_mean
-from .schemes import BatchStats, SchemeId, _run_block
+from .schemes import BatchStats, SchemeId, _run_block, _Walk
+
+# ``_increment_block`` and ``_run_block`` stay importable from here: the tests
+# and the perfbench layer trace look them up in this module.  The driver
+# below draws through ``_increment_chunks`` and steps through ``_Walk``.
 
 __all__ = [
     "LevelSpec",
@@ -47,10 +56,15 @@ __all__ = [
     "simulate_paths_batch",
 ]
 
-# Paths per work item.  Fixed (never derived from the thread count) so that
-# block boundaries, and hence all floating-point aggregation, are identical
-# for any degree of parallelism.
+# Paths per work item.  No reported bit depends on it: every floating-point
+# sum is per path, and every cross-path reduction is an exact count or a min.
+# It is still fixed, never derived from the thread count.
 _BLOCK_PATHS = 4096
+
+# Fine steps per time-major chunk of a block's walk: a power of two, so every
+# dyadic level factor either divides it or is a multiple of it.  A block holds
+# about 2 x _BLOCK_PATHS x _CHUNK_STEPS doubles of noise at a time.
+_CHUNK_STEPS = 512
 
 _COUPLING_TOL = 1e-12
 
@@ -94,6 +108,117 @@ def _map_blocks(
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # list() drains the iterator so worker exceptions propagate here
         list(pool.map(work, blocks))
+
+
+def _pairwise_push(carry: list, row: np.ndarray) -> np.ndarray | None:
+    """Push one (B,) block sum onto ``carry``, a pending left operand per
+    height; return the sum of the 2^len(carry) rows it completes, or None.
+
+    The order is ``_block_sums``': (r0 + r1) + (r2 + r3) and so on, so a
+    level whose factor exceeds the chunk is assembled from per-chunk sums
+    bit-identically, holding one row per height.
+    """
+    for height, left in enumerate(carry):
+        if left is None:
+            carry[height] = row
+            return None
+        carry[height] = None
+        row = left + row
+    return row
+
+
+def _level_increments(chunk: np.ndarray, factors: tuple[int, ...], carries: list):
+    """Yield (level, increments) for every coarse level that steps in ``chunk``.
+
+    ``factors`` are ascending powers of two; each level's increments are
+    block sums of the next finer level's, which ``_block_sums`` guarantees
+    equal block sums of the fine increments.  A level whose factor exceeds
+    the chunk takes the chunk's sum through its carry and steps when the
+    carry completes.  Every sum formed inside the chunk must match the
+    chunk's fine Brownian increment path by path, or CouplingError.
+    """
+    total = chunk.sum(axis=0)
+    bound = _COUPLING_TOL * np.maximum(1.0, np.abs(total))
+    sums, scale = chunk, 1
+    for level, (factor, carry) in enumerate(zip(factors, carries)):
+        if scale < min(factor, len(chunk)):
+            width = min(factor, len(chunk))
+            sums, scale = _block_sums(sums, width // scale), width
+            dev = np.abs(sums.sum(axis=0) - total)
+            if np.any(dev > bound):
+                raise CouplingError(
+                    f"coarse/fine Brownian increments diverged by "
+                    f"{float(dev.max()):.3e} at coarsening factor {scale}"
+                )
+        if factor > scale:
+            row = _pairwise_push(carry, sums[0])
+            if row is None:
+                return
+            sums, scale = row[np.newaxis], factor
+        yield level, sums
+
+
+def _walk_paths(
+    scheme: SchemeId,
+    params: CevParams,
+    seed: int,
+    n_paths: int,
+    n_steps: int,
+    dt: float,
+    n_threads: int | None,
+    factors: tuple[int, ...] = (),
+    trajectory: np.ndarray | None = None,
+    event_matrix: np.ndarray | None = None,
+) -> list[tuple[np.ndarray, np.ndarray, BatchStats]]:
+    """Walk n_paths keyed paths through n_steps fine steps of size dt, and
+    through each coarse grid of ``factors`` (ascending powers of two that
+    divide n_steps) driven by block sums of the same increments.
+
+    Returns (terminal, path_mean, stats) per level: the fine grid first,
+    then one per factor.  Each block of paths walks time once, one
+    ``_CHUNK_STEPS`` chunk of noise at a time, stepping the fine level at
+    every fine step and a coarse level every ``factor`` steps.  Per-path
+    results land in their path slots, and block stats are merged in block
+    order, so nothing depends on the thread count.  Optional (n_paths,
+    n_steps+1) matrices capture the fine level's trajectories and events.
+    """
+    chunk = min(n_steps, _CHUNK_STEPS)
+    heights = [
+        (f // max(prev, chunk)).bit_length() - 1 if f > chunk else 0
+        for prev, f in zip((1,) + factors, factors)
+    ]
+    dts = (dt,) + tuple(dt * f for f in factors)
+    terminal = np.empty((len(dts), n_paths))
+    path_mean = np.empty((len(dts), n_paths))
+    collected: dict[int, list[BatchStats]] = {}
+
+    def work(block: tuple[int, int]) -> None:
+        start, stop = block
+        rows = slice(start, stop)
+        fine = _Walk(
+            scheme, params, dt, stop - start, start,
+            None if trajectory is None else trajectory[rows],
+            None if event_matrix is None else event_matrix[rows],
+        )
+        coarse = [_Walk(scheme, params, d, stop - start, start) for d in dts[1:]]
+        carries = [[None] * h for h in heights]
+        for dw in _increment_chunks(seed, start, stop, n_steps, dt, _CHUNK_STEPS):
+            fine.advance(dw)
+            if factors:
+                for level, sums in _level_increments(dw, factors, carries):
+                    coarse[level].advance(sums)
+        stats = []
+        for level, walk in enumerate([fine, *coarse]):
+            terminal[level, rows], path_mean[level, rows], block_stats = walk.result()
+            stats.append(block_stats)
+        collected[start] = stats
+
+    _map_blocks(work, n_paths, n_threads)
+    blocks = [collected[start] for start in sorted(collected)]
+    return [
+        (terminal[level], path_mean[level], functools.reduce(BatchStats.merge, stats))
+        for level, stats in enumerate(zip(*blocks))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +394,19 @@ def strong_error(
 ) -> ConvergenceReport:
     """Coupled mean-square error against a fine-grid proxy of the solution.
 
-    Every path is simulated once on the reference grid (2^ref_exponent
-    steps) and once per test level on block-summed copies of the same
-    increments; the squared terminal differences estimate the strong error.
-    The proxy for the unknown exact solution is the scheme itself on the
-    reference grid, so ref_exponent should exceed the finest test exponent
-    by a comfortable margin.
+    Every path is simulated on the reference grid (2^ref_exponent steps) and
+    on every test level, driven by block sums of the same increments; the
+    squared terminal differences estimate the strong error.  The proxy for
+    the unknown exact solution is the scheme itself on the reference grid,
+    so ref_exponent should exceed the finest test exponent by a comfortable
+    margin.
+
+    Each block of paths walks time once, in chunks of ``_CHUNK_STEPS`` fine
+    steps, and steps the reference and every test level from the same chunk;
+    a level coarser than a chunk is summed across chunks pairwise.  Memory
+    is therefore bounded by the block and chunk sizes, whatever
+    ref_exponent and the ladder's span, and the report is bit-identical to
+    simulating each level on its own block-summed increment matrix.
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ValidationError("t_end must be a positive finite number")
@@ -282,37 +414,19 @@ def strong_error(
         _require_feasible_ladder(params, spec, t_end)
 
     n_fine = 2**spec.ref_exponent
-    dt_fine = t_end / n_fine
-    n_levels = len(spec.test_exponents)
-    sq_diff = np.empty((n_levels, spec.n_paths))
-
-    def work(block: tuple[int, int]) -> None:
-        start, stop = block
-        fine = _increment_block(spec.master_seed, start, stop, n_fine, dt_fine)
-        fine_terminal_w = fine.sum(axis=1)
-        ref_term, _, _ = _run_block(scheme, params, dt_fine, fine, first_path=start)
-        for i, e in enumerate(spec.test_exponents):
-            factor = 2 ** (spec.ref_exponent - e)
-            coarse = _block_sums(fine, factor)
-            dev = np.abs(coarse.sum(axis=1) - fine_terminal_w)
-            bound = _COUPLING_TOL * np.maximum(1.0, np.abs(fine_terminal_w))
-            if np.any(dev > bound):
-                raise CouplingError(
-                    f"coarse/fine terminal Brownian values diverged by "
-                    f"{float(dev.max()):.3e} at level e={e}"
-                )
-            test_term, _, _ = _run_block(
-                scheme, params, dt_fine * factor, coarse, first_path=start
-            )
-            sq_diff[i, start:stop] = (test_term - ref_term) ** 2
-
-    _map_blocks(work, spec.n_paths, n_threads)
+    exps = spec.test_exponents
+    factors = tuple(2 ** (spec.ref_exponent - e) for e in reversed(exps))
+    (ref_term, _, _), *coarse = _walk_paths(
+        scheme, params, spec.master_seed, spec.n_paths, n_fine, t_end / n_fine,
+        n_threads, factors,
+    )
 
     levels = []
     pts = []
-    for i, e in enumerate(spec.test_exponents):
+    # coarse is finest first, the ascending test exponents coarsest first
+    for e, (term, _, _) in zip(exps, reversed(coarse)):
         dt_level = t_end / 2**e
-        d = sq_diff[i]
+        d = (term - ref_term) ** 2
         mse = float(d.mean())
         se = float(d.std(ddof=1)) / math.sqrt(spec.n_paths)
         levels.append(
@@ -336,43 +450,6 @@ def strong_error(
     )
 
 
-def _run_paths(
-    scheme: SchemeId,
-    params: CevParams,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    n_threads: int | None,
-    trajectory: np.ndarray | None = None,
-    event_matrix: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, BatchStats]:
-    """Run n_paths keyed paths on ``grid`` through ``_run_block``, one fixed
-    block of paths per work item; returns (terminal, path_mean, stats).
-
-    Per-path results land in their path slots, and the block stats are merged
-    in block order, so nothing depends on the thread count.  Optional
-    (n_paths, n_steps+1) matrices capture trajectories and events.
-    """
-    terminal = np.empty(n_paths)
-    path_mean = np.empty(n_paths)
-    collected: dict[int, BatchStats] = {}
-
-    def work(block: tuple[int, int]) -> None:
-        start, stop = block
-        rows = slice(start, stop)
-        dw = _increment_block(seed, start, stop, grid.n_steps, grid.dt)
-        terminal[rows], path_mean[rows], collected[start] = _run_block(
-            scheme, params, grid.dt, dw,
-            None if trajectory is None else trajectory[rows],
-            None if event_matrix is None else event_matrix[rows],
-            first_path=start,
-        )
-
-    _map_blocks(work, n_paths, n_threads)
-    blocks = [collected[start] for start in sorted(collected)]
-    return terminal, path_mean, functools.reduce(BatchStats.merge, blocks)
-
-
 def _terminal_stats(
     scheme: SchemeId,
     params: CevParams,
@@ -388,8 +465,8 @@ def _terminal_stats(
     """
     if n_paths < 2:
         raise ValidationError("n_paths must be >= 2")
-    terminal, path_mean, stats = _run_paths(
-        scheme, params, grid, n_paths, seed, n_threads
+    [(terminal, path_mean, stats)] = _walk_paths(
+        scheme, params, seed, n_paths, grid.n_steps, grid.dt, n_threads
     )
     finite = np.isfinite(terminal) & np.isfinite(path_mean)
     if not finite.all():
@@ -499,7 +576,8 @@ def simulate_paths_batch(
         raise ValidationError("n_paths must be >= 1")
     values = np.empty((n_paths, grid.n_steps + 1))
     events = np.zeros((n_paths, grid.n_steps + 1), dtype=np.uint8)
-    _, _, stats = _run_paths(
-        scheme, params, grid, n_paths, seed, n_threads, values, events
+    [(_, _, stats)] = _walk_paths(
+        scheme, params, seed, n_paths, grid.n_steps, grid.dt, n_threads,
+        trajectory=values, event_matrix=events,
     )
     return values, events, stats

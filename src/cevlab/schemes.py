@@ -10,9 +10,10 @@ baselines that illustrate what the update fixes: plain Euler leaves the
 positive half-line.
 
 One kernel, ``_step_block``, steps a vector of paths under any scheme, and
-one runner, ``_run_block``, drives a (B, n) increment block through it.  The
-scalar functions are B=1 views of the two, so a batch row is bit-identical
-to ``simulate_path`` on the same increments.
+one stepper, ``_Walk``, drives it over time-major increments chunk by chunk,
+carrying each path's state between chunks.  ``_run_block`` is a (B, n)
+block walked as one chunk, and the scalar functions are B=1 views of it, so
+a batch row is bit-identical to ``simulate_path`` on the same increments.
 """
 
 from __future__ import annotations
@@ -140,6 +141,72 @@ def _step_block(scheme: SchemeId, y, dt: float, dw, params: CevParams):
     return y_next, neg, np.zeros_like(neg), math.inf
 
 
+class _Walk:
+    """One grid level of a block of paths, stepped a time-major chunk at a time.
+
+    Carries the state, the running sum behind ``path_mean`` and the
+    diagnostics across chunks, and numbers steps from the start of the run:
+    a NegativeInner from the kernel is re-raised naming the global path
+    (``first_path`` + row) and the level's global step.  Optional (B, n+1)
+    matrices receive the trajectory and the per-step events.
+    """
+
+    def __init__(
+        self,
+        scheme: SchemeId,
+        params: CevParams,
+        dt: float,
+        n_block: int,
+        first_path: int = 0,
+        trajectory: np.ndarray | None = None,
+        event_matrix: np.ndarray | None = None,
+    ) -> None:
+        self.scheme, self.params, self.dt = scheme, params, dt
+        self.first_path = first_path
+        self.trajectory, self.event_matrix = trajectory, event_matrix
+        self.y = np.full(n_block, params.x0)
+        self.running = np.zeros(n_block)
+        self.steps = self.sign_flips = self.clamp_count = 0
+        self.min_value, self.min_inner_pow = float(params.x0), math.inf
+        if trajectory is not None:
+            trajectory[:, 0] = params.x0
+
+    def advance(self, dw: np.ndarray) -> None:
+        """Take one step per row of the time-major (m, B) increments ``dw``."""
+        scheme, params, dt = self.scheme, self.params, self.dt
+        trajectory, event_matrix = self.trajectory, self.event_matrix
+        y, running = self.y, self.running
+        sign_flips, clamp_count = self.sign_flips, self.clamp_count
+        min_value, min_inner_pow = self.min_value, self.min_inner_pow
+        for k, dw_k in enumerate(dw, self.steps):
+            try:
+                y, events, clamps, ipow_min = _step_block(scheme, y, dt, dw_k, params)
+            except NegativeInner as exc:
+                path = self.first_path + exc.path
+                raise NegativeInner(
+                    f"path {path}, step {k}: {exc}", path=path, step=k
+                ) from exc
+            sign_flips += int(np.count_nonzero(events))
+            clamp_count += int(np.count_nonzero(clamps))
+            min_value = min(min_value, float(y.min()))
+            min_inner_pow = min(min_inner_pow, ipow_min)
+            running += y
+            if trajectory is not None:
+                trajectory[:, k + 1] = y
+            if event_matrix is not None:
+                event_matrix[:, k + 1] = events
+        self.y, self.steps = y, self.steps + len(dw)
+        self.sign_flips, self.clamp_count = sign_flips, clamp_count
+        self.min_value, self.min_inner_pow = min_value, min_inner_pow
+
+    def result(self) -> tuple[np.ndarray, np.ndarray, BatchStats]:
+        """(terminal, path_mean, stats) of the steps taken so far."""
+        stats = BatchStats(
+            self.sign_flips, self.clamp_count, self.min_value, self.min_inner_pow
+        )
+        return self.y, self.running / self.steps, stats
+
+
 def _run_block(
     scheme: SchemeId,
     params: CevParams,
@@ -157,32 +224,9 @@ def _run_block(
     negativity events.  Row i is path ``first_path + i``: a NegativeInner
     from the kernel is re-raised naming that global path and the step.
     """
-    n_block, n_steps = dw.shape
-    y = np.full(n_block, params.x0)
-    running = np.zeros(n_block)
-    sign_flips = clamp_count = 0
-    min_value, min_inner_pow = float(params.x0), math.inf
-    if trajectory is not None:
-        trajectory[:, 0] = params.x0
-    for k in range(n_steps):
-        try:
-            y, events, clamps, ipow_min = _step_block(scheme, y, dt, dw[:, k], params)
-        except NegativeInner as exc:
-            path = first_path + exc.path
-            raise NegativeInner(
-                f"path {path}, step {k}: {exc}", path=path, step=k
-            ) from exc
-        sign_flips += int(np.count_nonzero(events))
-        clamp_count += int(np.count_nonzero(clamps))
-        min_value = min(min_value, float(y.min()))
-        min_inner_pow = min(min_inner_pow, ipow_min)
-        running += y
-        if trajectory is not None:
-            trajectory[:, k + 1] = y
-        if event_matrix is not None:
-            event_matrix[:, k + 1] = events
-    stats = BatchStats(sign_flips, clamp_count, min_value, min_inner_pow)
-    return y, running / n_steps, stats
+    walk = _Walk(scheme, params, dt, dw.shape[0], first_path, trajectory, event_matrix)
+    walk.advance(dw.T)
+    return walk.result()
 
 
 def semidiscrete_step(

@@ -2,6 +2,10 @@
 sign-flip statistics, and payoff pricing."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,46 @@ from cevlab import (
     step_negativity_prob,
     strong_error,
 )
+from cevlab.brownian import _block_sums
+from cevlab.experiments import (
+    _BLOCK_PATHS,
+    _CHUNK_STEPS,
+    ConvergenceReport,
+    LevelRecord,
+    _increment_block,
+    _run_block,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _whole_matrix_strong_error(params, scheme, spec, t_end):
+    """The coupled ladder computed from each block's whole fine-increment
+    matrix: one ``_run_block`` on the reference grid and one per level on the
+    level's block sums, with the report built as ``strong_error`` builds it.
+    The streamed walk must reproduce this bit for bit."""
+    n_fine = 2**spec.ref_exponent
+    dt = t_end / n_fine
+    sq_diff = np.empty((len(spec.test_exponents), spec.n_paths))
+    for start in range(0, spec.n_paths, _BLOCK_PATHS):
+        stop = min(start + _BLOCK_PATHS, spec.n_paths)
+        fine = _increment_block(spec.master_seed, start, stop, n_fine, dt)
+        ref, _, _ = _run_block(scheme, params, dt, fine, first_path=start)
+        for i, e in enumerate(spec.test_exponents):
+            factor = 2 ** (spec.ref_exponent - e)
+            coarse = _block_sums(fine.T, factor).T
+            test, _, _ = _run_block(scheme, params, dt * factor, coarse, first_path=start)
+            sq_diff[i, start:stop] = (test - ref) ** 2
+    levels = []
+    for i, e in enumerate(spec.test_exponents):
+        mse = float(sq_diff[i].mean())
+        se = float(sq_diff[i].std(ddof=1)) / math.sqrt(spec.n_paths)
+        levels.append(LevelRecord(e, t_end / 2**e, mse, math.sqrt(mse), 1.96 * se))
+    slope, intercept, r2 = fit_order((rec.dt, rec.rmse) for rec in levels)
+    levels.sort(key=lambda rec: -rec.dt)
+    return ConvergenceReport(
+        tuple(levels), slope, intercept, r2, params.a * (params.a - 0.5)
+    )
 
 
 class TestFitOrder:
@@ -139,9 +183,6 @@ class TestStrongError:
         """Driving the same scheme with the identical increment matrix twice
         reproduces the terminal values bit-for-bit, so the squared gap of a
         level coupled to itself is exactly zero."""
-        from cevlab.brownian import _block_sums
-        from cevlab.experiments import _increment_block, _run_block
-
         dt = 1 / 64
         fine = _increment_block(123, 0, 256, 64, dt)
         ref, _, _ = _run_block(SchemeId.SEMI_DISCRETE, standard_params, dt, fine)
@@ -180,6 +221,60 @@ class TestStrongError:
         a = strong_error(standard_params, SchemeId.SEMI_DISCRETE, spec, 1.0, n_threads=1)
         b = strong_error(standard_params, SchemeId.SEMI_DISCRETE, spec, 1.0, n_threads=3)
         assert a == b
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "ref, exps, n_paths",
+        [
+            # eight chunks, every level inside a chunk
+            (12, (4, 5, 6, 7, 8, 9), 300),
+            # factors 2^9 and 2^10: one level spans two chunks
+            (11, (1, 2), 300),
+            # factor 2^11 spans four chunks, summed from the 2^8 level
+            (12, (1, 4), 300),
+            # two chunks, and a second block of one path
+            (10, (3, 5), _BLOCK_PATHS + 1),
+        ],
+    )
+    def test_streamed_walk_equals_whole_matrix_ladder(
+        self, standard_params, ref, exps, n_paths, threads
+    ):
+        assert 2**ref > _CHUNK_STEPS
+        spec = LevelSpec(ref, exps, n_paths, 20240601)
+        report = strong_error(
+            standard_params, SchemeId.SEMI_DISCRETE, spec, 1.0, n_threads=threads
+        )
+        oracle = _whole_matrix_strong_error(
+            standard_params, SchemeId.SEMI_DISCRETE, spec, 1.0
+        )
+        assert report == oracle
+
+    def test_peak_memory_flat_in_ref_exponent(self, tmp_path):
+        """A reference grid 4x longer must not grow a convergence run's peak
+        RSS: each block holds one chunk of noise, never a whole path."""
+        peaks = {}
+        for ref in (12, 14):
+            argv = [
+                sys.executable, "-m", "cevlab", "convergence",
+                "--model.k=1", "--model.l=1", "--model.sigma=1", "--model.a=0.75",
+                "--model.x0=1", "--grid.t_end=1", f"--grid.n_steps={2**ref}",
+                f"--run.ref_exponent={ref}", "--run.levels=4,5,6,7,8,9",
+                "--run.n_paths=1000", "--run.seed=20240601",
+                f"--out=ladder{ref}.csv",
+            ]
+            env = {**os.environ, "CEVLAB_THREADS": "1"}
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(SRC), env.get("PYTHONPATH")])
+            )
+            child = subprocess.Popen(
+                argv, cwd=tmp_path, env=env, stdout=subprocess.DEVNULL
+            )
+            # the child's own peak: RUSAGE_CHILDREN is a max over all children
+            _, status, usage = os.wait4(child.pid, 0)
+            child.returncode = os.waitstatus_to_exitcode(status)
+            assert child.returncode == 0
+            peaks[ref] = usage.ru_maxrss
+        assert peaks[14] <= 1.2 * peaks[12], peaks
 
     def test_infeasible_level_named(self, standard_params):
         spec = LevelSpec(ref_exponent=9, test_exponents=(4, 5), n_paths=100, master_seed=0)
@@ -369,6 +464,22 @@ class TestNegativeInnerLocation:
         # every earlier path runs clean, and the named one fails on its own
         simulate_paths_batch(SchemeId.SEMI_DISCRETE, p, grid, path, 1, threads)
         inc = sample_increments(StreamKey(1, path), grid.n_steps, grid.dt)
+        with pytest.raises(NegativeInner) as replay:
+            simulate_path(SchemeId.SEMI_DISCRETE, p, grid, inc)
+        assert replay.value.step == step
+
+
+    def test_global_step_index_across_chunks(self):
+        # 1024 steps walk as two chunks; with seed 2 the first failure is
+        # path 1 in the second chunk, and the error counts from step 0
+        p = CevParams(k=1, l=1, sigma=0.25, a=0.75, x0=1)
+        grid = TimeGrid(1536.0, 1024)
+        with pytest.raises(NegativeInner) as info:
+            moment_check(p, SchemeId.SEMI_DISCRETE, grid, 4, 2)
+        path, step = info.value.path, info.value.step
+        assert (path, step) == (1, 859) and step > _CHUNK_STEPS
+        assert str(info.value).startswith(f"path {path}, step {step}: ")
+        inc = sample_increments(StreamKey(2, path), grid.n_steps, grid.dt)
         with pytest.raises(NegativeInner) as replay:
             simulate_path(SchemeId.SEMI_DISCRETE, p, grid, inc)
         assert replay.value.step == step
