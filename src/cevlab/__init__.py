@@ -4,15 +4,12 @@ and tail diagnostics."""
 
 __version__ = "0.1.0"
 
-from .brownian import IncrementArray, StreamKey, coarsen, sample_increments
 from .errors import (
     CevlabError,
     CouplingError,
-    GridMismatch,
     InfeasibleLevel,
     InsufficientPoints,
     NegativeInner,
-    NonDivisibleFactor,
     NonFiniteResult,
     NonPositiveValue,
     ParseError,
@@ -40,21 +37,12 @@ from .model import (
     TimeGrid,
     analytic_mean,
     inner_value,
-    inner_value_with_flag,
     max_stable_step,
     normal_cdf,
     step_negativity_prob,
     validate_assumption_a,
 )
-from .schemes import (
-    BatchStats,
-    PathResult,
-    SchemeId,
-    StepFlags,
-    euler_step,
-    semidiscrete_step,
-    simulate_path,
-)
+from .schemes import BatchStats, SchemeId
 
 __all__ = [
     "__version__",
@@ -65,22 +53,12 @@ __all__ = [
     "validate_assumption_a",
     "max_stable_step",
     "inner_value",
-    "inner_value_with_flag",
     "analytic_mean",
     "step_negativity_prob",
     "normal_cdf",
-    # brownian
-    "StreamKey",
-    "IncrementArray",
-    "sample_increments",
-    "coarsen",
     # schemes
     "SchemeId",
-    "StepFlags",
-    "PathResult",
-    "semidiscrete_step",
-    "euler_step",
-    "simulate_path",
+    "BatchStats",
     # experiments
     "LevelSpec",
     "LevelRecord",
@@ -89,7 +67,6 @@ __all__ = [
     "PayoffKind",
     "PayoffSpec",
     "NegativityStats",
-    "BatchStats",
     "strong_error",
     "fit_order",
     "moment_check",
@@ -104,8 +81,6 @@ __all__ = [
     "ValidationError",
     "ParseError",
     "NegativeInner",
-    "NonDivisibleFactor",
-    "GridMismatch",
     "InfeasibleLevel",
     "InsufficientPoints",
     "NonPositiveValue",

@@ -1,70 +1,34 @@
 """Reproducible Brownian increments with exact dyadic coarsening.
 
-Each path owns a counter-based Philox stream keyed by (master_seed,
-path_index), so draws are bit-identical for the same key regardless of
-thread count, generation order or how many draws are taken per call, and
-streams for different paths never overlap.  Coarsening sums adjacent blocks
-of increments, which realizes the coupling of a coarse discretization to the
-fine path that drives it.
+The stream contract: path ``p`` of master seed ``s`` draws standard normals
+from ``Generator(Philox(key=[s, p]))`` and scales them by sqrt(dt).  Draws
+are therefore bit-identical for the same key regardless of thread count,
+generation order or how many draws are taken per call, and streams for
+different paths never overlap.  ``_increment_block`` draws a block of paths
+at once, ``_increment_chunks`` the same block time-major and a chunk at a
+time.  ``_block_sums`` sums adjacent blocks of increments, which realizes
+the coupling of a coarse discretization to the fine path that drives it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .errors import NonDivisibleFactor, ValidationError
+from .errors import ValidationError
 
-__all__ = ["StreamKey", "IncrementArray", "sample_increments", "coarsen"]
+__all__: list[str] = []
 
 _U64 = 2**64
 
 
 def _require_u64(name: str, v) -> None:
+    """The one rule for every seed and path index: an int (not a bool) in
+    [0, 2^64), the range of a Philox key word."""
     if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < _U64:
         raise ValidationError(f"{name} must be an integer in [0, 2^64), got {v!r}")
-
-
-@dataclass(frozen=True)
-class StreamKey:
-    """Stateless identifier of one path's noise stream."""
-
-    master_seed: int
-    path_index: int
-
-    def __post_init__(self) -> None:
-        _require_u64("master_seed", self.master_seed)
-        _require_u64("path_index", self.path_index)
-
-
-@dataclass(frozen=True)
-class IncrementArray:
-    """Brownian increments over consecutive steps of common length ``dt``.
-
-    ``values[j]`` is W_{t_{j+1}} - W_{t_j}; their sum is the terminal
-    Brownian value.  The array is frozen read-only so instances behave as
-    immutable values.
-    """
-
-    dt: float
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValidationError("dt must be a positive finite number")
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.size < 1:
-            raise ValidationError("values must be a 1-D array of length >= 1")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def length(self) -> int:
-        return self.values.size
 
 
 def _require_keys(master_seed: int, start: int, stop: int) -> None:
@@ -145,21 +109,6 @@ def _increment_chunks(
         yield np.ascontiguousarray(rows.T)
 
 
-def sample_increments(key: StreamKey, n: int, dt: float) -> IncrementArray:
-    """Draw ``n`` i.i.d. N(0, dt) increments from the stream of ``key``.
-
-    Bit-identical for identical (key, n, dt); streams with different
-    path_index values are independent by the counter-based construction.
-    """
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError("n must be an integer >= 1")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValidationError("dt must be a positive finite number")
-    path = key.path_index
-    values = _increment_block(key.master_seed, path, path + 1, n, dt)[0]
-    return IncrementArray(dt=dt, values=values)
-
-
 def _block_sums(values: np.ndarray, factor: int) -> np.ndarray:
     """Sum adjacent blocks of ``factor`` entries along the leading (time) axis.
 
@@ -181,21 +130,3 @@ def _block_sums(values: np.ndarray, factor: int) -> np.ndarray:
     for j in range(1, width):
         out += blocks[:, j]
     return out
-
-
-def coarsen(inc: IncrementArray, factor: int) -> IncrementArray:
-    """Merge every ``factor`` consecutive increments into one.
-
-    The result has step size ``factor * inc.dt`` and drives the same
-    Brownian path on the coarser grid; the total sum is preserved up to
-    floating-point associativity.
-    """
-    if not isinstance(factor, int) or factor < 1:
-        raise NonDivisibleFactor(f"factor must be an integer >= 1, got {factor!r}")
-    if inc.length % factor != 0:
-        raise NonDivisibleFactor(
-            f"factor {factor} does not divide increment count {inc.length}"
-        )
-    if factor == 1:
-        return IncrementArray(dt=inc.dt, values=inc.values)
-    return IncrementArray(dt=inc.dt * factor, values=_block_sums(inc.values, factor))

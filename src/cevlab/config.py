@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+from .brownian import _require_u64
 from .errors import ParseError, ValidationError
 from .experiments import LevelSpec, PayoffKind, PayoffSpec, _require_feasible_ladder
 from .model import CevParams, TimeGrid, _require_feasible
@@ -190,8 +191,7 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
         )
     n_paths = _int(values, "n_paths") if "n_paths" in values else 1000
     seed = _int(values, "seed") if "seed" in values else 0
-    if not 0 <= seed < 2**64:
-        raise ValidationError("seed must be an integer in [0, 2^64)")
+    _require_u64("seed", seed)
     if n_paths < 1:
         raise ValidationError("n_paths must be >= 1")
     if experiment in _REPORT_EXPERIMENTS and n_paths < _MIN_REPORT_PATHS:

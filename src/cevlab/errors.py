@@ -23,22 +23,15 @@ class NegativeInner(CevlabError, ArithmeticError):
     numerically pathological.  Callers must not continue stepping.
 
     ``path`` is the offending path's position in the stepped batch; the
-    block runner makes it the global path index, whose StreamKey replays the
-    failure, and sets ``step``, the 0-based step (increment column) that
-    failed.  ``step`` is None outside a block run."""
+    stepper makes it the global path index and sets ``step``, the 0-based
+    step that failed, so the failure replays from the stream
+    ``Philox(key=[seed, path])`` alone.  ``step`` is None for a failure
+    outside a stepped run."""
 
     def __init__(self, message: str, path: int | None = None, step: int | None = None):
         super().__init__(message)
         self.path = path
         self.step = step
-
-
-class NonDivisibleFactor(CevlabError, ValueError):
-    """Coarsening factor does not divide the increment count."""
-
-
-class GridMismatch(CevlabError, ValueError):
-    """Increment array and time grid disagree in length or step size."""
 
 
 class InfeasibleLevel(ValidationError):

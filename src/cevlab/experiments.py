@@ -25,7 +25,12 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .brownian import _block_sums, _increment_block, _increment_chunks
+from .brownian import (
+    _block_sums,
+    _increment_block,
+    _increment_chunks,
+    _require_u64,
+)
 from .errors import (
     CouplingError,
     InsufficientPoints,
@@ -34,11 +39,11 @@ from .errors import (
     ValidationError,
 )
 from .model import CevParams, TimeGrid, _require_feasible, _sign_flip_prob, analytic_mean
-from .schemes import BatchStats, SchemeId, _run_block, _Walk
+from .schemes import BatchStats, SchemeId, _Walk
 
-# ``_increment_block`` and ``_run_block`` stay importable from here: the tests
-# and the perfbench layer trace look them up in this module.  The driver
-# below draws through ``_increment_chunks`` and steps through ``_Walk``.
+# Nothing here calls ``_increment_block`` (``_walk_paths`` draws through
+# ``_increment_chunks``), but the perfbench layer trace finds it under this
+# module's name: without the import, its noise metrics read as absent.
 
 __all__ = [
     "LevelSpec",
@@ -260,8 +265,7 @@ class LevelSpec:
             )
         if self.n_paths < 2:
             raise ValidationError("n_paths must be >= 2")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValidationError("master_seed must be an integer in [0, 2^64)")
+        _require_u64("master_seed", self.master_seed)
 
 
 def _require_feasible_ladder(params: CevParams, spec: LevelSpec, t_end: float) -> None:
@@ -356,6 +360,20 @@ class PayoffSpec:
 # ---------------------------------------------------------------------------
 
 
+def _standard_error(samples: np.ndarray, scale: float = 1.0) -> float:
+    """``scale`` standard errors of the mean of ``samples``: exactly 0.0 when
+    every sample is equal, scale * std(ddof=1) / sqrt(n) otherwise.
+
+    numpy's pairwise mean of identical samples can differ from them in the
+    last bit, which would give a spread of ~1e-18 where there is none.  The
+    price CI passes its 1.96 as ``scale``; the ladder multiplies the result,
+    and the two orders round differently, so each keeps its own.
+    """
+    if samples.min() == samples.max():
+        return 0.0
+    return scale * float(samples.std(ddof=1)) / math.sqrt(samples.size)
+
+
 def fit_order(points: Iterable[tuple[float, float]]) -> tuple[float, float, float]:
     """Least-squares line through (ln dt, ln rmse); the slope is the order.
 
@@ -428,14 +446,13 @@ def strong_error(
         dt_level = t_end / 2**e
         d = (term - ref_term) ** 2
         mse = float(d.mean())
-        se = float(d.std(ddof=1)) / math.sqrt(spec.n_paths)
         levels.append(
             LevelRecord(
                 exponent=e,
                 dt=dt_level,
                 mse=mse,
                 rmse=math.sqrt(mse),
-                ci_halfwidth=1.96 * se,
+                ci_halfwidth=1.96 * _standard_error(d),
             )
         )
         pts.append((dt_level, math.sqrt(mse)))
@@ -492,14 +509,12 @@ def moment_check(
     second = terminal**2
     mean = float(terminal.mean())
     m2 = float(second.mean())
-    se_mean = float(terminal.std(ddof=1)) / math.sqrt(n_paths)
-    se_second = float(second.std(ddof=1)) / math.sqrt(n_paths)
     exact = analytic_mean(params, grid.t_end)
     return MomentReport(
         sample_mean=mean,
         sample_second_moment=m2,
-        se_mean=se_mean,
-        se_second=se_second,
+        se_mean=_standard_error(terminal),
+        se_second=_standard_error(second),
         analytic_mean=exact,
         abs_mean_error=abs(mean - exact),
     )
@@ -552,9 +567,7 @@ def price_payoff(
         samples = np.maximum(payoff.strike - terminal, 0.0)
     else:
         samples = np.maximum(path_mean - payoff.strike, 0.0)
-    price = float(samples.mean())
-    ci = 1.96 * float(samples.std(ddof=1)) / math.sqrt(n_paths)
-    return price, ci
+    return float(samples.mean()), _standard_error(samples, scale=1.96)
 
 
 def simulate_paths_batch(
@@ -569,8 +582,9 @@ def simulate_paths_batch(
 
     Returns (values, events, stats) with ``values`` of shape
     (n_paths, n_steps+1) and ``events`` a uint8 matrix marking steps whose
-    noise term (or proposed Euler iterate) went negative.  Path i is
-    bit-identical to simulating StreamKey(seed, i) on its own.
+    noise term (or proposed Euler iterate) went negative.  Path i is driven by
+    the stream ``Philox(key=[seed, i])``, so its row depends neither on
+    n_paths nor on the thread count.
     """
     if n_paths < 1:
         raise ValidationError("n_paths must be >= 1")

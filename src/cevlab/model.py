@@ -28,7 +28,6 @@ __all__ = [
     "max_stable_step",
     "validate_assumption_a",
     "inner_value",
-    "inner_value_with_flag",
     "analytic_mean",
     "step_negativity_prob",
     "normal_cdf",
@@ -188,13 +187,6 @@ def _inner_clamped(y, dt: float, params: CevParams):
     return np.where(clamp, 0.0, raw), clamp
 
 
-def inner_value_with_flag(y: float, dt: float, params: CevParams) -> tuple[float, bool]:
-    """Like :func:`inner_value` but also reports whether the rounding clamp fired."""
-    _require(y >= 0.0, "y must be >= 0")
-    inner, clamp = _inner_clamped(float(y), dt, params)
-    return float(inner), bool(clamp)
-
-
 def inner_value(y: float, dt: float, params: CevParams) -> float:
     """Inner deterministic expression at state ``y``, clamped at zero.
 
@@ -202,7 +194,8 @@ def inner_value(y: float, dt: float, params: CevParams) -> float:
     floating-point rounding can produce a tiny negative, which is clamped.
     Larger negatives raise :class:`NegativeInner`.
     """
-    return inner_value_with_flag(y, dt, params)[0]
+    _require(y >= 0.0, "y must be >= 0")
+    return float(_inner_clamped(float(y), dt, params)[0])
 
 
 def analytic_mean(params: CevParams, t: float) -> float:

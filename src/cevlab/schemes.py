@@ -11,9 +11,8 @@ positive half-line.
 
 One kernel, ``_step_block``, steps a vector of paths under any scheme, and
 one stepper, ``_Walk``, drives it over time-major increments chunk by chunk,
-carrying each path's state between chunks.  ``_run_block`` is a (B, n)
-block walked as one chunk, and the scalar functions are B=1 views of it, so
-a batch row is bit-identical to ``simulate_path`` on the same increments.
+carrying each path's state between chunks.  They are the only way to step:
+every experiment reaches them through ``experiments._walk_paths``.
 """
 
 from __future__ import annotations
@@ -21,23 +20,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .brownian import IncrementArray
-from .errors import GridMismatch, NegativeInner, ValidationError
-from .model import CevParams, TimeGrid, _inner_clamped
+from .errors import NegativeInner, ValidationError
+from .model import CevParams, _inner_clamped
 
-__all__ = [
-    "SchemeId",
-    "StepFlags",
-    "PathResult",
-    "semidiscrete_step",
-    "euler_step",
-    "simulate_path",
-    "BatchStats",
-]
+__all__ = ["SchemeId", "BatchStats"]
 
 
 class SchemeId(enum.Enum):
@@ -60,30 +49,6 @@ class SchemeId(enum.Enum):
     @property
     def is_euler(self) -> bool:
         return self is not SchemeId.SEMI_DISCRETE
-
-
-class StepFlags(NamedTuple):
-    """Per-step diagnostics: did z go negative, did the inner clamp fire."""
-
-    z_negative: bool
-    clamped: bool
-
-
-@dataclass(frozen=True)
-class PathResult:
-    """One simulated trajectory plus positivity diagnostics.
-
-    ``sign_flip_count`` counts steps whose noise term z was negative
-    (semi-discrete) or whose proposed iterate was negative (Euler variants);
-    ``clamp_count`` counts rounding clamps of the inner expression, which is
-    always zero for Euler variants.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    sign_flip_count: int
-    clamp_count: int
-    min_value: float
 
 
 @dataclass(frozen=True)
@@ -144,8 +109,9 @@ def _step_block(scheme: SchemeId, y, dt: float, dw, params: CevParams):
 class _Walk:
     """One grid level of a block of paths, stepped a time-major chunk at a time.
 
-    Carries the state, the running sum behind ``path_mean`` and the
-    diagnostics across chunks, and numbers steps from the start of the run:
+    Carries the state, the running sum behind ``path_mean`` (the mean of the
+    post-step values, the initial state excluded) and the diagnostics across
+    chunks, and numbers steps from the start of the run:
     a NegativeInner from the kernel is re-raised naming the global path
     (``first_path`` + row) and the level's global step.  Optional (B, n+1)
     matrices receive the trajectory and the per-step events.
@@ -205,90 +171,3 @@ class _Walk:
             self.sign_flips, self.clamp_count, self.min_value, self.min_inner_pow
         )
         return self.y, self.running / self.steps, stats
-
-
-def _run_block(
-    scheme: SchemeId,
-    params: CevParams,
-    dt: float,
-    dw: np.ndarray,
-    trajectory: np.ndarray | None = None,
-    event_matrix: np.ndarray | None = None,
-    first_path: int = 0,
-) -> tuple[np.ndarray, np.ndarray, BatchStats]:
-    """Step a (B, n) increment block from x0; returns (terminal, path_mean, stats).
-
-    ``path_mean`` is the arithmetic mean of the n post-step values (the
-    initial state excluded), as used by the Asian payoff.  Optional output
-    matrices of shape (B, n+1) capture full trajectories and per-step
-    negativity events.  Row i is path ``first_path + i``: a NegativeInner
-    from the kernel is re-raised naming that global path and the step.
-    """
-    walk = _Walk(scheme, params, dt, dw.shape[0], first_path, trajectory, event_matrix)
-    walk.advance(dw.T)
-    return walk.result()
-
-
-def semidiscrete_step(
-    y: float, dt: float, dw: float, params: CevParams
-) -> tuple[float, StepFlags]:
-    """One explicit semi-discrete step from state ``y >= 0``.
-
-    Returns the next state (always >= 0) and the step flags.  Propagates
-    NegativeInner when the inner expression violates the clamp threshold.
-    """
-    if not y >= 0.0:
-        raise ValidationError("y must be >= 0")
-    y_next, z_neg, clamped, _ = _step_block(
-        SchemeId.SEMI_DISCRETE, np.array([y], float), dt, np.array([dw], float), params
-    )
-    return float(y_next[0]), StepFlags(bool(z_neg[0]), bool(clamped[0]))
-
-
-def euler_step(
-    variant: SchemeId, x: float, dt: float, dw: float, params: CevParams
-) -> float:
-    """One Euler-Maruyama step of the given baseline variant.
-
-    The state may be negative (negativity is data for the baselines, not an
-    error), so no positivity precondition applies.
-    """
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValidationError("dt must be a positive finite number")
-    if not variant.is_euler:
-        raise ValidationError(f"{variant} is not an Euler variant")
-    x_next, _, _, _ = _step_block(
-        variant, np.array([x], float), dt, np.array([dw], float), params
-    )
-    return float(x_next[0])
-
-
-def simulate_path(
-    scheme: SchemeId,
-    params: CevParams,
-    grid: TimeGrid,
-    inc: IncrementArray,
-) -> PathResult:
-    """Iterate the chosen scheme over ``grid`` driven by ``inc``.
-
-    The increments must match the grid exactly (same count, same step).  For
-    the semi-discrete scheme every value of the result is nonnegative.
-    """
-    if inc.length != grid.n_steps:
-        raise GridMismatch(
-            f"increment count {inc.length} does not match n_steps {grid.n_steps}"
-        )
-    if not math.isclose(inc.dt, grid.dt, rel_tol=1e-12, abs_tol=0.0):
-        raise GridMismatch(f"increment dt {inc.dt!r} does not match grid dt {grid.dt!r}")
-
-    values = np.empty(grid.n_steps + 1)
-    _, _, stats = _run_block(
-        scheme, params, grid.dt, inc.values[np.newaxis], trajectory=values[np.newaxis]
-    )
-    return PathResult(
-        times=grid.times(),
-        values=values,
-        sign_flip_count=stats.sign_flip_count,
-        clamp_count=stats.clamp_count,
-        min_value=float(values.min()),
-    )

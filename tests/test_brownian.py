@@ -9,15 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cevlab import (
-    IncrementArray,
-    NonDivisibleFactor,
-    StreamKey,
-    ValidationError,
-    coarsen,
-    sample_increments,
-)
-from cevlab.experiments import _increment_block
+from cevlab import ValidationError
+from cevlab.brownian import _block_sums, _increment_block, _require_u64
 
 
 def _fresh_stream_row(seed, path, n, dt):
@@ -27,52 +20,36 @@ def _fresh_stream_row(seed, path, n, dt):
     return gen.standard_normal(n) * math.sqrt(dt)
 
 
-class TestStreamKey:
-    def test_valid_range(self):
-        StreamKey(master_seed=0, path_index=2**64 - 1)
+class TestU64Rule:
+    """Seeds and path indices share one rule: an int in [0, 2^64)."""
 
-    @pytest.mark.parametrize("seed, path", [(-1, 0), (0, -3), (2**64, 0)])
-    def test_rejects_out_of_range(self, seed, path):
-        with pytest.raises(ValidationError):
-            StreamKey(master_seed=seed, path_index=path)
+    @pytest.mark.parametrize("v", [0, 1, 2**64 - 1])
+    def test_accepts_u64(self, v):
+        _require_u64("master_seed", v)
 
-    @pytest.mark.parametrize(
-        "seed, path", [(True, 0), (0, False), (True, False), (1.0, 0), (0, "1")]
-    )
-    def test_rejects_non_int_fields(self, seed, path):
-        with pytest.raises(ValidationError):
-            StreamKey(master_seed=seed, path_index=path)
+    @pytest.mark.parametrize("v", [-1, -3, 2**64, True, False, 1.0, "1", None])
+    def test_rejects_out_of_range_and_non_int(self, v):
+        with pytest.raises(ValidationError, match=r"^path must be an integer in \["):
+            _require_u64("path", v)
 
 
 class TestSampleIncrements:
+    """Rows of ``_increment_block``: one path's stream each."""
+
     def test_bit_identical_rerun(self):
-        a = sample_increments(StreamKey(123, 1), 4096, 0.25)
-        b = sample_increments(StreamKey(123, 1), 4096, 0.25)
-        assert (a.values == b.values).all()
-        assert a.dt == b.dt
+        a = _increment_block(123, 1, 2, 4096, 0.25)
+        b = _increment_block(123, 1, 2, 4096, 0.25)
+        assert a.tobytes() == b.tobytes()
 
     def test_gaussian_moments(self):
         n, dt = 1_000_000, 0.001
-        inc = sample_increments(StreamKey(123, 0), n, dt)
-        assert abs(inc.values.mean()) < 4 * math.sqrt(dt / n)
-        assert abs(inc.values.var(ddof=1) - dt) < 0.01 * dt
+        [inc] = _increment_block(123, 0, 1, n, dt)
+        assert abs(inc.mean()) < 4 * math.sqrt(dt / n)
+        assert abs(inc.var(ddof=1) - dt) < 0.01 * dt
 
     def test_streams_uncorrelated(self):
-        n = 100_000
-        a = sample_increments(StreamKey(123, 1), n, 0.5).values
-        b = sample_increments(StreamKey(123, 2), n, 0.5).values
+        a, b = _increment_block(123, 1, 3, 100_000, 0.5)
         assert abs(float(np.corrcoef(a, b)[0, 1])) < 0.01
-
-    def test_values_are_read_only(self):
-        inc = sample_increments(StreamKey(5, 5), 16, 0.1)
-        with pytest.raises(ValueError):
-            inc.values[0] = 1.0
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValidationError):
-            sample_increments(StreamKey(1, 1), 0, 0.1)
-        with pytest.raises(ValidationError):
-            sample_increments(StreamKey(1, 1), 4, -0.1)
 
 
 class TestIncrementBlock:
@@ -88,10 +65,14 @@ class TestIncrementBlock:
         for i, path in enumerate(range(start, stop)):
             assert block[i].tobytes() == _fresh_stream_row(seed, path, n, dt).tobytes()
 
-    def test_sample_increments_is_a_one_row_block(self):
-        inc = sample_increments(StreamKey(2**64 - 1, 2**64 - 1), 16, 0.5)
-        ref = _fresh_stream_row(2**64 - 1, 2**64 - 1, 16, 0.5)
-        assert inc.values.tobytes() == ref.tobytes()
+    @pytest.mark.parametrize("seed, path", [(5, 0), (5, 4097), (2**64 - 1, 2**64 - 1)])
+    def test_one_row_block_is_the_row_of_any_block(self, seed, path):
+        """_increment_block(seed, p, p+1, ...) replays path p of any block."""
+        start = max(0, path - 2)
+        block = _increment_block(seed, start, min(path + 3, 2**64), 16, 0.5)
+        [row] = _increment_block(seed, path, path + 1, 16, 0.5)
+        assert row.tobytes() == block[path - start].tobytes()
+        assert row.tobytes() == _fresh_stream_row(seed, path, 16, 0.5).tobytes()
 
     @pytest.mark.parametrize(
         "seed, start, stop",
@@ -129,37 +110,29 @@ class TestIncrementBlock:
 
 
 class TestCoarsen:
+    """Dyadic coarsening by 1-D ``_block_sums`` of one path's increments."""
+
     def test_pairwise_sums(self):
-        inc = IncrementArray(0.25, np.array([0.1, -0.2, 0.3, 0.05]))
-        out = coarsen(inc, 2)
-        assert out.dt == 0.5
-        assert out.values == pytest.approx([-0.1, 0.35], rel=0, abs=1e-16)
+        out = _block_sums(np.array([0.1, -0.2, 0.3, 0.05]), 2)
+        assert out == pytest.approx([-0.1, 0.35], rel=0, abs=1e-16)
         # factor 2 blocks are single additions, hence exact
-        assert out.values[0] == 0.1 + -0.2
-        assert out.values[1] == 0.3 + 0.05
+        assert out[0] == 0.1 + -0.2
+        assert out[1] == 0.3 + 0.05
 
     def test_identity_factor(self):
-        inc = sample_increments(StreamKey(7, 0), 32, 0.125)
-        out = coarsen(inc, 1)
-        assert out.dt == inc.dt
-        assert (out.values == inc.values).all()
+        [inc] = _increment_block(7, 0, 1, 32, 0.125)
+        out = _block_sums(inc, 1)
+        assert out.tobytes() == inc.tobytes()
+        assert out is not inc
 
     def test_full_collapse_matches_sequential_total(self):
         values = np.array([0.1, -0.2, 0.3, 0.05])
-        out = coarsen(IncrementArray(0.25, values), 4)
-        assert out.length == 1
-        assert out.dt == 1.0
+        out = _block_sums(values, 4)
+        assert out.shape == (1,)
         total = 0.0
         for v in values:
             total += v
-        assert out.values[0] == pytest.approx(total, rel=1e-15)
-
-    def test_rejects_non_divisible(self):
-        inc = sample_increments(StreamKey(7, 0), 10, 0.1)
-        with pytest.raises(NonDivisibleFactor):
-            coarsen(inc, 3)
-        with pytest.raises(NonDivisibleFactor):
-            coarsen(inc, 0)
+        assert out[0] == pytest.approx(total, rel=1e-15)
 
     @given(
         seed=st.integers(0, 2**32),
@@ -169,22 +142,20 @@ class TestCoarsen:
     )
     @settings(max_examples=80)
     def test_composition_bit_exact_for_dyadic_inner_factor(self, seed, log_p, q, m):
-        """coarsen(coarsen(x, p), q) == coarsen(x, p*q) bitwise when p is a
-        power of two, which covers every refinement ladder we run."""
+        """block_sums(block_sums(x, p), q) == block_sums(x, p*q) bitwise when p
+        is a power of two, which covers every refinement ladder we run."""
         p = 2**log_p
         n = p * q * m
-        inc = sample_increments(StreamKey(seed, 0), n, 1.0 / n)
-        lhs = coarsen(coarsen(inc, p), q)
-        rhs = coarsen(inc, p * q)
-        assert (lhs.values == rhs.values).all()
-        assert lhs.dt == rhs.dt
+        [inc] = _increment_block(seed, 0, 1, n, 1.0 / n)
+        lhs = _block_sums(_block_sums(inc, p), q)
+        rhs = _block_sums(inc, p * q)
+        assert lhs.tobytes() == rhs.tobytes()
 
     @given(seed=st.integers(0, 2**32), log_f=st.integers(0, 12))
     @settings(max_examples=40)
     def test_terminal_value_invariant(self, seed, log_f):
         n = 4096
-        inc = sample_increments(StreamKey(seed, 3), n, 1.0 / n)
-        total_fine = float(inc.values.sum())
-        coarse = coarsen(inc, 2**log_f)
-        total_coarse = float(coarse.values.sum())
+        [inc] = _increment_block(seed, 3, 4, n, 1.0 / n)
+        total_fine = float(inc.sum())
+        total_coarse = float(_block_sums(inc, 2**log_f).sum())
         assert abs(total_coarse - total_fine) <= 1e-12 * max(1.0, abs(total_fine))

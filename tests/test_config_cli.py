@@ -289,6 +289,14 @@ class TestCliExitCodes:
         assert main(["check", "--config", str(config_file), "--model.a=1.2"]) == 2
         assert "a must lie in (0.5, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_u64_is_exit_2(self, config_file, tmp_path, capsys, seed):
+        out = tmp_path / "paths.csv"
+        args = ["simulate", "--config", str(config_file), f"--run.seed={seed}"]
+        assert main([*args, f"--out={out}"]) == 2
+        assert "seed must be an integer in [0, 2^64)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infeasible_level_is_exit_2(self, config_file, tmp_path, capsys):
         code = main(
             [

@@ -23,54 +23,58 @@ from cevlab import (
     PayoffKind,
     PayoffSpec,
     SchemeId,
-    StreamKey,
     TimeGrid,
     ValidationError,
     fit_order,
     moment_check,
     negativity_stats,
     price_payoff,
-    sample_increments,
-    simulate_path,
     simulate_paths_batch,
     step_negativity_prob,
     strong_error,
 )
-from cevlab.brownian import _block_sums
+from cevlab.brownian import _block_sums, _increment_block
 from cevlab.experiments import (
     _BLOCK_PATHS,
     _CHUNK_STEPS,
     ConvergenceReport,
     LevelRecord,
-    _increment_block,
-    _run_block,
+    _standard_error,
 )
+from cevlab.schemes import _Walk
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _walk_terminal(scheme, params, dt, dw, first_path=0):
+    """Terminal values of a (B, n) increment block walked as one chunk."""
+    walk = _Walk(scheme, params, dt, dw.shape[0], first_path)
+    walk.advance(dw.T)
+    return walk.result()[0]
+
+
 def _whole_matrix_strong_error(params, scheme, spec, t_end):
     """The coupled ladder computed from each block's whole fine-increment
-    matrix: one ``_run_block`` on the reference grid and one per level on the
-    level's block sums, with the report built as ``strong_error`` builds it.
-    The streamed walk must reproduce this bit for bit."""
+    matrix: one walk on the reference grid and one per level on the level's
+    block sums, with the report built as ``strong_error`` builds it.  The
+    streamed walk must reproduce this bit for bit."""
     n_fine = 2**spec.ref_exponent
     dt = t_end / n_fine
     sq_diff = np.empty((len(spec.test_exponents), spec.n_paths))
     for start in range(0, spec.n_paths, _BLOCK_PATHS):
         stop = min(start + _BLOCK_PATHS, spec.n_paths)
         fine = _increment_block(spec.master_seed, start, stop, n_fine, dt)
-        ref, _, _ = _run_block(scheme, params, dt, fine, first_path=start)
+        ref = _walk_terminal(scheme, params, dt, fine, start)
         for i, e in enumerate(spec.test_exponents):
             factor = 2 ** (spec.ref_exponent - e)
             coarse = _block_sums(fine.T, factor).T
-            test, _, _ = _run_block(scheme, params, dt * factor, coarse, first_path=start)
+            test = _walk_terminal(scheme, params, dt * factor, coarse, start)
             sq_diff[i, start:stop] = (test - ref) ** 2
     levels = []
     for i, e in enumerate(spec.test_exponents):
         mse = float(sq_diff[i].mean())
-        se = float(sq_diff[i].std(ddof=1)) / math.sqrt(spec.n_paths)
-        levels.append(LevelRecord(e, t_end / 2**e, mse, math.sqrt(mse), 1.96 * se))
+        ci = 1.96 * _standard_error(sq_diff[i])
+        levels.append(LevelRecord(e, t_end / 2**e, mse, math.sqrt(mse), ci))
     slope, intercept, r2 = fit_order((rec.dt, rec.rmse) for rec in levels)
     levels.sort(key=lambda rec: -rec.dt)
     return ConvergenceReport(
@@ -157,6 +161,8 @@ class TestLevelSpec:
             LevelSpec(ref_exponent=8, test_exponents=(), n_paths=10, master_seed=0)
         with pytest.raises(ValidationError):
             LevelSpec(ref_exponent=8, test_exponents=(-1, 4), n_paths=10, master_seed=0)
+        with pytest.raises(ValidationError, match="master_seed must be an integer"):
+            LevelSpec(ref_exponent=8, test_exponents=(4,), n_paths=10, master_seed=2**64)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -178,6 +184,38 @@ class TestLevelSpec:
             LevelSpec(**kwargs)
 
 
+class TestStandardError:
+    def test_identical_samples_read_exactly_zero(self):
+        # numpy's pairwise mean of these differs from them in the last bit
+        x = np.full(1000, 0.1 + 0.2)
+        assert float(x.std(ddof=1)) != 0.0
+        assert _standard_error(x) == 0.0
+        assert _standard_error(x, scale=1.96) == 0.0
+
+    def test_spread_samples_keep_the_plain_arithmetic(self):
+        x = np.random.default_rng(5).normal(size=999)
+        n = math.sqrt(x.size)
+        assert _standard_error(x) == float(x.std(ddof=1)) / n
+        assert _standard_error(x, scale=1.96) == 1.96 * float(x.std(ddof=1)) / n
+
+    def test_noiseless_reports_read_exactly_zero(self, noiseless_params):
+        """All paths of a sigma=0 run are identical, so every CI and standard
+        error of the three CI-bearing reports is exactly 0.0."""
+        spec = LevelSpec(
+            ref_exponent=10, test_exponents=(4, 5, 6, 7), n_paths=1000, master_seed=7
+        )
+        ladder = strong_error(noiseless_params, SchemeId.SEMI_DISCRETE, spec, 1.0)
+        assert [rec.ci_halfwidth for rec in ladder.levels] == [0.0] * 4
+        grid = TimeGrid(1.0, 64)
+        moments = moment_check(
+            noiseless_params, SchemeId.SEMI_DISCRETE, grid, 1000, seed=7
+        )
+        assert (moments.se_mean, moments.se_second) == (0.0, 0.0)
+        call = PayoffSpec(PayoffKind.EUROPEAN_CALL, 0.5)
+        price, ci = price_payoff(noiseless_params, call, grid, 1000, seed=7)
+        assert price > 0.0 and ci == 0.0
+
+
 class TestStrongError:
     def test_self_coupling_gives_exact_zero(self, standard_params):
         """Driving the same scheme with the identical increment matrix twice
@@ -185,8 +223,8 @@ class TestStrongError:
         level coupled to itself is exactly zero."""
         dt = 1 / 64
         fine = _increment_block(123, 0, 256, 64, dt)
-        ref, _, _ = _run_block(SchemeId.SEMI_DISCRETE, standard_params, dt, fine)
-        test, _, _ = _run_block(
+        ref = _walk_terminal(SchemeId.SEMI_DISCRETE, standard_params, dt, fine)
+        test = _walk_terminal(
             SchemeId.SEMI_DISCRETE, standard_params, dt, _block_sums(fine, 1)
         )
         assert float(((test - ref) ** 2).mean()) == 0.0
@@ -421,10 +459,11 @@ class TestPricePayoff:
             8,
             seed=0,
         )
-        inc = sample_increments(StreamKey(0, 0), 16, grid.dt)
-        path = simulate_path(SchemeId.SEMI_DISCRETE, noiseless_params, grid, inc)
-        assert price == pytest.approx(float(path.values[1:].mean()), rel=1e-12)
-        assert price != pytest.approx(float(path.values.mean()), rel=1e-6)
+        values, _, _ = simulate_paths_batch(
+            SchemeId.SEMI_DISCRETE, noiseless_params, grid, 1, seed=0
+        )
+        assert price == pytest.approx(float(values[0, 1:].mean()), rel=1e-12)
+        assert price != pytest.approx(float(values[0].mean()), rel=1e-6)
 
     def test_naive_euler_exhibits_negative_terminals(self):
         """Positivity contrast: the scheme prices a zero-strike put at exactly
@@ -440,6 +479,16 @@ class TestPricePayoff:
         assert stats.min_value < 0.0
         assert float((terminals < 0.0).mean()) > 0.0
         assert put_price > 0.0
+
+
+def _assert_replay_fails(params, grid, seed, path, step):
+    """Path ``path`` alone, from its own stream, fails at the same global path
+    and step."""
+    walk = _Walk(SchemeId.SEMI_DISCRETE, params, grid.dt, 1, first_path=path)
+    dw = _increment_block(seed, path, path + 1, grid.n_steps, grid.dt)
+    with pytest.raises(NegativeInner) as replay:
+        walk.advance(dw.T)
+    assert (replay.value.path, replay.value.step) == (path, step)
 
 
 class TestNegativeInnerLocation:
@@ -463,10 +512,7 @@ class TestNegativeInnerLocation:
         assert str(info.value).startswith(f"path {path}, step {step}: ")
         # every earlier path runs clean, and the named one fails on its own
         simulate_paths_batch(SchemeId.SEMI_DISCRETE, p, grid, path, 1, threads)
-        inc = sample_increments(StreamKey(1, path), grid.n_steps, grid.dt)
-        with pytest.raises(NegativeInner) as replay:
-            simulate_path(SchemeId.SEMI_DISCRETE, p, grid, inc)
-        assert replay.value.step == step
+        _assert_replay_fails(p, grid, 1, path, step)
 
 
     def test_global_step_index_across_chunks(self):
@@ -479,10 +525,7 @@ class TestNegativeInnerLocation:
         path, step = info.value.path, info.value.step
         assert (path, step) == (1, 859) and step > _CHUNK_STEPS
         assert str(info.value).startswith(f"path {path}, step {step}: ")
-        inc = sample_increments(StreamKey(2, path), grid.n_steps, grid.dt)
-        with pytest.raises(NegativeInner) as replay:
-            simulate_path(SchemeId.SEMI_DISCRETE, p, grid, inc)
-        assert replay.value.step == step
+        _assert_replay_fails(p, grid, 2, path, step)
 
 
 class TestThreadEnvironment:

@@ -16,12 +16,12 @@ from cevlab import (
     ValidationError,
     analytic_mean,
     inner_value,
-    inner_value_with_flag,
     max_stable_step,
     normal_cdf,
     step_negativity_prob,
     validate_assumption_a,
 )
+from cevlab.model import _inner_clamped
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +159,8 @@ class TestInnerValue:
 
     def test_no_clamp_on_clean_input(self):
         p = CevParams(k=1, l=1, sigma=1, a=0.75, x0=1)
-        value, clamped = inner_value_with_flag(0.3, 0.25, p)
-        assert value > 0.0 and not clamped
+        value, clamped = _inner_clamped(np.array([0.3]), 0.25, p)
+        assert value[0] > 0.0 and not clamped.any()
 
     def test_matches_50_digit_arithmetic(self):
         """Double-precision evaluation stays within 1e-14 relative of exact."""
@@ -198,8 +198,7 @@ class TestInnerValue:
         l = (a * sigma**2 / 2 + extra) / k
         params = CevParams(k=k, l=l, sigma=sigma, a=a, x0=1.0)
         dt = frac * max_stable_step(params)
-        value, _ = inner_value_with_flag(y, dt, params)
-        assert value >= 0.0
+        assert inner_value(y, dt, params) >= 0.0
 
 
 # ---------------------------------------------------------------------------
