@@ -2,7 +2,7 @@
 
 The stream contract: path ``p`` of master seed ``s`` draws standard normals
 from ``Generator(Philox(key=[s, p]))`` and scales them by sqrt(dt).  Draws
-are therefore bit-identical for the same key regardless of thread count,
+are therefore bit-identical for the same key regardless of worker count,
 generation order or how many draws are taken per call, and streams for
 different paths never overlap.  ``_increment_block`` draws a block of paths
 at once, ``_increment_chunks`` the same block time-major and a chunk at a

@@ -2,10 +2,12 @@
 moment diagnostics, sign-flip statistics, and a demonstration payoff pricer.
 
 Blocks of paths are independent work items.  Every entry point accepts
-``n_threads``; when omitted the CEVLAB_THREADS environment variable (or the
-machine core count) decides.  Per-path noise comes from keyed streams and
-per-path results land in preallocated slots indexed by path, so every
-reported number is bit-identical regardless of thread count.
+``n_threads``, which caps the number of worker processes; when omitted the
+CEVLAB_THREADS environment variable (or the machine core count) decides.
+The calling process is one worker and the others are forked children, which
+send their blocks' results back pickled.  Per-path noise comes from keyed
+streams and per-path results are assembled in path order, so every reported
+number is bit-identical regardless of the worker count.
 
 Every experiment runs through one driver, ``_walk_paths``: each block walks
 time once, in time-major chunks of ``_CHUNK_STEPS`` fine steps, and steps
@@ -19,9 +21,9 @@ import enum
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NoReturn, TypeVar
 
 import numpy as np
 
@@ -61,9 +63,10 @@ __all__ = [
     "simulate_paths_batch",
 ]
 
-# Paths per work item.  No reported bit depends on it: every floating-point
-# sum is per path, and every cross-path reduction is an exact count or a min.
-# It is still fixed, never derived from the thread count.
+# Paths per work item, and so the unit a worker process receives.  No
+# reported bit depends on it: every floating-point sum is per path, and every
+# cross-path reduction is an exact count or a min.  It is still fixed, never
+# derived from the worker count.
 _BLOCK_PATHS = 4096
 
 # Fine steps per time-major chunk of a block's walk: a power of two, so every
@@ -74,7 +77,7 @@ _CHUNK_STEPS = 512
 _COUPLING_TOL = 1e-12
 
 
-def _resolve_threads(n_threads: int | None) -> int:
+def _resolve_workers(n_threads: int | None) -> int:
     if n_threads is None:
         env = os.environ.get("CEVLAB_THREADS")
         if env is not None:
@@ -87,32 +90,108 @@ def _resolve_threads(n_threads: int | None) -> int:
         else:
             n_threads = os.cpu_count() or 1
     if n_threads < 1:
-        raise ValidationError("thread count must be >= 1")
+        raise ValidationError("worker count must be >= 1")
     return n_threads
 
 
+_T = TypeVar("_T")
+
+
+def _run_share(
+    work: Callable[[tuple[int, int]], _T], blocks: list, first: int, stride: int
+) -> dict[int, _T | Exception]:
+    """Run blocks first, first + stride, ... in order, up to and including the
+    first that raises; map each block index to its result or exception."""
+    outcomes: dict[int, _T | Exception] = {}
+    for i in range(first, len(blocks), stride):
+        try:
+            outcomes[i] = work(blocks[i])
+        except Exception as exc:
+            outcomes[i] = exc
+            break
+    return outcomes
+
+
+def _child_share(
+    work: Callable[[tuple[int, int]], _T], blocks: list, first: int, stride: int, fd: int
+) -> NoReturn:
+    """In a forked worker: run its share, write the pickled outcomes to ``fd``
+    and end the process without returning to the caller's code, exit status
+    0 on success and 1 if the share could not be run or sent."""
+    status = 1
+    try:
+        payload = pickle.dumps(
+            _run_share(work, blocks, first, stride), pickle.HIGHEST_PROTOCOL
+        )
+        with open(fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def _map_blocks(
-    work: Callable[[tuple[int, int]], None],
+    work: Callable[[tuple[int, int]], _T],
     n_paths: int,
     n_threads: int | None,
-) -> None:
-    """Run ``work`` over [start, stop) path blocks, possibly in parallel.
+) -> list[_T]:
+    """Run ``work`` over [start, stop) path blocks, possibly in parallel, and
+    return its results in block order.
 
-    Each work item must write only to slots of preallocated arrays indexed by
-    path, which makes the result independent of scheduling.
+    Block i runs in worker i mod w.  Worker 0 is this process; workers 1..w-1
+    are ``os.fork()`` children, which share nothing with this process after
+    the fork: ``work`` must return everything it computes, as a picklable
+    value, and write nothing that the caller reads.  A child runs its blocks
+    in order, stops at its first failing block and pipes back the pickled
+    results.  Every child is read to EOF and reaped before this returns or
+    raises.  If any block failed, the exception of the lowest-indexed failed
+    block is raised (a child that sent no result raises ChildProcessError
+    naming its pid and wait status) and no result is returned.  Without
+    ``os.fork`` every block runs here.
+
+    cevlab itself starts no threads, so forking is safe in the CLI; a caller
+    that runs threads of its own should pass ``n_threads=1``.
     """
     blocks = [
         (start, min(start + _BLOCK_PATHS, n_paths))
         for start in range(0, n_paths, _BLOCK_PATHS)
     ]
-    workers = min(_resolve_threads(n_threads), len(blocks))
-    if workers <= 1:
-        for block in blocks:
-            work(block)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # list() drains the iterator so worker exceptions propagate here
-        list(pool.map(work, blocks))
+    workers = min(_resolve_workers(n_threads), len(blocks))
+    if workers <= 1 or not hasattr(os, "fork"):
+        workers = 1
+    children = []  # (pid, pipe read end, index of the child's first block)
+    outcomes: dict[int, _T | Exception] = {}
+    try:
+        for first in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _child_share(work, blocks, first, workers, write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd, first))
+        outcomes.update(_run_share(work, blocks, 0, workers))
+    finally:
+        for pid, read_fd, first in children:
+            with open(read_fd, "rb") as pipe:
+                payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            if status == 0 and payload:
+                outcomes.update(pickle.loads(payload))
+            else:
+                outcomes[first] = ChildProcessError(
+                    f"worker process {pid} ended with wait status {status} "
+                    f"(exit code {os.waitstatus_to_exitcode(status)}) "
+                    f"and sent no result"
+                )
+    for i in sorted(outcomes):
+        if isinstance(outcomes[i], Exception):
+            raise outcomes[i]
+    return [outcomes[i] for i in range(len(blocks))]
 
 
 def _pairwise_push(carry: list, row: np.ndarray) -> np.ndarray | None:
@@ -182,10 +261,11 @@ def _walk_paths(
     Returns (terminal, path_mean, stats) per level: the fine grid first,
     then one per factor.  Each block of paths walks time once, one
     ``_CHUNK_STEPS`` chunk of noise at a time, stepping the fine level at
-    every fine step and a coarse level every ``factor`` steps.  Per-path
-    results land in their path slots, and block stats are merged in block
-    order, so nothing depends on the thread count.  Optional (n_paths,
-    n_steps+1) matrices capture the fine level's trajectories and events.
+    every fine step and a coarse level every ``factor`` steps.  Blocks return
+    their per-path results and stats, which are joined in path order and
+    merged in block order, so nothing depends on the worker count.  Optional
+    (n_paths, n_steps+1) matrices receive the fine level's trajectories and
+    events.
     """
     chunk = min(n_steps, _CHUNK_STEPS)
     heights = [
@@ -193,36 +273,38 @@ def _walk_paths(
         for prev, f in zip((1,) + factors, factors)
     ]
     dts = (dt,) + tuple(dt * f for f in factors)
-    terminal = np.empty((len(dts), n_paths))
-    path_mean = np.empty((len(dts), n_paths))
-    collected: dict[int, list[BatchStats]] = {}
 
-    def work(block: tuple[int, int]) -> None:
+    def work(block: tuple[int, int]):
         start, stop = block
-        rows = slice(start, stop)
-        fine = _Walk(
-            scheme, params, dt, stop - start, start,
-            None if trajectory is None else trajectory[rows],
-            None if event_matrix is None else event_matrix[rows],
+        n_block = stop - start
+        values = np.empty((n_block, n_steps + 1)) if trajectory is not None else None
+        events = (
+            np.zeros((n_block, n_steps + 1), dtype=np.uint8)
+            if event_matrix is not None
+            else None
         )
-        coarse = [_Walk(scheme, params, d, stop - start, start) for d in dts[1:]]
+        fine = _Walk(scheme, params, dt, n_block, start, values, events)
+        coarse = [_Walk(scheme, params, d, n_block, start) for d in dts[1:]]
         carries = [[None] * h for h in heights]
         for dw in _increment_chunks(seed, start, stop, n_steps, dt, _CHUNK_STEPS):
             fine.advance(dw)
             if factors:
                 for level, sums in _level_increments(dw, factors, carries):
                     coarse[level].advance(sums)
-        stats = []
-        for level, walk in enumerate([fine, *coarse]):
-            terminal[level, rows], path_mean[level, rows], block_stats = walk.result()
-            stats.append(block_stats)
-        collected[start] = stats
+        return [walk.result() for walk in (fine, *coarse)], values, events
 
-    _map_blocks(work, n_paths, n_threads)
-    blocks = [collected[start] for start in sorted(collected)]
+    results = _map_blocks(work, n_paths, n_threads)
+    if trajectory is not None:
+        np.concatenate([values for _, values, _ in results], out=trajectory)
+    if event_matrix is not None:
+        np.concatenate([events for _, _, events in results], out=event_matrix)
     return [
-        (terminal[level], path_mean[level], functools.reduce(BatchStats.merge, stats))
-        for level, stats in enumerate(zip(*blocks))
+        (
+            np.concatenate([terminal for terminal, _, _ in blocks]),
+            np.concatenate([path_mean for _, path_mean, _ in blocks]),
+            functools.reduce(BatchStats.merge, [stats for _, _, stats in blocks]),
+        )
+        for blocks in zip(*(levels for levels, _, _ in results))
     ]
 
 
@@ -584,7 +666,7 @@ def simulate_paths_batch(
     (n_paths, n_steps+1) and ``events`` a uint8 matrix marking steps whose
     noise term (or proposed Euler iterate) went negative.  Path i is driven by
     the stream ``Philox(key=[seed, i])``, so its row depends neither on
-    n_paths nor on the thread count.
+    n_paths nor on the worker count.
     """
     if n_paths < 1:
         raise ValidationError("n_paths must be >= 1")

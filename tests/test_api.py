@@ -1,7 +1,11 @@
 """The public surface: what ``cevlab`` and its modules export."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,3 +75,20 @@ def test_every_exported_name_resolves_once(name):
     assert len(exported) == len(set(exported)), sorted(exported)
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing
+
+
+def test_cli_import_loads_no_pool_machinery():
+    """Every CLI start pays for what ``cevlab.cli`` imports.  Workers are
+    forked directly, so neither executors nor multiprocessing are loaded."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    code = (
+        "import sys, cevlab.cli; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -3,6 +3,7 @@ sign-flip statistics, and payoff pricing."""
 
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,7 @@ from cevlab.experiments import (
     _CHUNK_STEPS,
     ConvergenceReport,
     LevelRecord,
+    _map_blocks,
     _standard_error,
 )
 from cevlab.schemes import _Walk
@@ -543,3 +545,72 @@ class TestThreadEnvironment:
             moment_check(
                 standard_params, SchemeId.SEMI_DISCRETE, TimeGrid(1.0, 4), 64, seed=0
             )
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that would otherwise wait forever for a worker."""
+
+    def expire(signum, frame):
+        raise TimeoutError("no result within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_every_worker_reaped():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkerProcesses:
+    """``_map_blocks`` runs block i in worker i mod w, where worker 0 is the
+    calling process and the others are forked children."""
+
+    THREE_BLOCKS = 2 * _BLOCK_PATHS + 1
+
+    def test_one_worker_runs_every_block_in_the_caller(self, deadline):
+        pids = _map_blocks(lambda block: os.getpid(), self.THREE_BLOCKS, 1)
+        assert pids == [os.getpid()] * 3
+        _assert_every_worker_reaped()
+
+    def test_two_workers_share_blocks_by_index(self, deadline):
+        pids = _map_blocks(lambda block: os.getpid(), self.THREE_BLOCKS, 2)
+        assert pids[0] == pids[2] == os.getpid()
+        assert pids[1] != os.getpid()
+        _assert_every_worker_reaped()
+
+    def test_worker_that_dies_is_named(self, deadline, tmp_path):
+        caller = os.getpid()
+
+        def work(block):
+            if block[0] == _BLOCK_PATHS and os.getpid() != caller:
+                (tmp_path / "pid").write_text(str(os.getpid()))
+                os._exit(3)
+            return block
+
+        with pytest.raises(ChildProcessError) as info:
+            _map_blocks(work, self.THREE_BLOCKS, 2)
+        pid = int((tmp_path / "pid").read_text())
+        message = str(info.value)
+        assert message.startswith(f"worker process {pid} ended with wait status ")
+        assert "(exit code 3)" in message
+        _assert_every_worker_reaped()
+
+    def test_lowest_failed_block_is_raised(self, deadline):
+        caller = os.getpid()
+
+        def work(block):
+            if block[0] > 0:
+                where = "caller" if os.getpid() == caller else "child"
+                raise ValueError(f"block {block[0] // _BLOCK_PATHS} in {where}")
+            return block
+
+        with pytest.raises(ValueError, match=r"^block 1 in child$"):
+            _map_blocks(work, self.THREE_BLOCKS, 2)
+        _assert_every_worker_reaped()
