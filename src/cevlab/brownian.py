@@ -87,7 +87,11 @@ def _increment_chunks(
     after chunk: Philox offsets cannot be computed from the draw count,
     because ``standard_normal`` rejects samples, and a generator caches no
     normals between calls, so the chunked draws equal one long draw.  Those
-    chunks are C-contiguous.
+    chunks are C-contiguous views of one time-major buffer that every chunk
+    is transposed into: a chunk is overwritten when the next is drawn, so a
+    caller that keeps one past that must copy it.  Reusing the buffer keeps
+    the run's memory fixed instead of mapping and faulting in a fresh
+    chunk-sized array per chunk.
     """
     if n <= chunk:
         yield _increment_block(master_seed, start, stop, n, dt).T
@@ -101,12 +105,15 @@ def _increment_chunks(
     ]
     scale = math.sqrt(dt)
     buf = np.empty((stop - start, chunk))
+    time_major = np.empty((chunk, stop - start))
     for lo in range(0, n, chunk):
-        rows = buf[:, : min(chunk, n - lo)]
+        m = min(chunk, n - lo)
+        rows = buf[:, :m]
         for gen, row in zip(gens, rows):
             gen.standard_normal(out=row)
         rows *= scale
-        yield np.ascontiguousarray(rows.T)
+        np.copyto(time_major[:m], rows.T)
+        yield time_major[:m]
 
 
 def _block_sums(values: np.ndarray, factor: int) -> np.ndarray:

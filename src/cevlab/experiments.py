@@ -235,7 +235,9 @@ def _level_increments(chunk: np.ndarray, factors: tuple[int, ...], carries: list
                     f"{float(dev.max()):.3e} at coarsening factor {scale}"
                 )
         if factor > scale:
-            row = _pairwise_push(carry, sums[0])
+            # a one-step chunk is still the noise buffer, which the next
+            # chunk overwrites: the carry keeps a copy
+            row = _pairwise_push(carry, sums[0].copy() if sums is chunk else sums[0])
             if row is None:
                 return
             sums, scale = row[np.newaxis], factor
@@ -286,6 +288,8 @@ def _walk_paths(
         fine = _Walk(scheme, params, dt, n_block, start, values, events)
         coarse = [_Walk(scheme, params, d, n_block, start) for d in dts[1:]]
         carries = [[None] * h for h in heights]
+        # dw is overwritten by the next chunk; walks and carries keep only
+        # copies and sums of it
         for dw in _increment_chunks(seed, start, stop, n_steps, dt, _CHUNK_STEPS):
             fine.advance(dw)
             if factors:

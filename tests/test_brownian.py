@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cevlab import ValidationError
-from cevlab.brownian import _block_sums, _increment_block, _require_u64
+from cevlab.brownian import (
+    _block_sums,
+    _increment_block,
+    _increment_chunks,
+    _require_u64,
+)
 
 
 def _fresh_stream_row(seed, path, n, dt):
@@ -107,6 +112,23 @@ class TestIncrementBlock:
         assert not any(t.is_alive() for t in threads)
         for want, have in zip(expected, got):
             assert have is not None and have.tobytes() == want.tobytes()
+
+
+class TestIncrementChunks:
+    @pytest.mark.parametrize("n, chunk", [(3, 4), (4, 4), (8, 4), (10, 4), (17, 8)])
+    def test_stacked_chunks_are_the_transposed_block(self, n, chunk):
+        """Copied as they arrive, the time-major chunks stack to the block's
+        transpose bit for bit, a short last chunk included."""
+        seed, start, stop, dt = 20240601, 4095, 4101, 0.37
+        chunks = []
+        for c in _increment_chunks(seed, start, stop, n, dt, chunk):
+            assert c.shape == (min(chunk, n - chunk * len(chunks)), stop - start)
+            assert c.flags.c_contiguous or n <= chunk
+            chunks.append(c.copy())
+        assert sum(map(len, chunks)) == n
+        stacked = np.concatenate(chunks)
+        want = _increment_block(seed, start, stop, n, dt).T
+        assert stacked.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestCoarsen:

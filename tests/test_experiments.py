@@ -289,6 +289,20 @@ class TestStrongError:
         )
         assert report == oracle
 
+    @pytest.mark.parametrize("chunk", [1, 2, 8])
+    def test_report_independent_of_chunk_size(
+        self, standard_params, monkeypatch, chunk
+    ):
+        """Chunks share one noise buffer; no level may keep a view of it,
+        down to one-step chunks, where a carry takes the raw row."""
+        monkeypatch.setattr("cevlab.experiments._CHUNK_STEPS", chunk)
+        spec = LevelSpec(6, (2, 3, 4), 40, 20240601)
+        report = strong_error(standard_params, SchemeId.SEMI_DISCRETE, spec, 1.0)
+        oracle = _whole_matrix_strong_error(
+            standard_params, SchemeId.SEMI_DISCRETE, spec, 1.0
+        )
+        assert report == oracle
+
     def test_peak_memory_flat_in_ref_exponent(self, tmp_path):
         """A reference grid 4x longer must not grow a convergence run's peak
         RSS: each block holds one chunk of noise, never a whole path."""
