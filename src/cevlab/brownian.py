@@ -6,8 +6,9 @@ are therefore bit-identical for the same key regardless of worker count,
 generation order or how many draws are taken per call, and streams for
 different paths never overlap.  ``_increment_block`` draws a block of paths
 at once, ``_increment_chunks`` the same block time-major and a chunk at a
-time.  ``_block_sums`` sums adjacent blocks of increments, which realizes
-the coupling of a coarse discretization to the fine path that drives it.
+time.  A coarse grid is coupled to the fine path that drives it by block
+sums of its increments, all from one pairwise tree: ``_block_sums`` climbs
+it inside an array, ``_dyadic_sums`` inside each chunk and then across them.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CouplingError, ValidationError
 
 __all__: list[str] = []
 
 _U64 = 2**64
+
+_COUPLING_TOL = 1e-12
 
 
 def _require_u64(name: str, v) -> None:
@@ -119,21 +122,59 @@ def _increment_chunks(
 def _block_sums(values: np.ndarray, factor: int) -> np.ndarray:
     """Sum adjacent blocks of ``factor`` entries along the leading (time) axis.
 
-    Summation order inside a block: adjacent pairs are merged repeatedly
-    while the remaining width is even, then any odd-width remainder is
-    accumulated left to right.  With that fixed order,
-    block_sums(block_sums(x, p), q) is bit-identical to block_sums(x, p*q)
-    whenever p is a power of two, which covers every dyadic refinement this
-    package performs.  Further axes (paths of a time-major chunk) are summed
-    independently.
+    ``factor`` must be a power of two dividing the length, or ValueError.
+    Adjacent pairs are summed repeatedly (factor 1 returns ``values``), so
+    block_sums(block_sums(x, p), q) is bit-identical to block_sums(x, p*q).
+    Further axes (paths of a time-major chunk) are summed independently.
     """
-    n = values.shape[0]
-    blocks = values.reshape((n // factor, factor) + values.shape[1:])
-    width = factor
-    while width % 2 == 0 and width > 1:
-        blocks = blocks[:, 0::2] + blocks[:, 1::2]
-        width //= 2
-    out = blocks[:, 0].copy()
-    for j in range(1, width):
-        out += blocks[:, j]
-    return out
+    if factor < 1 or factor & (factor - 1) or len(values) % factor:
+        raise ValueError(
+            f"coarsening factor must be a power of two dividing {len(values)}, "
+            f"got {factor}"
+        )
+    while factor > 1:
+        values = values[0::2] + values[1::2]
+        factor //= 2
+    return values
+
+
+def _dyadic_sums(
+    chunk: np.ndarray, heights: tuple[int, ...], carry: dict
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (i, increments) for every level i that steps in ``chunk``, a
+    time-major (2^k, paths) run of fine increments.  The level at height
+    ``heights[i]`` (ascending) steps every 2^height fine steps, on their sum.
+
+    Up to height k the sums are ``_block_sums`` of the last level's, and each
+    must match the chunk's fine increment path by path, or CouplingError.
+    Above it they pair whole chunks: ``carry`` (one per walk, initially
+    empty) maps j to the pending left half of a sum of 2^(j+1) chunks.  Both
+    follow ``_block_sums``' pairwise order, so every level gets bit for bit
+    the ``_block_sums`` of the whole path, holding one row per height.
+    """
+    k = len(chunk).bit_length() - 1
+    total = chunk.sum(axis=0)
+    bound = _COUPLING_TOL * np.maximum(1.0, np.abs(total))
+    sums, height = chunk, 0
+    for i, h in enumerate(heights):
+        inner = min(h, k)
+        if height < inner:
+            sums, height = _block_sums(sums, 2 ** (inner - height)), inner
+            dev = np.abs(sums.sum(axis=0) - total)
+            if np.any(dev > bound):
+                raise CouplingError(
+                    f"coarse/fine Brownian increments diverged by "
+                    f"{float(dev.max()):.3e} at coarsening factor {2**height}"
+                )
+        if h > height:
+            # a one-step chunk is still the noise buffer, which the next
+            # chunk overwrites: the carry keeps a copy
+            row = sums[0].copy() if sums is chunk else sums[0]
+            for j in range(height - k, h - k):
+                left = carry.pop(j, None)
+                if left is None:
+                    carry[j] = row
+                    return
+                row = left + row
+            sums, height = row[np.newaxis], h
+        yield i, sums

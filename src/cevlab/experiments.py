@@ -11,8 +11,11 @@ number is bit-identical regardless of the worker count.
 
 Every experiment runs through one driver, ``_walk_paths``: each block walks
 time once, in time-major chunks of ``_CHUNK_STEPS`` fine steps, and steps
-every grid level it needs from the same chunk.  Memory per block is bounded
-by the chunk, not by the number of steps.
+every grid level it needs from the same chunk.  A coarse level of the
+strong-error ladder is driven by block sums of the fine increments, which
+``brownian._dyadic_sums`` forms by one pairwise tree, inside each chunk and
+then across chunks.  Memory per block is bounded by the chunk, not by the
+number of steps.
 """
 
 from __future__ import annotations
@@ -28,20 +31,19 @@ from typing import Callable, Iterable, NoReturn, TypeVar
 import numpy as np
 
 from .brownian import (
-    _block_sums,
+    _dyadic_sums,
     _increment_block,
     _increment_chunks,
     _require_u64,
 )
 from .errors import (
-    CouplingError,
     InsufficientPoints,
     NonFiniteResult,
     NonPositiveValue,
     ValidationError,
 )
 from .model import CevParams, TimeGrid, _require_feasible, _sign_flip_prob, analytic_mean
-from .schemes import BatchStats, SchemeId, _Walk
+from .schemes import BatchStats, SchemeId, _Walk, _parse_member
 
 # Nothing here calls ``_increment_block`` (``_walk_paths`` draws through
 # ``_increment_chunks``), but the perfbench layer trace finds it under this
@@ -73,8 +75,6 @@ _BLOCK_PATHS = 4096
 # dyadic level factor either divides it or is a multiple of it.  A block holds
 # about 2 x _BLOCK_PATHS x _CHUNK_STEPS doubles of noise at a time.
 _CHUNK_STEPS = 512
-
-_COUPLING_TOL = 1e-12
 
 
 def _resolve_workers(n_threads: int | None) -> int:
@@ -194,56 +194,6 @@ def _map_blocks(
     return [outcomes[i] for i in range(len(blocks))]
 
 
-def _pairwise_push(carry: list, row: np.ndarray) -> np.ndarray | None:
-    """Push one (B,) block sum onto ``carry``, a pending left operand per
-    height; return the sum of the 2^len(carry) rows it completes, or None.
-
-    The order is ``_block_sums``': (r0 + r1) + (r2 + r3) and so on, so a
-    level whose factor exceeds the chunk is assembled from per-chunk sums
-    bit-identically, holding one row per height.
-    """
-    for height, left in enumerate(carry):
-        if left is None:
-            carry[height] = row
-            return None
-        carry[height] = None
-        row = left + row
-    return row
-
-
-def _level_increments(chunk: np.ndarray, factors: tuple[int, ...], carries: list):
-    """Yield (level, increments) for every coarse level that steps in ``chunk``.
-
-    ``factors`` are ascending powers of two; each level's increments are
-    block sums of the next finer level's, which ``_block_sums`` guarantees
-    equal block sums of the fine increments.  A level whose factor exceeds
-    the chunk takes the chunk's sum through its carry and steps when the
-    carry completes.  Every sum formed inside the chunk must match the
-    chunk's fine Brownian increment path by path, or CouplingError.
-    """
-    total = chunk.sum(axis=0)
-    bound = _COUPLING_TOL * np.maximum(1.0, np.abs(total))
-    sums, scale = chunk, 1
-    for level, (factor, carry) in enumerate(zip(factors, carries)):
-        if scale < min(factor, len(chunk)):
-            width = min(factor, len(chunk))
-            sums, scale = _block_sums(sums, width // scale), width
-            dev = np.abs(sums.sum(axis=0) - total)
-            if np.any(dev > bound):
-                raise CouplingError(
-                    f"coarse/fine Brownian increments diverged by "
-                    f"{float(dev.max()):.3e} at coarsening factor {scale}"
-                )
-        if factor > scale:
-            # a one-step chunk is still the noise buffer, which the next
-            # chunk overwrites: the carry keeps a copy
-            row = _pairwise_push(carry, sums[0].copy() if sums is chunk else sums[0])
-            if row is None:
-                return
-            sums, scale = row[np.newaxis], factor
-        yield level, sums
-
-
 def _walk_paths(
     scheme: SchemeId,
     params: CevParams,
@@ -252,29 +202,26 @@ def _walk_paths(
     n_steps: int,
     dt: float,
     n_threads: int | None,
-    factors: tuple[int, ...] = (),
+    heights: tuple[int, ...] = (),
     trajectory: np.ndarray | None = None,
     event_matrix: np.ndarray | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray, BatchStats]]:
     """Walk n_paths keyed paths through n_steps fine steps of size dt, and
-    through each coarse grid of ``factors`` (ascending powers of two that
-    divide n_steps) driven by block sums of the same increments.
+    through one coarse grid per entry of ``heights`` (ascending): the grid h
+    high steps every 2^h fine steps, driven by the sum of those increments.
 
     Returns (terminal, path_mean, stats) per level: the fine grid first,
-    then one per factor.  Each block of paths walks time once, one
+    then one per height.  Each block of paths walks time once, one
     ``_CHUNK_STEPS`` chunk of noise at a time, stepping the fine level at
-    every fine step and a coarse level every ``factor`` steps.  Blocks return
+    every fine step and the coarse levels on the pairwise sums that
+    ``brownian._dyadic_sums`` forms from the chunk and one carry per block.
+    Blocks return
     their per-path results and stats, which are joined in path order and
     merged in block order, so nothing depends on the worker count.  Optional
     (n_paths, n_steps+1) matrices receive the fine level's trajectories and
     events.
     """
-    chunk = min(n_steps, _CHUNK_STEPS)
-    heights = [
-        (f // max(prev, chunk)).bit_length() - 1 if f > chunk else 0
-        for prev, f in zip((1,) + factors, factors)
-    ]
-    dts = (dt,) + tuple(dt * f for f in factors)
+    dts = (dt,) + tuple(dt * 2**h for h in heights)
 
     def work(block: tuple[int, int]):
         start, stop = block
@@ -287,13 +234,13 @@ def _walk_paths(
         )
         fine = _Walk(scheme, params, dt, n_block, start, values, events)
         coarse = [_Walk(scheme, params, d, n_block, start) for d in dts[1:]]
-        carries = [[None] * h for h in heights]
-        # dw is overwritten by the next chunk; walks and carries keep only
+        carry: dict = {}
+        # dw is overwritten by the next chunk; walks and the carry keep only
         # copies and sums of it
         for dw in _increment_chunks(seed, start, stop, n_steps, dt, _CHUNK_STEPS):
             fine.advance(dw)
-            if factors:
-                for level, sums in _level_increments(dw, factors, carries):
+            if heights:
+                for level, sums in _dyadic_sums(dw, heights, carry):
                     coarse[level].advance(sums)
         return [walk.result() for walk in (fine, *coarse)], values, events
 
@@ -420,12 +367,7 @@ class PayoffKind(enum.Enum):
 
     @classmethod
     def parse(cls, token: str) -> "PayoffKind":
-        lowered = token.strip().lower()
-        for member in cls:
-            if lowered == member.value.lower():
-                return member
-        valid = ", ".join(m.value for m in cls)
-        raise ValidationError(f"unknown payoff {token!r}; expected one of: {valid}")
+        return _parse_member(cls, token, "payoff")
 
 
 @dataclass(frozen=True)
@@ -506,11 +448,13 @@ def strong_error(
     margin.
 
     Each block of paths walks time once, in chunks of ``_CHUNK_STEPS`` fine
-    steps, and steps the reference and every test level from the same chunk;
-    a level coarser than a chunk is summed across chunks pairwise.  Memory
-    is therefore bounded by the block and chunk sizes, whatever
-    ref_exponent and the ladder's span, and the report is bit-identical to
-    simulating each level on its own block-summed increment matrix.
+    steps, and steps the reference and every test level e, ref_exponent - e
+    high, from the same chunk.  Every level's increments are formed by one
+    pairwise tree over the fine increments, inside the chunk and then
+    across chunks, holding one row per height above the chunk.  Memory is
+    therefore bounded by the block and chunk sizes, whatever ref_exponent
+    and the ladder's span, and the report is bit-identical to simulating
+    each level on its own ``_block_sums`` of the whole increment matrix.
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ValidationError("t_end must be a positive finite number")
@@ -519,10 +463,10 @@ def strong_error(
 
     n_fine = 2**spec.ref_exponent
     exps = spec.test_exponents
-    factors = tuple(2 ** (spec.ref_exponent - e) for e in reversed(exps))
+    heights = tuple(spec.ref_exponent - e for e in reversed(exps))
     (ref_term, _, _), *coarse = _walk_paths(
         scheme, params, spec.master_seed, spec.n_paths, n_fine, t_end / n_fine,
-        n_threads, factors,
+        n_threads, heights,
     )
 
     levels = []

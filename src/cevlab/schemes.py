@@ -29,6 +29,16 @@ from .model import CevParams, _inner_clamped
 __all__ = ["SchemeId", "BatchStats"]
 
 
+def _parse_member(cls: type[enum.Enum], token: str, noun: str):
+    """The member of ``cls`` whose value is ``token`` up to case and blanks."""
+    lowered = token.strip().lower()
+    for member in cls:
+        if lowered == member.value.lower():
+            return member
+    valid = ", ".join(m.value for m in cls)
+    raise ValidationError(f"unknown {noun} {token!r}; expected one of: {valid}")
+
+
 class SchemeId(enum.Enum):
     """Closed set of implemented schemes; unknown names are rejected at parse time."""
 
@@ -39,12 +49,7 @@ class SchemeId(enum.Enum):
 
     @classmethod
     def parse(cls, token: str) -> "SchemeId":
-        lowered = token.strip().lower()
-        for member in cls:
-            if lowered == member.value.lower():
-                return member
-        valid = ", ".join(m.value for m in cls)
-        raise ValidationError(f"unknown scheme {token!r}; expected one of: {valid}")
+        return _parse_member(cls, token, "scheme")
 
     @property
     def is_euler(self) -> bool:

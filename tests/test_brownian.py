@@ -145,7 +145,18 @@ class TestCoarsen:
         [inc] = _increment_block(7, 0, 1, 32, 0.125)
         out = _block_sums(inc, 1)
         assert out.tobytes() == inc.tobytes()
-        assert out is not inc
+
+    @pytest.mark.parametrize("factor", [3, 6])
+    def test_rejects_factor_not_a_power_of_two(self, factor):
+        """12 entries divide into blocks of 3 and 6, but only a power of two
+        has the pairwise order that composes."""
+        with pytest.raises(ValueError, match="power of two"):
+            _block_sums(np.arange(12.0), factor)
+
+    def test_rejects_factor_not_dividing_length(self):
+        """Pairwise halving of 6 entries by 4 would broadcast 2 rows against 1."""
+        with pytest.raises(ValueError, match="dividing 6"):
+            _block_sums(np.arange(6.0), 4)
 
     def test_full_collapse_matches_sequential_total(self):
         values = np.array([0.1, -0.2, 0.3, 0.05])
@@ -159,14 +170,14 @@ class TestCoarsen:
     @given(
         seed=st.integers(0, 2**32),
         log_p=st.integers(0, 5),
-        q=st.integers(1, 6),
+        log_q=st.integers(0, 3),
         m=st.integers(1, 4),
     )
     @settings(max_examples=80)
-    def test_composition_bit_exact_for_dyadic_inner_factor(self, seed, log_p, q, m):
-        """block_sums(block_sums(x, p), q) == block_sums(x, p*q) bitwise when p
-        is a power of two, which covers every refinement ladder we run."""
-        p = 2**log_p
+    def test_composition_bit_exact_for_dyadic_inner_factor(self, seed, log_p, log_q, m):
+        """block_sums(block_sums(x, p), q) == block_sums(x, p*q) bitwise for
+        powers of two p and q, which covers every refinement ladder we run."""
+        p, q = 2**log_p, 2**log_q
         n = p * q * m
         [inc] = _increment_block(seed, 0, 1, n, 1.0 / n)
         lhs = _block_sums(_block_sums(inc, p), q)
