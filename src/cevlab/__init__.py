@@ -19,7 +19,6 @@ from .config import RunConfig, parse_config
 from .experiments import (
     ConvergenceReport,
     LevelRecord,
-    LevelSpec,
     MomentReport,
     NegativityStats,
     PayoffKind,
@@ -60,7 +59,6 @@ __all__ = [
     "SchemeId",
     "BatchStats",
     # experiments
-    "LevelSpec",
     "LevelRecord",
     "ConvergenceReport",
     "MomentReport",

@@ -244,7 +244,10 @@ def _run_simulate(config: RunConfig):
 
 
 def _run_convergence(config: RunConfig):
-    return strong_error(config.params, config.scheme, config.ladder, config.grid.t_end)
+    return strong_error(
+        config.params, config.scheme, config.grid, config.levels, config.n_paths,
+        config.seed,
+    )
 
 
 def _run_moments(config: RunConfig):

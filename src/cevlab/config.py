@@ -13,7 +13,13 @@ from typing import Mapping
 
 from .brownian import _require_u64
 from .errors import ParseError, ValidationError
-from .experiments import LevelSpec, PayoffKind, PayoffSpec, _require_feasible_ladder
+from .experiments import (
+    PayoffKind,
+    PayoffSpec,
+    _ladder_heights,
+    _require_feasible_ladder,
+    _require_paths,
+)
 from .model import CevParams, TimeGrid, _require_feasible
 from .schemes import SchemeId
 
@@ -68,7 +74,7 @@ class RunConfig:
     scheme: SchemeId
     n_paths: int
     seed: int
-    ladder: LevelSpec | None
+    levels: tuple[int, ...] | None  # convergence's test exponents under grid
     payoff: PayoffSpec | None
     out_format: str
     out_path: str
@@ -91,9 +97,9 @@ class RunConfig:
             "format": self.out_format,
             "out": self.out_path,
         }
-        if self.ladder is not None:
-            items["levels"] = ",".join(str(e) for e in self.ladder.test_exponents)
-            items["ref_exponent"] = self.ladder.ref_exponent
+        if self.levels is not None:
+            items["levels"] = ",".join(str(e) for e in self.levels)
+            items["ref_exponent"] = self.grid.n_steps.bit_length() - 1
         if self.payoff is not None:
             items["payoff"] = self.payoff.kind.value
             items["strike"] = self.payoff.strike
@@ -192,31 +198,25 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
     n_paths = _int(values, "n_paths") if "n_paths" in values else 1000
     seed = _int(values, "seed") if "seed" in values else 0
     _require_u64("seed", seed)
-    if n_paths < 1:
-        raise ValidationError("n_paths must be >= 1")
+    _require_paths(n_paths, 1)
     if experiment in _REPORT_EXPERIMENTS and n_paths < _MIN_REPORT_PATHS:
         raise ValidationError(
             f"{experiment} reports require n_paths >= {_MIN_REPORT_PATHS}"
         )
 
-    spec: LevelSpec | None = None
+    levels: tuple[int, ...] | None = None
     if experiment == "convergence":
         try:
-            test_exponents = tuple(int(tok) for tok in values["levels"].split(","))
+            levels = tuple(int(tok) for tok in values["levels"].split(","))
         except ValueError:
             raise ParseError(f"invalid levels list: {values['levels']!r}") from None
-        # constructing the ladder runs its invariants
-        spec = LevelSpec(
-            ref_exponent=_int(values, "ref_exponent"),
-            test_exponents=test_exponents,
-            n_paths=n_paths,
-            master_seed=seed,
-        )
-        if grid.n_steps != 2**spec.ref_exponent:
+        ref_exponent = _int(values, "ref_exponent")
+        if grid.n_steps != 2**ref_exponent:
             raise ValidationError(
                 f"convergence steps on its reference grid: n_steps ({grid.n_steps}) "
-                f"must equal 2^ref_exponent ({2**spec.ref_exponent})"
+                f"must equal 2^ref_exponent ({2**ref_exponent})"
             )
+        _ladder_heights(grid, levels)  # raises unless the ladder is valid
 
     payoff: PayoffSpec | None = None
     if experiment == "price":
@@ -233,8 +233,8 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
     # stability pre-checks: 'check' reports infeasibility as data, everything
     # else that steps the semi-discrete scheme must start from a feasible grid
     if scheme is SchemeId.SEMI_DISCRETE and experiment != "check":
-        if spec is not None:
-            _require_feasible_ladder(params, spec, grid.t_end)
+        if levels is not None:
+            _require_feasible_ladder(params, grid, levels)
         else:
             _require_feasible(params, grid.dt, "grid step")
 
@@ -245,7 +245,7 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
         scheme=scheme,
         n_paths=n_paths,
         seed=seed,
-        ladder=spec,
+        levels=levels,
         payoff=payoff,
         out_format=out_format,
         out_path=out_path,

@@ -1,13 +1,15 @@
 """Monte Carlo engine: strong-error estimation on coupled dyadic grids,
 moment diagnostics, sign-flip statistics, and a demonstration payoff pricer.
 
-Blocks of paths are independent work items.  Every entry point accepts
-``n_threads``, which caps the number of worker processes; when omitted the
-CEVLAB_THREADS environment variable (or the machine core count) decides.
-The calling process is one worker and the others are forked children, which
-send their blocks' results back pickled.  Per-path noise comes from keyed
-streams and per-path results are assembled in path order, so every reported
-number is bit-identical regardless of the worker count.
+Every experiment takes its grid, path count and seed by the names ``grid``,
+``n_paths`` and ``seed``; ``strong_error``'s grid is the reference grid of
+its ladder.  Blocks of paths are independent work items.  The CEVLAB_THREADS
+environment variable caps the number of worker processes (by default the
+machine core count).  The calling process is one worker and the others are
+forked children, which send their blocks' results back pickled.  Per-path
+noise comes from keyed streams and per-path results are assembled in path
+order, so every reported number is bit-identical regardless of the worker
+count.
 
 Every experiment runs through one driver, ``_walk_paths``: each block walks
 time once, in time-major chunks of ``_CHUNK_STEPS`` fine steps, and steps
@@ -50,7 +52,6 @@ from .schemes import BatchStats, SchemeId, _Walk, _parse_member
 # module's name: without the import, its noise metrics read as absent.
 
 __all__ = [
-    "LevelSpec",
     "LevelRecord",
     "ConvergenceReport",
     "MomentReport",
@@ -77,21 +78,24 @@ _BLOCK_PATHS = 4096
 _CHUNK_STEPS = 512
 
 
-def _resolve_workers(n_threads: int | None) -> int:
-    if n_threads is None:
-        env = os.environ.get("CEVLAB_THREADS")
-        if env is not None:
-            try:
-                n_threads = int(env)
-            except ValueError:
-                raise ValidationError(
-                    f"CEVLAB_THREADS must be a positive integer, got {env!r}"
-                ) from None
-        else:
-            n_threads = os.cpu_count() or 1
-    if n_threads < 1:
-        raise ValidationError("worker count must be >= 1")
-    return n_threads
+def _resolve_workers() -> int:
+    """The worker cap: CEVLAB_THREADS, or the core count when it is unset."""
+    env = os.environ.get("CEVLAB_THREADS")
+    if env is None:
+        return os.cpu_count() or 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValidationError(f"CEVLAB_THREADS must be a positive integer, got {env!r}")
+    return workers
+
+
+def _require_paths(n_paths, minimum: int) -> None:
+    """The one path-count rule: an int (not a bool) of at least ``minimum``."""
+    if isinstance(n_paths, bool) or not isinstance(n_paths, int) or n_paths < minimum:
+        raise ValidationError(f"n_paths must be an int >= {minimum}, got {n_paths!r}")
 
 
 _T = TypeVar("_T")
@@ -130,15 +134,12 @@ def _child_share(
         os._exit(status)
 
 
-def _map_blocks(
-    work: Callable[[tuple[int, int]], _T],
-    n_paths: int,
-    n_threads: int | None,
-) -> list[_T]:
+def _map_blocks(work: Callable[[tuple[int, int]], _T], n_paths: int) -> list[_T]:
     """Run ``work`` over [start, stop) path blocks, possibly in parallel, and
     return its results in block order.
 
-    Block i runs in worker i mod w.  Worker 0 is this process; workers 1..w-1
+    Block i runs in worker i mod w, with w the CEVLAB_THREADS cap (at most
+    one worker per block).  Worker 0 is this process; workers 1..w-1
     are ``os.fork()`` children, which share nothing with this process after
     the fork: ``work`` must return everything it computes, as a picklable
     value, and write nothing that the caller reads.  A child runs its blocks
@@ -150,13 +151,13 @@ def _map_blocks(
     ``os.fork`` every block runs here.
 
     cevlab itself starts no threads, so forking is safe in the CLI; a caller
-    that runs threads of its own should pass ``n_threads=1``.
+    that runs threads of its own should set CEVLAB_THREADS=1.
     """
     blocks = [
         (start, min(start + _BLOCK_PATHS, n_paths))
         for start in range(0, n_paths, _BLOCK_PATHS)
     ]
-    workers = min(_resolve_workers(n_threads), len(blocks))
+    workers = min(_resolve_workers(), len(blocks))
     if workers <= 1 or not hasattr(os, "fork"):
         workers = 1
     children = []  # (pid, pipe read end, index of the child's first block)
@@ -197,18 +198,17 @@ def _map_blocks(
 def _walk_paths(
     scheme: SchemeId,
     params: CevParams,
-    seed: int,
+    grid: TimeGrid,
     n_paths: int,
-    n_steps: int,
-    dt: float,
-    n_threads: int | None,
+    seed: int,
     heights: tuple[int, ...] = (),
     trajectory: np.ndarray | None = None,
     event_matrix: np.ndarray | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray, BatchStats]]:
-    """Walk n_paths keyed paths through n_steps fine steps of size dt, and
+    """Walk n_paths keyed paths through the fine steps of ``grid``, and
     through one coarse grid per entry of ``heights`` (ascending): the grid h
     high steps every 2^h fine steps, driven by the sum of those increments.
+    The seed is validated here, once, before any worker is forked.
 
     Returns (terminal, path_mean, stats) per level: the fine grid first,
     then one per height.  Each block of paths walks time once, one
@@ -221,6 +221,8 @@ def _walk_paths(
     (n_paths, n_steps+1) matrices receive the fine level's trajectories and
     events.
     """
+    _require_u64("seed", seed)
+    n_steps, dt = grid.n_steps, grid.dt
     dts = (dt,) + tuple(dt * 2**h for h in heights)
 
     def work(block: tuple[int, int]):
@@ -244,7 +246,7 @@ def _walk_paths(
                     coarse[level].advance(sums)
         return [walk.result() for walk in (fine, *coarse)], values, events
 
-    results = _map_blocks(work, n_paths, n_threads)
+    results = _map_blocks(work, n_paths)
     if trajectory is not None:
         np.concatenate([values for _, values, _ in results], out=trajectory)
     if event_matrix is not None:
@@ -264,51 +266,39 @@ def _walk_paths(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LevelSpec:
-    """Dyadic refinement ladder for the coupled strong-error experiment.
-
-    The reference grid uses 2^ref_exponent steps; each test grid uses 2^e
-    steps for e in ``test_exponents`` and is driven by block sums of the
-    reference increments, i.e. by the same Brownian path.
-    """
-
-    ref_exponent: int
-    test_exponents: tuple[int, ...]
-    n_paths: int
-    master_seed: int
-
-    def __post_init__(self) -> None:
-        for name in ("ref_exponent", "n_paths", "master_seed"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValidationError(f"{name} must be an int, got {type(v).__name__}")
-        exps = tuple(int(e) for e in self.test_exponents)
-        object.__setattr__(self, "test_exponents", exps)
-        if not exps:
-            raise ValidationError("test_exponents must be non-empty")
-        if any(e < 0 for e in exps):
-            raise ValidationError("test exponents must be nonnegative")
-        if any(b <= a for a, b in zip(exps, exps[1:])):
-            raise ValidationError("test exponents must be strictly ascending")
-        if self.ref_exponent <= exps[-1]:
-            raise ValidationError(
-                "ref_exponent must exceed every test exponent "
-                f"(got {self.ref_exponent} <= {exps[-1]})"
-            )
-        if self.n_paths < 2:
-            raise ValidationError("n_paths must be >= 2")
-        _require_u64("master_seed", self.master_seed)
+def _ladder_heights(grid: TimeGrid, exps: tuple[int, ...]) -> tuple[int, ...]:
+    """Heights ref - e of the test exponents ``exps`` above the reference
+    grid, finest level first, where 2^ref is ``grid.n_steps``; every rule of
+    a dyadic ladder is checked here.  Raises ValidationError."""
+    ref = grid.n_steps.bit_length() - 1
+    if grid.n_steps != 2**ref:
+        raise ValidationError(
+            f"the reference grid's n_steps must be a power of two, got {grid.n_steps}"
+        )
+    if any(isinstance(e, bool) or not isinstance(e, int) for e in exps):
+        raise ValidationError(f"test exponents must be ints, got {exps!r}")
+    if not exps:
+        raise ValidationError("test_exponents must be non-empty")
+    if any(e < 0 for e in exps):
+        raise ValidationError("test exponents must be nonnegative")
+    if any(b <= a for a, b in zip(exps, exps[1:])):
+        raise ValidationError("test exponents must be strictly ascending")
+    if ref <= exps[-1]:
+        raise ValidationError(
+            f"ref_exponent must exceed every test exponent (got {ref} <= {exps[-1]})"
+        )
+    return tuple(ref - e for e in reversed(exps))
 
 
-def _require_feasible_ladder(params: CevParams, spec: LevelSpec, t_end: float) -> None:
+def _require_feasible_ladder(
+    params: CevParams, grid: TimeGrid, test_exponents: tuple[int, ...]
+) -> None:
     """Every test level and the reference level of the semi-discrete ladder
     must satisfy the stability conditions; raises InfeasibleLevel otherwise."""
-    for e in spec.test_exponents:
-        _require_feasible(params, t_end / 2**e, f"test level e={e}")
-    _require_feasible(
-        params, t_end / 2**spec.ref_exponent, f"reference level r={spec.ref_exponent}"
-    )
+    for e in test_exponents:
+        _require_feasible(params, grid.t_end / 2**e, f"test level e={e}")
+    ref = grid.n_steps.bit_length() - 1
+    _require_feasible(params, grid.dt, f"reference level r={ref}")
 
 
 @dataclass(frozen=True)
@@ -434,46 +424,42 @@ def fit_order(points: Iterable[tuple[float, float]]) -> tuple[float, float, floa
 def strong_error(
     params: CevParams,
     scheme: SchemeId,
-    spec: LevelSpec,
-    t_end: float,
-    n_threads: int | None = None,
+    grid: TimeGrid,
+    test_exponents: tuple[int, ...],
+    n_paths: int,
+    seed: int,
 ) -> ConvergenceReport:
     """Coupled mean-square error against a fine-grid proxy of the solution.
 
-    Every path is simulated on the reference grid (2^ref_exponent steps) and
-    on every test level, driven by block sums of the same increments; the
-    squared terminal differences estimate the strong error.  The proxy for
-    the unknown exact solution is the scheme itself on the reference grid,
-    so ref_exponent should exceed the finest test exponent by a comfortable
-    margin.
+    ``grid`` is the reference grid: its n_steps must be 2^ref for an int ref
+    above every test exponent.  Every path is simulated on the reference
+    grid and on every test level e (2^e steps over ``grid.t_end``, ascending
+    ints), driven by block sums of the same increments; the squared terminal
+    differences estimate the strong error.  The proxy for the unknown exact
+    solution is the scheme itself on the reference grid, so ref should
+    exceed the finest test exponent by a comfortable margin.
 
     Each block of paths walks time once, in chunks of ``_CHUNK_STEPS`` fine
-    steps, and steps the reference and every test level e, ref_exponent - e
-    high, from the same chunk.  Every level's increments are formed by one
+    steps, and steps the reference and every test level e, ref - e high,
+    from the same chunk.  Every level's increments are formed by one
     pairwise tree over the fine increments, inside the chunk and then
     across chunks, holding one row per height above the chunk.  Memory is
-    therefore bounded by the block and chunk sizes, whatever ref_exponent
-    and the ladder's span, and the report is bit-identical to simulating
+    therefore bounded by the block and chunk sizes, whatever ref and the
+    ladder's span, and the report is bit-identical to simulating
     each level on its own ``_block_sums`` of the whole increment matrix.
     """
-    if not (math.isfinite(t_end) and t_end > 0.0):
-        raise ValidationError("t_end must be a positive finite number")
+    _require_paths(n_paths, 2)
+    exps = tuple(test_exponents)
+    heights = _ladder_heights(grid, exps)
     if scheme is SchemeId.SEMI_DISCRETE:
-        _require_feasible_ladder(params, spec, t_end)
-
-    n_fine = 2**spec.ref_exponent
-    exps = spec.test_exponents
-    heights = tuple(spec.ref_exponent - e for e in reversed(exps))
-    (ref_term, _, _), *coarse = _walk_paths(
-        scheme, params, spec.master_seed, spec.n_paths, n_fine, t_end / n_fine,
-        n_threads, heights,
-    )
+        _require_feasible_ladder(params, grid, exps)
+    (ref_term, _, _), *coarse = _walk_paths(scheme, params, grid, n_paths, seed, heights)
 
     levels = []
     pts = []
     # coarse is finest first, the ascending test exponents coarsest first
     for e, (term, _, _) in zip(exps, reversed(coarse)):
-        dt_level = t_end / 2**e
+        dt_level = grid.t_end / 2**e
         d = (term - ref_term) ** 2
         mse = float(d.mean())
         levels.append(
@@ -503,18 +489,14 @@ def _terminal_stats(
     grid: TimeGrid,
     n_paths: int,
     seed: int,
-    n_threads: int | None,
 ) -> tuple[np.ndarray, np.ndarray, BatchStats]:
     """Terminal values and path means for n_paths keyed paths on ``grid``.
 
     Raises NonFiniteResult when a terminal value or path mean is not finite,
     so no report is computed from a diverged path.
     """
-    if n_paths < 2:
-        raise ValidationError("n_paths must be >= 2")
-    [(terminal, path_mean, stats)] = _walk_paths(
-        scheme, params, seed, n_paths, grid.n_steps, grid.dt, n_threads
-    )
+    _require_paths(n_paths, 2)
+    [(terminal, path_mean, stats)] = _walk_paths(scheme, params, grid, n_paths, seed)
     finite = np.isfinite(terminal) & np.isfinite(path_mean)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -531,11 +513,10 @@ def moment_check(
     grid: TimeGrid,
     n_paths: int,
     seed: int,
-    n_threads: int | None = None,
 ) -> MomentReport:
     """Terminal mean and second moment with standard errors, against the
     closed-form mean of the continuous model."""
-    terminal, _, _ = _terminal_stats(scheme, params, grid, n_paths, seed, n_threads)
+    terminal, _, _ = _terminal_stats(scheme, params, grid, n_paths, seed)
     second = terminal**2
     mean = float(terminal.mean())
     m2 = float(second.mean())
@@ -555,7 +536,6 @@ def negativity_stats(
     grid: TimeGrid,
     n_paths: int,
     seed: int,
-    n_threads: int | None = None,
 ) -> NegativityStats:
     """Count z < 0 events and inner clamps for the semi-discrete scheme, and
     report the largest one-step sign-flip probability over visited states.
@@ -564,9 +544,7 @@ def negativity_stats(
     inner^(1-a) over all pre-step states, and the probability is a monotone
     transform of that statistic.
     """
-    _, _, stats = _terminal_stats(
-        SchemeId.SEMI_DISCRETE, params, grid, n_paths, seed, n_threads
-    )
+    _, _, stats = _terminal_stats(SchemeId.SEMI_DISCRETE, params, grid, n_paths, seed)
     return NegativityStats(
         total_steps=n_paths * grid.n_steps,
         z_negative_events=stats.sign_flip_count,
@@ -581,7 +559,6 @@ def price_payoff(
     grid: TimeGrid,
     n_paths: int,
     seed: int,
-    n_threads: int | None = None,
 ) -> tuple[float, float]:
     """Monte Carlo price of ``payoff`` under semi-discrete paths.
 
@@ -589,7 +566,7 @@ def price_payoff(
     errors.
     """
     terminal, path_mean, _ = _terminal_stats(
-        SchemeId.SEMI_DISCRETE, params, grid, n_paths, seed, n_threads
+        SchemeId.SEMI_DISCRETE, params, grid, n_paths, seed
     )
     if payoff.kind is PayoffKind.EUROPEAN_CALL:
         samples = np.maximum(terminal - payoff.strike, 0.0)
@@ -606,7 +583,6 @@ def simulate_paths_batch(
     grid: TimeGrid,
     n_paths: int,
     seed: int,
-    n_threads: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, BatchStats]:
     """Full trajectories for ``n_paths`` keyed paths.
 
@@ -616,12 +592,10 @@ def simulate_paths_batch(
     the stream ``Philox(key=[seed, i])``, so its row depends neither on
     n_paths nor on the worker count.
     """
-    if n_paths < 1:
-        raise ValidationError("n_paths must be >= 1")
+    _require_paths(n_paths, 1)
     values = np.empty((n_paths, grid.n_steps + 1))
     events = np.zeros((n_paths, grid.n_steps + 1), dtype=np.uint8)
     [(_, _, stats)] = _walk_paths(
-        scheme, params, seed, n_paths, grid.n_steps, grid.dt, n_threads,
-        trajectory=values, event_matrix=events,
+        scheme, params, grid, n_paths, seed, trajectory=values, event_matrix=events
     )
     return values, events, stats

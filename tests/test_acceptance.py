@@ -19,7 +19,6 @@ import pytest
 
 from cevlab import (
     CevParams,
-    LevelSpec,
     SchemeId,
     TimeGrid,
     max_stable_step,
@@ -36,7 +35,8 @@ NOISELESS = CevParams(k=1.0, l=1.0, sigma=0.0, a=0.75, x0=2.0)
 EULER_STRESS = CevParams(k=1.0, l=0.61, sigma=1.0, a=0.6, x0=0.1)
 
 MASTER_SEED = 20240601
-LADDER = dict(ref_exponent=12, test_exponents=(4, 5, 6, 7, 8, 9))
+REF_GRID = TimeGrid(1.0, 2**12)
+LEVELS = (4, 5, 6, 7, 8, 9)
 
 
 def _line(name: str, ok: bool, detail: str) -> None:
@@ -46,8 +46,11 @@ def _line(name: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def standard_convergence():
     """Criterion-3 workload, single-threaded; reused by criterion 8."""
-    spec = LevelSpec(n_paths=10_000, master_seed=MASTER_SEED, **LADDER)
-    return strong_error(STANDARD, SchemeId.SEMI_DISCRETE, spec, 1.0, n_threads=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("CEVLAB_THREADS", "1")
+        return strong_error(
+            STANDARD, SchemeId.SEMI_DISCRETE, REF_GRID, LEVELS, 10_000, MASTER_SEED
+        )
 
 
 def test_c1_positivity_and_naive_euler_contrast():
@@ -112,8 +115,9 @@ def test_c3_strong_order_at_least_theoretical(standard_convergence):
 def test_c4_deterministic_limit_first_order():
     """sigma=0 collapses every level to an exact recursion; the fitted order
     must be 1.00 +/- 0.05 with no Monte Carlo noise (all ci exactly 0)."""
-    spec = LevelSpec(n_paths=4, master_seed=MASTER_SEED, **LADDER)
-    report = strong_error(NOISELESS, SchemeId.SEMI_DISCRETE, spec, 1.0)
+    report = strong_error(
+        NOISELESS, SchemeId.SEMI_DISCRETE, REF_GRID, LEVELS, 4, MASTER_SEED
+    )
     ok = abs(report.fitted_order - 1.0) <= 0.05
     _line(
         "C4 deterministic-limit order",
@@ -210,11 +214,11 @@ def test_c7_second_moment_stays_bounded():
 def test_c8_bit_identical_across_thread_caps(standard_convergence, monkeypatch):
     """The criterion-3 report is byte-for-byte reproducible with
     CEVLAB_THREADS=1 and CEVLAB_THREADS=4."""
-    spec = LevelSpec(n_paths=10_000, master_seed=MASTER_SEED, **LADDER)
+    args = (STANDARD, SchemeId.SEMI_DISCRETE, REF_GRID, LEVELS, 10_000, MASTER_SEED)
     monkeypatch.setenv("CEVLAB_THREADS", "4")
-    threaded = strong_error(STANDARD, SchemeId.SEMI_DISCRETE, spec, 1.0)
+    threaded = strong_error(*args)
     monkeypatch.setenv("CEVLAB_THREADS", "1")
-    serial = strong_error(STANDARD, SchemeId.SEMI_DISCRETE, spec, 1.0)
+    serial = strong_error(*args)
     ok = threaded == serial == standard_convergence
     _line(
         "C8 thread reproducibility",

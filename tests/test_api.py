@@ -1,6 +1,7 @@
 """The public surface: what ``cevlab`` and its modules export."""
 
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -28,7 +29,6 @@ PUBLIC_API = [
     "SchemeId",
     "BatchStats",
     # experiments
-    "LevelSpec",
     "LevelRecord",
     "ConvergenceReport",
     "MomentReport",
@@ -75,6 +75,37 @@ def test_every_exported_name_resolves_once(name):
     assert len(exported) == len(set(exported)), sorted(exported)
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing
+
+
+# The experiments; each takes its grid, path count and seed by these names.
+ENTRY_POINTS = [
+    "strong_error",
+    "moment_check",
+    "negativity_stats",
+    "price_payoff",
+    "simulate_paths_batch",
+]
+
+
+def test_no_public_callable_takes_n_threads():
+    """The worker cap is set by CEVLAB_THREADS alone."""
+    offenders = []
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for attr in module.__all__:
+            try:
+                parameters = inspect.signature(getattr(module, attr)).parameters
+            except (TypeError, ValueError):  # not callable, or a builtin type
+                continue
+            if "n_threads" in parameters:
+                offenders.append(f"{name}.{attr}")
+    assert not offenders
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_experiments_take_grid_paths_and_seed_by_name(name):
+    parameters = inspect.signature(getattr(cevlab, name)).parameters
+    assert {"grid", "n_paths", "seed"} <= set(parameters)
 
 
 def test_cli_import_loads_no_pool_machinery():

@@ -23,7 +23,7 @@ from cevlab.cli import (
     _Trajectories,
     main,
 )
-from cevlab.experiments import LevelSpec, PayoffKind
+from cevlab.experiments import PayoffKind
 
 # Reference SHA-256 of every benchmark artifact (perfbench/README.md).
 REFERENCE_HASHES = Path(__file__).resolve().parents[1] / "perfbench" / "hashes.json"
@@ -168,11 +168,10 @@ class TestParseConfig:
         cfg = parse_config(
             base + "levels = 4,5,6\nref_exponent = 9\n", {"grid.n_steps": "512"}
         )
-        # the validated ladder is carried, with the run's path count and seed
-        assert cfg.ladder == LevelSpec(
-            ref_exponent=9, test_exponents=(4, 5, 6), n_paths=cfg.n_paths,
-            master_seed=cfg.seed,
-        )
+        # the validated levels are carried; the grid is the reference grid
+        assert cfg.levels == (4, 5, 6)
+        assert cfg.grid.n_steps == 2**9
+        assert cfg.flat_items()["ref_exponent"] == 9
 
     def test_report_experiments_enforce_path_floor(self):
         base = STANDARD.replace("experiment = check", "experiment = moments")
@@ -296,6 +295,17 @@ class TestCliExitCodes:
         assert main([*args, f"--out={out}"]) == 2
         assert "seed must be an integer in [0, 2^64)" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-1", "many"])
+    def test_bad_worker_cap_is_exit_2(self, tmp_path, monkeypatch, capsys, threads):
+        # the worker cap has one home, the environment, and the error names it
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("CEVLAB_THREADS", threads)
+        args = ["moments", *STD_FLAGS, "--grid.n_steps=16", "--run.n_paths=1000"]
+        assert main([*args, "--out=m.json"]) == 2
+        err = capsys.readouterr().err
+        assert f"CEVLAB_THREADS must be a positive integer, got {threads!r}" in err
+        assert not (tmp_path / "m.json").exists()
 
     def test_infeasible_level_is_exit_2(self, config_file, tmp_path, capsys):
         code = main(

@@ -3,6 +3,7 @@ sign-flip statistics, and payoff pricing."""
 
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -17,7 +18,6 @@ from cevlab import (
     CevParams,
     InfeasibleLevel,
     InsufficientPoints,
-    LevelSpec,
     NegativeInner,
     NonFiniteResult,
     NonPositiveValue,
@@ -55,28 +55,29 @@ def _walk_terminal(scheme, params, dt, dw, first_path=0):
     return walk.result()[0]
 
 
-def _whole_matrix_strong_error(params, scheme, spec, t_end):
-    """The coupled ladder computed from each block's whole fine-increment
-    matrix: one walk on the reference grid and one per level on the level's
-    block sums, with the report built as ``strong_error`` builds it.  The
-    streamed walk must reproduce this bit for bit."""
-    n_fine = 2**spec.ref_exponent
-    dt = t_end / n_fine
-    sq_diff = np.empty((len(spec.test_exponents), spec.n_paths))
-    for start in range(0, spec.n_paths, _BLOCK_PATHS):
-        stop = min(start + _BLOCK_PATHS, spec.n_paths)
-        fine = _increment_block(spec.master_seed, start, stop, n_fine, dt)
-        ref = _walk_terminal(scheme, params, dt, fine, start)
-        for i, e in enumerate(spec.test_exponents):
-            factor = 2 ** (spec.ref_exponent - e)
+def _whole_matrix_strong_error(params, scheme, ref, exps, n_paths, seed):
+    """The coupled ladder on 2^ref steps over [0, 1] computed from each
+    block's whole fine-increment matrix: one walk on the reference grid and
+    one per level on the level's block sums, with the report built as
+    ``strong_error`` builds it.  The streamed walk must reproduce this bit
+    for bit."""
+    n_fine = 2**ref
+    dt = 1.0 / n_fine
+    sq_diff = np.empty((len(exps), n_paths))
+    for start in range(0, n_paths, _BLOCK_PATHS):
+        stop = min(start + _BLOCK_PATHS, n_paths)
+        fine = _increment_block(seed, start, stop, n_fine, dt)
+        ref_terminal = _walk_terminal(scheme, params, dt, fine, start)
+        for i, e in enumerate(exps):
+            factor = 2 ** (ref - e)
             coarse = _block_sums(fine.T, factor).T
             test = _walk_terminal(scheme, params, dt * factor, coarse, start)
-            sq_diff[i, start:stop] = (test - ref) ** 2
+            sq_diff[i, start:stop] = (test - ref_terminal) ** 2
     levels = []
-    for i, e in enumerate(spec.test_exponents):
+    for i, e in enumerate(exps):
         mse = float(sq_diff[i].mean())
         ci = 1.96 * _standard_error(sq_diff[i])
-        levels.append(LevelRecord(e, t_end / 2**e, mse, math.sqrt(mse), ci))
+        levels.append(LevelRecord(e, 1.0 / 2**e, mse, math.sqrt(mse), ci))
     slope, intercept, r2 = fit_order((rec.dt, rec.rmse) for rec in levels)
     levels.sort(key=lambda rec: -rec.dt)
     return ConvergenceReport(
@@ -153,37 +154,102 @@ class TestFitOrder:
         assert got_intercept == pytest.approx(log_c, abs=1e-9)
 
 
-class TestLevelSpec:
-    def test_rejects_bad_ladders(self):
-        with pytest.raises(ValidationError):
-            LevelSpec(ref_exponent=6, test_exponents=(4, 6), n_paths=10, master_seed=0)
-        with pytest.raises(ValidationError):
-            LevelSpec(ref_exponent=8, test_exponents=(5, 4), n_paths=10, master_seed=0)
-        with pytest.raises(ValidationError):
-            LevelSpec(ref_exponent=8, test_exponents=(), n_paths=10, master_seed=0)
-        with pytest.raises(ValidationError):
-            LevelSpec(ref_exponent=8, test_exponents=(-1, 4), n_paths=10, master_seed=0)
-        with pytest.raises(ValidationError, match="master_seed must be an integer"):
-            LevelSpec(ref_exponent=8, test_exponents=(4,), n_paths=10, master_seed=2**64)
+def _call(name, params, grid, n_paths, seed):
+    """Run the entry point ``name`` with its grid, path count and seed passed
+    by name; the ladder is 2^4 and 2^5 steps under ``grid``."""
+    return {
+        "strong_error": lambda: strong_error(
+            params, SchemeId.SEMI_DISCRETE, test_exponents=(4, 5),
+            grid=grid, n_paths=n_paths, seed=seed,
+        ),
+        "moment_check": lambda: moment_check(
+            params, SchemeId.SEMI_DISCRETE, grid=grid, n_paths=n_paths, seed=seed
+        ),
+        "negativity_stats": lambda: negativity_stats(
+            params, grid=grid, n_paths=n_paths, seed=seed
+        ),
+        "price_payoff": lambda: price_payoff(
+            params, PayoffSpec(PayoffKind.EUROPEAN_CALL, 1.0),
+            grid=grid, n_paths=n_paths, seed=seed,
+        ),
+        "simulate_paths_batch": lambda: simulate_paths_batch(
+            SchemeId.SEMI_DISCRETE, params, grid=grid, n_paths=n_paths, seed=seed
+        ),
+    }[name]()
 
+
+ENTRY_POINTS = [
+    "strong_error",
+    "moment_check",
+    "negativity_stats",
+    "price_payoff",
+    "simulate_paths_batch",
+]
+
+
+class TestRunInputs:
+    """The ladder, path-count and seed rules, one of each, at every entry
+    point that takes the input."""
+
+    def test_rejects_bad_ladders(self, standard_params):
+        def ladder(n_steps, exps, seed=0):
+            strong_error(
+                standard_params, SchemeId.SEMI_DISCRETE, TimeGrid(1.0, n_steps),
+                exps, 10, seed,
+            )
+
+        with pytest.raises(ValidationError, match="must exceed every test exponent"):
+            ladder(2**6, (4, 6))
+        with pytest.raises(ValidationError, match="strictly ascending"):
+            ladder(2**8, (5, 4))
+        with pytest.raises(ValidationError, match="non-empty"):
+            ladder(2**8, ())
+        with pytest.raises(ValidationError, match="nonnegative"):
+            ladder(2**8, (-1, 4))
+        with pytest.raises(ValidationError, match="power of two"):
+            ladder(3 * 2**6, (4, 5))
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            ladder(2**8, (4,), seed=2**64)
+
+    @pytest.mark.parametrize("exps", [(4.5, 6), (True, 4), (4.0, 5)])
+    def test_rejects_non_int_exponents(self, standard_params, exps):
+        # no exponent is silently truncated to an int
+        with pytest.raises(ValidationError, match="test exponents must be ints"):
+            strong_error(
+                standard_params, SchemeId.SEMI_DISCRETE, TimeGrid(1.0, 2**8),
+                exps, 10, 0,
+            )
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("master_seed", 1.5),
-            ("master_seed", 1.0),
-            ("master_seed", True),
-            ("master_seed", "1"),
+            ("seed", 1.5),
+            ("seed", 1.0),
+            ("seed", True),
+            ("seed", "1"),
+            ("seed", -1),
             ("n_paths", 10.0),
             ("n_paths", True),
-            ("ref_exponent", 8.0),
-            ("ref_exponent", False),
+            ("n_paths", 0),
         ],
     )
-    def test_rejects_non_int_fields_up_front(self, field, value):
-        kwargs = dict(ref_exponent=8, test_exponents=(4, 5), n_paths=10, master_seed=0)
-        kwargs[field] = value
+    def test_rejects_non_int_fields_up_front(self, standard_params, name, field, value):
+        inputs = dict(n_paths=10, seed=0)
+        inputs[field] = value
         with pytest.raises(ValidationError, match=f"{field} must be an int"):
-            LevelSpec(**kwargs)
+            _call(name, standard_params, TimeGrid(1.0, 2**8), **inputs)
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_path_floor(self, standard_params, name):
+        """Every report needs two paths for its spread; a dump needs one."""
+        grid = TimeGrid(1.0, 2**6)
+        if name == "simulate_paths_batch":
+            values, _, _ = _call(name, standard_params, grid, 1, 0)
+            assert values.shape == (1, 2**6 + 1)
+        else:
+            with pytest.raises(ValidationError, match="n_paths must be an int >= 2"):
+                _call(name, standard_params, grid, 1, 0)
 
 
 class TestStandardError:
@@ -203,10 +269,10 @@ class TestStandardError:
     def test_noiseless_reports_read_exactly_zero(self, noiseless_params):
         """All paths of a sigma=0 run are identical, so every CI and standard
         error of the three CI-bearing reports is exactly 0.0."""
-        spec = LevelSpec(
-            ref_exponent=10, test_exponents=(4, 5, 6, 7), n_paths=1000, master_seed=7
+        ladder = strong_error(
+            noiseless_params, SchemeId.SEMI_DISCRETE, TimeGrid(1.0, 2**10),
+            (4, 5, 6, 7), 1000, 7,
         )
-        ladder = strong_error(noiseless_params, SchemeId.SEMI_DISCRETE, spec, 1.0)
         assert [rec.ci_halfwidth for rec in ladder.levels] == [0.0] * 4
         grid = TimeGrid(1.0, 64)
         moments = moment_check(
@@ -234,19 +300,18 @@ class TestStrongError:
     @pytest.mark.parametrize("a", [0.55, 0.75, 0.95])
     def test_noiseless_first_order_independent_of_exponent(self, a):
         params = CevParams(k=1.0, l=1.0, sigma=0.0, a=a, x0=2.0)
-        spec = LevelSpec(
-            ref_exponent=16, test_exponents=(2, 3, 4, 5, 6), n_paths=4, master_seed=7
+        report = strong_error(
+            params, SchemeId.SEMI_DISCRETE, TimeGrid(1.0, 2**16), (2, 3, 4, 5, 6), 4, 7
         )
-        report = strong_error(params, SchemeId.SEMI_DISCRETE, spec, 1.0)
         assert report.fitted_order == pytest.approx(1.0, abs=0.05)
         assert report.fit_r2 > 0.999
         assert all(rec.ci_halfwidth == 0.0 for rec in report.levels)
 
     def test_levels_sorted_and_monotone(self, standard_params):
-        spec = LevelSpec(
-            ref_exponent=10, test_exponents=(3, 4, 5, 6), n_paths=2000, master_seed=11
+        report = strong_error(
+            standard_params, SchemeId.SEMI_DISCRETE, TimeGrid(1.0, 2**10),
+            (3, 4, 5, 6), 2000, 11,
         )
-        report = strong_error(standard_params, SchemeId.SEMI_DISCRETE, spec, 1.0)
         dts = [rec.dt for rec in report.levels]
         assert dts == sorted(dts, reverse=True)
         # statistical monotonicity: mse nonincreasing up to twice the ci
@@ -254,12 +319,15 @@ class TestStrongError:
             assert fine.mse <= coarse.mse + 2 * (coarse.ci_halfwidth + fine.ci_halfwidth)
         assert report.theoretical_order == pytest.approx(0.75 * 0.25, rel=1e-15)
 
-    def test_bit_identical_across_thread_counts(self, standard_params):
-        spec = LevelSpec(
-            ref_exponent=9, test_exponents=(3, 4, 5), n_paths=2500, master_seed=3
+    def test_bit_identical_across_thread_counts(self, standard_params, monkeypatch):
+        args = (
+            standard_params, SchemeId.SEMI_DISCRETE, TimeGrid(1.0, 2**9), (3, 4, 5),
+            2500, 3,
         )
-        a = strong_error(standard_params, SchemeId.SEMI_DISCRETE, spec, 1.0, n_threads=1)
-        b = strong_error(standard_params, SchemeId.SEMI_DISCRETE, spec, 1.0, n_threads=3)
+        monkeypatch.setenv("CEVLAB_THREADS", "1")
+        a = strong_error(*args)
+        monkeypatch.setenv("CEVLAB_THREADS", "3")
+        b = strong_error(*args)
         assert a == b
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -277,15 +345,16 @@ class TestStrongError:
         ],
     )
     def test_streamed_walk_equals_whole_matrix_ladder(
-        self, standard_params, ref, exps, n_paths, threads
+        self, standard_params, monkeypatch, ref, exps, n_paths, threads
     ):
         assert 2**ref > _CHUNK_STEPS
-        spec = LevelSpec(ref, exps, n_paths, 20240601)
+        monkeypatch.setenv("CEVLAB_THREADS", str(threads))
         report = strong_error(
-            standard_params, SchemeId.SEMI_DISCRETE, spec, 1.0, n_threads=threads
+            standard_params, SchemeId.SEMI_DISCRETE, TimeGrid(1.0, 2**ref), exps,
+            n_paths, 20240601,
         )
         oracle = _whole_matrix_strong_error(
-            standard_params, SchemeId.SEMI_DISCRETE, spec, 1.0
+            standard_params, SchemeId.SEMI_DISCRETE, ref, exps, n_paths, 20240601
         )
         assert report == oracle
 
@@ -296,10 +365,12 @@ class TestStrongError:
         """Chunks share one noise buffer; no level may keep a view of it,
         down to one-step chunks, where a carry takes the raw row."""
         monkeypatch.setattr("cevlab.experiments._CHUNK_STEPS", chunk)
-        spec = LevelSpec(6, (2, 3, 4), 40, 20240601)
-        report = strong_error(standard_params, SchemeId.SEMI_DISCRETE, spec, 1.0)
+        report = strong_error(
+            standard_params, SchemeId.SEMI_DISCRETE, TimeGrid(1.0, 2**6), (2, 3, 4),
+            40, 20240601,
+        )
         oracle = _whole_matrix_strong_error(
-            standard_params, SchemeId.SEMI_DISCRETE, spec, 1.0
+            standard_params, SchemeId.SEMI_DISCRETE, 6, (2, 3, 4), 40, 20240601
         )
         assert report == oracle
 
@@ -331,9 +402,11 @@ class TestStrongError:
         assert peaks[14] <= 1.2 * peaks[12], peaks
 
     def test_infeasible_level_named(self, standard_params):
-        spec = LevelSpec(ref_exponent=9, test_exponents=(4, 5), n_paths=100, master_seed=0)
         with pytest.raises(InfeasibleLevel, match="e=4"):
-            strong_error(standard_params, SchemeId.SEMI_DISCRETE, spec, 16.0)
+            strong_error(
+                standard_params, SchemeId.SEMI_DISCRETE, TimeGrid(16.0, 2**9), (4, 5),
+                100, 0,
+            )
 
     def test_infeasible_level_is_a_validation_error(self):
         assert issubclass(InfeasibleLevel, ValidationError)
@@ -342,8 +415,9 @@ class TestStrongError:
         # the naive baseline has no stability precondition; a step far above
         # the semi-discrete bound still runs
         params = CevParams(k=1, l=1, sigma=0.2, a=0.75, x0=1)
-        spec = LevelSpec(ref_exponent=6, test_exponents=(2, 3), n_paths=50, master_seed=0)
-        report = strong_error(params, SchemeId.EULER_NAIVE, spec, 4.0)
+        report = strong_error(
+            params, SchemeId.EULER_NAIVE, TimeGrid(4.0, 2**6), (2, 3), 50, 0
+        )
         assert len(report.levels) == 2
 
 
@@ -516,18 +590,19 @@ class TestNegativeInnerLocation:
         assert (info.value.path, info.value.step) == (0, 0)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_global_path_index_replays_from_its_stream_key(self, threads):
+    def test_global_path_index_replays_from_its_stream_key(self, monkeypatch, threads):
         # dt=1.5 is infeasible too, but only paths that climb far fail; with
         # seed 1 the first of them lies in the second 4096-path block
+        monkeypatch.setenv("CEVLAB_THREADS", str(threads))
         p = CevParams(k=1, l=1, sigma=0.25, a=0.75, x0=1)
         grid = TimeGrid(6.0, 4)
         with pytest.raises(NegativeInner) as info:
-            simulate_paths_batch(SchemeId.SEMI_DISCRETE, p, grid, 8192, 1, threads)
+            simulate_paths_batch(SchemeId.SEMI_DISCRETE, p, grid, 8192, 1)
         path, step = info.value.path, info.value.step
         assert (path, step) == (5757, 3)
         assert str(info.value).startswith(f"path {path}, step {step}: ")
         # every earlier path runs clean, and the named one fails on its own
-        simulate_paths_batch(SchemeId.SEMI_DISCRETE, p, grid, path, 1, threads)
+        simulate_paths_batch(SchemeId.SEMI_DISCRETE, p, grid, path, 1)
         _assert_replay_fails(p, grid, 1, path, step)
 
 
@@ -553,9 +628,11 @@ class TestThreadEnvironment:
         b = moment_check(standard_params, SchemeId.SEMI_DISCRETE, grid, 5000, seed=9)
         assert a == b
 
-    def test_env_variable_garbage_rejected(self, standard_params, monkeypatch):
-        monkeypatch.setenv("CEVLAB_THREADS", "many")
-        with pytest.raises(ValidationError):
+    @pytest.mark.parametrize("threads", ["many", "0", "-2", "1.5"])
+    def test_env_variable_garbage_rejected(self, standard_params, monkeypatch, threads):
+        monkeypatch.setenv("CEVLAB_THREADS", threads)
+        message = f"CEVLAB_THREADS must be a positive integer, got {threads!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
             moment_check(
                 standard_params, SchemeId.SEMI_DISCRETE, TimeGrid(1.0, 4), 64, seed=0
             )
@@ -588,18 +665,21 @@ class TestWorkerProcesses:
 
     THREE_BLOCKS = 2 * _BLOCK_PATHS + 1
 
-    def test_one_worker_runs_every_block_in_the_caller(self, deadline):
-        pids = _map_blocks(lambda block: os.getpid(), self.THREE_BLOCKS, 1)
+    def test_one_worker_runs_every_block_in_the_caller(self, deadline, monkeypatch):
+        monkeypatch.setenv("CEVLAB_THREADS", "1")
+        pids = _map_blocks(lambda block: os.getpid(), self.THREE_BLOCKS)
         assert pids == [os.getpid()] * 3
         _assert_every_worker_reaped()
 
-    def test_two_workers_share_blocks_by_index(self, deadline):
-        pids = _map_blocks(lambda block: os.getpid(), self.THREE_BLOCKS, 2)
+    def test_two_workers_share_blocks_by_index(self, deadline, monkeypatch):
+        monkeypatch.setenv("CEVLAB_THREADS", "2")
+        pids = _map_blocks(lambda block: os.getpid(), self.THREE_BLOCKS)
         assert pids[0] == pids[2] == os.getpid()
         assert pids[1] != os.getpid()
         _assert_every_worker_reaped()
 
-    def test_worker_that_dies_is_named(self, deadline, tmp_path):
+    def test_worker_that_dies_is_named(self, deadline, monkeypatch, tmp_path):
+        monkeypatch.setenv("CEVLAB_THREADS", "2")
         caller = os.getpid()
 
         def work(block):
@@ -609,14 +689,15 @@ class TestWorkerProcesses:
             return block
 
         with pytest.raises(ChildProcessError) as info:
-            _map_blocks(work, self.THREE_BLOCKS, 2)
+            _map_blocks(work, self.THREE_BLOCKS)
         pid = int((tmp_path / "pid").read_text())
         message = str(info.value)
         assert message.startswith(f"worker process {pid} ended with wait status ")
         assert "(exit code 3)" in message
         _assert_every_worker_reaped()
 
-    def test_lowest_failed_block_is_raised(self, deadline):
+    def test_lowest_failed_block_is_raised(self, deadline, monkeypatch):
+        monkeypatch.setenv("CEVLAB_THREADS", "2")
         caller = os.getpid()
 
         def work(block):
@@ -626,5 +707,5 @@ class TestWorkerProcesses:
             return block
 
         with pytest.raises(ValueError, match=r"^block 1 in child$"):
-            _map_blocks(work, self.THREE_BLOCKS, 2)
+            _map_blocks(work, self.THREE_BLOCKS)
         _assert_every_worker_reaped()
