@@ -42,9 +42,15 @@ def _require_keys(master_seed: int, start: int, stop: int) -> None:
 
 
 def _increment_block(
-    master_seed: int, start: int, stop: int, n: int, dt: float
+    master_seed: int,
+    start: int,
+    stop: int,
+    n: int,
+    dt: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(stop-start, n) matrix of per-path N(0, dt) increments.
+    """(stop-start, n) matrix of per-path N(0, dt) increments, written into
+    ``out`` when one is given.
 
     Row i holds the first n draws of the stream keyed by
     (master_seed, start+i).  One Philox and one Generator serve the whole
@@ -67,7 +73,8 @@ def _increment_block(
         "has_uint32": 0,
         "uinteger": 0,
     }
-    out = np.empty((stop - start, n))
+    if out is None:
+        out = np.empty((stop - start, n))
     for path, row in zip(range(start, stop), out):
         key[1] = path
         bitgen.state = fresh
@@ -76,30 +83,74 @@ def _increment_block(
     return out
 
 
+# Paths per tile of the path-major draw that is transposed into a time-major
+# chunk: a tile of 256 paths x 512 steps (1 MiB) stays in cache between the
+# draw and the transpose, where one strided copy of the whole chunk does not.
+_TILE_PATHS = 256
+
+
+class _NoiseBuffers:
+    """The buffers one worker draws the noise of every block of a run into:
+    a time-major (steps, paths) chunk and a path-major tile, allocated at the
+    first draw and reused by every later one.  ``paths`` and ``steps`` bound
+    the block and chunk of every draw.  A forked worker allocates its own
+    arrays (or copies them on write), so no buffer is shared between
+    processes."""
+
+    def __init__(self, paths: int, steps: int) -> None:
+        self.paths, self.steps = paths, steps
+        self._time_major: np.ndarray | None = None
+        self._tile: np.ndarray | None = None
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(time-major chunk, path-major tile), allocated on the first call."""
+        if self._time_major is None:
+            self._time_major = np.empty((self.steps, self.paths))
+            self._tile = np.empty((min(_TILE_PATHS, self.paths), self.steps))
+        return self._time_major, self._tile
+
+
 def _increment_chunks(
-    master_seed: int, start: int, stop: int, n: int, dt: float, chunk: int
+    master_seed: int,
+    start: int,
+    stop: int,
+    n: int,
+    dt: float,
+    chunk: int,
+    buffers: _NoiseBuffers | None = None,
 ) -> Iterator[np.ndarray]:
     """The increments of ``_increment_block(master_seed, start, stop, n, dt)``,
     time-major and ``chunk`` steps at a time.
 
     Yields (c, stop-start) arrays with c = ``chunk`` except possibly for the
     last; stacked, they are the transpose of the block, bit for bit.  A run
-    of at most ``chunk`` steps is one re-keyed block, yielded as its
-    transposed view so that no second copy is held.  A longer run keeps one
-    live ``Philox(key=[master_seed, path])`` per path and resumes it chunk
-    after chunk: Philox offsets cannot be computed from the draw count,
-    because ``standard_normal`` rejects samples, and a generator caches no
-    normals between calls, so the chunked draws equal one long draw.  Those
-    chunks are C-contiguous views of one time-major buffer that every chunk
-    is transposed into: a chunk is overwritten when the next is drawn, so a
-    caller that keeps one past that must copy it.  Reusing the buffer keeps
-    the run's memory fixed instead of mapping and faulting in a fresh
-    chunk-sized array per chunk.
+    of at most ``chunk`` steps is one chunk, drawn by re-keyed
+    ``_increment_block`` calls.  A longer run keeps one live
+    ``Philox(key=[master_seed, path])`` per path and resumes it chunk after
+    chunk: Philox offsets cannot be computed from the draw count, because
+    ``standard_normal`` rejects samples, and a generator caches no normals
+    between calls, so the chunked draws equal one long draw.
+
+    Each chunk is drawn path-major, ``_TILE_PATHS`` paths at a time, and
+    each tile is transposed into ``buffers``' time-major array, of which the
+    chunk is a view (fresh buffers sized for this block when none are
+    given).  A chunk is overwritten when the next is drawn, so a caller that
+    keeps one past that must copy it.  Reusing the buffers keeps a worker's
+    memory fixed instead of mapping and faulting in fresh arrays per chunk.
     """
-    if n <= chunk:
-        yield _increment_block(master_seed, start, stop, n, dt).T
-        return
     _require_keys(master_seed, start, stop)
+    width, steps = stop - start, min(chunk, n)
+    if buffers is None:
+        buffers = _NoiseBuffers(width, steps)
+    time_major, tile = buffers.arrays()
+    tiles = [(lo, min(lo + len(tile), width)) for lo in range(0, width, len(tile))]
+    if n <= chunk:
+        for lo, hi in tiles:
+            rows = _increment_block(master_seed, start + lo, start + hi, n, dt,
+                                    tile[: hi - lo, :n])
+            np.copyto(time_major[:n, lo:hi], rows.T)
+        yield time_major[:n, :width]
+        return
     gens = [
         np.random.Generator(
             np.random.Philox(key=np.array([master_seed, path], dtype=np.uint64))
@@ -107,16 +158,15 @@ def _increment_chunks(
         for path in range(start, stop)
     ]
     scale = math.sqrt(dt)
-    buf = np.empty((stop - start, chunk))
-    time_major = np.empty((chunk, stop - start))
-    for lo in range(0, n, chunk):
-        m = min(chunk, n - lo)
-        rows = buf[:, :m]
-        for gen, row in zip(gens, rows):
-            gen.standard_normal(out=row)
-        rows *= scale
-        np.copyto(time_major[:m], rows.T)
-        yield time_major[:m]
+    for step in range(0, n, chunk):
+        m = min(chunk, n - step)
+        for lo, hi in tiles:
+            rows = tile[: hi - lo, :m]
+            for gen, row in zip(gens[lo:hi], rows):
+                gen.standard_normal(out=row)
+            rows *= scale
+            np.copyto(time_major[:m, lo:hi], rows.T)
+        yield time_major[:m, :width]
 
 
 def _block_sums(values: np.ndarray, factor: int) -> np.ndarray:

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io
 import math
 import sys
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -79,11 +78,17 @@ def _row_text(row: np.ndarray, sep: str) -> str:
     return sep.join([cell] * row.size) % tuple(row.tolist())
 
 
-def _json_dumps(obj: object, indent: int = 0) -> str:
+def _json_dumps(
+    obj: object, write: Callable[[str], object] | None = None
+) -> str | None:
     """Minimal JSON writer; floats carry 17 significant digits so every value
-    round-trips bit-for-bit through json.loads."""
+    round-trips bit-for-bit through json.loads.  Returns the text, or passes
+    it to ``write`` piece by piece and returns None."""
+    if write is not None:
+        _json_pieces(obj, 0, write)
+        return None
     pieces: list[str] = []
-    _json_pieces(obj, indent, pieces)
+    _json_pieces(obj, 0, pieces.append)
     return "".join(pieces)
 
 
@@ -95,66 +100,66 @@ def _fields(obj: object) -> Mapping[str, object]:
     return obj
 
 
-def _json_pieces(obj: object, indent: int, out: list[str]) -> None:
-    """Append the text of ``obj`` to ``out`` piece by piece.
+def _json_pieces(obj: object, indent: int, write: Callable[[str], object]) -> None:
+    """Pass the text of ``obj`` to ``write`` piece by piece.
 
-    A dataclass instance is written as the mapping of its fields.  The
-    document is joined once at the end, so a large array is copied into the
-    result once instead of once per enclosing container.
+    A dataclass instance is written as the mapping of its fields.  A large
+    array is written one row at a time, never as one string per enclosing
+    container.
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
     obj = _fields(obj)
     if isinstance(obj, Mapping):
         if not obj:
-            out.append("{}")
+            write("{}")
             return
         sep = "{\n"
         for key, val in obj.items():
-            out.append(f'{sep}{inner}"{key}": ')
-            _json_pieces(val, indent + 1, out)
+            write(f'{sep}{inner}"{key}": ')
+            _json_pieces(val, indent + 1, write)
             sep = ",\n"
-        out.append("\n" + pad + "}")
+        write("\n" + pad + "}")
         return
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
-            out.append("[]")
+            write("[]")
             return
         if not any(isinstance(_fields(v), (Mapping, list, tuple)) for v in obj):
             first, sep, last = "[", ", ", "]"
         else:
             first, sep, last = "[\n" + inner, ",\n" + inner, "\n" + pad + "]"
         for val in obj:
-            out.append(first)
-            _json_pieces(val, indent + 1, out)
+            write(first)
+            _json_pieces(val, indent + 1, write)
             first = sep
-        out.append(last)
+        write(last)
         return
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind not in "fiu" or obj.ndim not in (1, 2):
             raise TypeError(f"cannot serialize {obj.ndim}-D {obj.dtype} array")
         if obj.ndim == 1:
-            out.append("[" + _row_text(obj, ", ") + "]")
+            write("[" + _row_text(obj, ", ") + "]")
             return
         if len(obj) == 0:
-            out.append("[]")
+            write("[]")
             return
         first, sep = "[\n" + inner + "[", "],\n" + inner + "["
         for row in obj:
-            out.append(first + _row_text(row, ", "))
+            write(first + _row_text(row, ", "))
             first = sep
-        out.append("]\n" + pad + "]")
+        write("]\n" + pad + "]")
         return
     if isinstance(obj, bool):
-        out.append("true" if obj else "false")
+        write("true" if obj else "false")
     elif isinstance(obj, int):
-        out.append(str(obj))
+        write(str(obj))
     elif isinstance(obj, float):
-        out.append(_format_float(obj))
+        write(_format_float(obj))
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        write('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
     elif obj is None:
-        out.append("null")
+        write("null")
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
@@ -181,7 +186,7 @@ class _Trajectories(NamedTuple):
     events: np.ndarray
 
 
-def _trajectory_csv(buf: io.StringIO, traj: _Trajectories) -> None:
+def _trajectory_csv(buf: TextIO, traj: _Trajectories) -> None:
     """Write ``path,step,time,value,z_negative`` rows, one ``%`` call per path.
 
     The step and time cells are the same for every path, so they are
@@ -207,9 +212,12 @@ def _trajectory_csv(buf: io.StringIO, traj: _Trajectories) -> None:
 
 
 def _csv_text(
-    header: Sequence[str], rows: Sequence[Sequence[object]] | _Trajectories
-) -> str:
-    buf = io.StringIO()
+    header: Sequence[str],
+    rows: Sequence[Sequence[object]] | _Trajectories,
+    buf: TextIO,
+) -> None:
+    """Write the CSV text of ``rows`` under ``header`` into ``buf``, a text
+    file or ``io.StringIO``, piece by piece."""
     writer = csv.writer(buf)  # RFC-4180 CRLF line endings by default
     writer.writerow(header)
     if isinstance(rows, _Trajectories):
@@ -219,7 +227,6 @@ def _csv_text(
             writer.writerow(
                 [_format_float(c) if isinstance(c, float) else c for c in row]
             )
-    return buf.getvalue()
 
 
 def _run_check(config: RunConfig):
@@ -334,17 +341,22 @@ def run(config: RunConfig) -> int:
         return 3
 
     if config.out_format == "csv":
-        text = _csv_text(header, rows(result))
+        table = rows(result)
     else:
         document = {
             "experiment": config.experiment,
             "provenance": _provenance(config),
             "results": result,
         }
-        text = _json_dumps(document) + "\n"
+    # serialized straight into the file: each piece is encoded as it is
+    # written, so no copy of the whole document is ever held
     try:
         with open(config.out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            if config.out_format == "csv":
+                _csv_text(header, table, fh)
+            else:
+                _json_dumps(document, fh.write)
+                fh.write("\n")
     except OSError as exc:
         print(f"error: cannot write output file: {exc}", file=sys.stderr)
         return 3

@@ -211,10 +211,14 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
         except ValueError:
             raise ParseError(f"invalid levels list: {values['levels']!r}") from None
         ref_exponent = _int(values, "ref_exponent")
-        if grid.n_steps != 2**ref_exponent:
+        if ref_exponent < 0:
+            raise ValidationError(f"ref_exponent must be >= 0, got {ref_exponent}")
+        # by bit_length: 2^ref_exponent itself may be too large to form or print
+        n = grid.n_steps
+        if n & (n - 1) or n.bit_length() - 1 != ref_exponent:
             raise ValidationError(
-                f"convergence steps on its reference grid: n_steps ({grid.n_steps}) "
-                f"must equal 2^ref_exponent ({2**ref_exponent})"
+                f"convergence steps on its reference grid: n_steps ({n}) "
+                f"must equal 2^ref_exponent (2^{ref_exponent})"
             )
         _ladder_heights(grid, levels)  # raises unless the ladder is valid
 

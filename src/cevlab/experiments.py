@@ -3,20 +3,21 @@ moment diagnostics, sign-flip statistics, and a demonstration payoff pricer.
 
 Every experiment takes its grid, path count and seed by the names ``grid``,
 ``n_paths`` and ``seed``; ``strong_error``'s grid is the reference grid of
-its ladder.  Blocks of paths are independent work items.  The CEVLAB_THREADS
-environment variable caps the number of worker processes (by default the
-machine core count).  The calling process is one worker and the others are
-forked children, which send their blocks' results back pickled.  Per-path
-noise comes from keyed streams and per-path results are assembled in path
-order, so every reported number is bit-identical regardless of the worker
-count.
+its ladder.  Blocks of paths are independent work items, one equal share
+of them per worker.  The CEVLAB_THREADS environment variable caps the
+number of worker processes (by default the machine core count).  The
+calling process is one worker and the others are forked children, which
+send their blocks' results back pickled.  Per-path noise comes from keyed
+streams and per-path results are assembled in path order, so every reported
+number is bit-identical regardless of the worker count and the layout.
 
 Every experiment runs through one driver, ``_walk_paths``: each block walks
-time once, in time-major chunks of ``_CHUNK_STEPS`` fine steps, and steps
-every grid level it needs from the same chunk.  A coarse level of the
+time once, in time-major chunks of at most ``_CHUNK_STEPS`` fine steps, and
+steps every grid level it needs from the same chunk.  A coarse level of the
 strong-error ladder is driven by block sums of the fine increments, which
 ``brownian._dyadic_sums`` forms by one pairwise tree, inside each chunk and
-then across chunks.  Memory per block is bounded by the chunk, not by the
+then across chunks.  Memory per worker is bounded by its noise buffer,
+block paths x chunk steps within ``_NOISE_BUDGET`` doubles, not by the
 number of steps.
 """
 
@@ -36,6 +37,7 @@ from .brownian import (
     _dyadic_sums,
     _increment_block,
     _increment_chunks,
+    _NoiseBuffers,
     _require_u64,
 )
 from .errors import (
@@ -66,16 +68,20 @@ __all__ = [
     "simulate_paths_batch",
 ]
 
-# Paths per work item, and so the unit a worker process receives.  No
-# reported bit depends on it: every floating-point sum is per path, and every
-# cross-path reduction is an exact count or a min.  It is still fixed, never
-# derived from the worker count.
-_BLOCK_PATHS = 4096
-
-# Fine steps per time-major chunk of a block's walk: a power of two, so every
-# dyadic level factor either divides it or is a multiple of it.  A block holds
-# about 2 x _BLOCK_PATHS x _CHUNK_STEPS doubles of noise at a time.
+# The block layout of a run (``_layout``).  No reported bit depends on it:
+# every floating-point sum is per path, and every cross-path reduction is an
+# exact count or a min (``TestBlockLayout`` in tests/test_experiments.py).
+# Paths per block at most: the largest work item a worker process receives.
+_BLOCK_PATHS = 8192
+# Doubles a worker's noise buffer may hold: block paths x chunk steps.
+_NOISE_BUDGET = 2**20
+# Fine steps per time-major chunk at most: a power of two, so every dyadic
+# level factor either divides it or is a multiple of it.  A run of at most
+# this many steps is drawn whole, by re-keyed block draws, which are much
+# faster than the per-path generators that a chunked run resumes.
 _CHUNK_STEPS = 512
+# The shortest chunk the noise budget may choose for a longer run.
+_MIN_CHUNK_STEPS = 128
 
 
 def _resolve_workers() -> int:
@@ -96,6 +102,34 @@ def _require_paths(n_paths, minimum: int) -> None:
     """The one path-count rule: an int (not a bool) of at least ``minimum``."""
     if isinstance(n_paths, bool) or not isinstance(n_paths, int) or n_paths < minimum:
         raise ValidationError(f"n_paths must be an int >= {minimum}, got {n_paths!r}")
+
+
+def _layout(n_paths: int, n_steps: int) -> tuple[list[tuple[int, int]], int]:
+    """(blocks, chunk) of a run: [start, stop) path blocks and the chunk
+    length in fine steps.
+
+    The n_paths paths are cut into w x m contiguous blocks whose sizes
+    differ by at most 1, w being the worker count (at most one per path), so
+    every worker gets the same share.  m is the fewest rounds that keep each
+    block at most ``_BLOCK_PATHS`` paths and its noise buffer, block paths x
+    chunk steps, at most ``_NOISE_BUDGET`` doubles.  A run of at most
+    ``_CHUNK_STEPS`` steps is one chunk; a longer one takes the largest
+    power of two from ``_MIN_CHUNK_STEPS`` to ``_CHUNK_STEPS`` whose buffer
+    fits.
+    """
+    whole = n_steps <= _CHUNK_STEPS
+    least = n_steps if whole else min(_MIN_CHUNK_STEPS, _CHUNK_STEPS)
+    cap = max(1, min(_BLOCK_PATHS, _NOISE_BUDGET // least))
+    workers = min(_resolve_workers(), n_paths)
+    rounds = -(-n_paths // (workers * cap))
+    count = min(workers * rounds, n_paths)
+    size, extra = divmod(n_paths, count)
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    chunk = n_steps if whole else _CHUNK_STEPS
+    widest = size + (extra > 0)
+    while chunk > _MIN_CHUNK_STEPS and widest * chunk > _NOISE_BUDGET:
+        chunk //= 2
+    return list(zip(bounds, bounds[1:])), chunk
 
 
 _T = TypeVar("_T")
@@ -134,9 +168,11 @@ def _child_share(
         os._exit(status)
 
 
-def _map_blocks(work: Callable[[tuple[int, int]], _T], n_paths: int) -> list[_T]:
-    """Run ``work`` over [start, stop) path blocks, possibly in parallel, and
-    return its results in block order.
+def _map_blocks(
+    work: Callable[[tuple[int, int]], _T], blocks: list[tuple[int, int]]
+) -> list[_T]:
+    """Run ``work`` over ``blocks``, [start, stop) path blocks, possibly in
+    parallel, and return its results in block order.
 
     Block i runs in worker i mod w, with w the CEVLAB_THREADS cap (at most
     one worker per block).  Worker 0 is this process; workers 1..w-1
@@ -153,10 +189,6 @@ def _map_blocks(work: Callable[[tuple[int, int]], _T], n_paths: int) -> list[_T]
     cevlab itself starts no threads, so forking is safe in the CLI; a caller
     that runs threads of its own should set CEVLAB_THREADS=1.
     """
-    blocks = [
-        (start, min(start + _BLOCK_PATHS, n_paths))
-        for start in range(0, n_paths, _BLOCK_PATHS)
-    ]
     workers = min(_resolve_workers(), len(blocks))
     if workers <= 1 or not hasattr(os, "fork"):
         workers = 1
@@ -211,53 +243,70 @@ def _walk_paths(
     The seed is validated here, once, before any worker is forked.
 
     Returns (terminal, path_mean, stats) per level: the fine grid first,
-    then one per height.  Each block of paths walks time once, one
-    ``_CHUNK_STEPS`` chunk of noise at a time, stepping the fine level at
-    every fine step and the coarse levels on the pairwise sums that
-    ``brownian._dyadic_sums`` forms from the chunk and one carry per block.
-    Blocks return
-    their per-path results and stats, which are joined in path order and
-    merged in block order, so nothing depends on the worker count.  Optional
+    then one per height.  The paths are cut into the blocks of ``_layout``.
+    Each block walks time once, one chunk of noise at a time, stepping the
+    fine level at every fine step and the coarse levels on the pairwise sums
+    that ``brownian._dyadic_sums`` forms from the chunk and one carry per
+    block.  Every worker draws all its blocks' noise into one set of
+    buffers, freed once the map is done.  Blocks return their per-path
+    results and stats, which are joined in path order and merged in block
+    order, so nothing depends on the worker count or the layout.  Optional
     (n_paths, n_steps+1) matrices receive the fine level's trajectories and
-    events.
+    events: blocks run by this process write their rows in place, and the
+    rows of a forked worker's blocks are copied in from its results.
     """
     _require_u64("seed", seed)
     n_steps, dt = grid.n_steps, grid.dt
     dts = (dt,) + tuple(dt * 2**h for h in heights)
+    blocks, chunk = _layout(n_paths, n_steps)
+    widest = max(stop - start for start, stop in blocks)
+    noise = _NoiseBuffers(widest, min(chunk, n_steps))
+    caller = os.getpid()
 
     def work(block: tuple[int, int]):
         start, stop = block
         n_block = stop - start
-        values = np.empty((n_block, n_steps + 1)) if trajectory is not None else None
-        events = (
-            np.zeros((n_block, n_steps + 1), dtype=np.uint8)
-            if event_matrix is not None
-            else None
-        )
+        here = os.getpid() == caller
+        values = events = None
+        if trajectory is not None:
+            values = (
+                trajectory[start:stop] if here else np.empty((n_block, n_steps + 1))
+            )
+        if event_matrix is not None:
+            events = (
+                event_matrix[start:stop]
+                if here
+                else np.zeros((n_block, n_steps + 1), dtype=np.uint8)
+            )
         fine = _Walk(scheme, params, dt, n_block, start, values, events)
         coarse = [_Walk(scheme, params, d, n_block, start) for d in dts[1:]]
         carry: dict = {}
         # dw is overwritten by the next chunk; walks and the carry keep only
         # copies and sums of it
-        for dw in _increment_chunks(seed, start, stop, n_steps, dt, _CHUNK_STEPS):
+        for dw in _increment_chunks(seed, start, stop, n_steps, dt, chunk, noise):
             fine.advance(dw)
             if heights:
                 for level, sums in _dyadic_sums(dw, heights, carry):
                     coarse[level].advance(sums)
-        return [walk.result() for walk in (fine, *coarse)], values, events
+        levels = [walk.result() for walk in (fine, *coarse)]
+        if here:
+            return levels, None, None
+        return levels, values, events
 
-    results = _map_blocks(work, n_paths)
-    if trajectory is not None:
-        np.concatenate([values for _, values, _ in results], out=trajectory)
-    if event_matrix is not None:
-        np.concatenate([events for _, _, events in results], out=event_matrix)
+    results = _map_blocks(work, blocks)
+    del noise
+    for (start, stop), (_, values, events) in zip(blocks, results):
+        if values is not None:
+            trajectory[start:stop] = values
+        if events is not None:
+            event_matrix[start:stop] = events
     return [
         (
-            np.concatenate([terminal for terminal, _, _ in blocks]),
-            np.concatenate([path_mean for _, path_mean, _ in blocks]),
-            functools.reduce(BatchStats.merge, [stats for _, _, stats in blocks]),
+            np.concatenate([terminal for terminal, _, _ in level]),
+            np.concatenate([path_mean for _, path_mean, _ in level]),
+            functools.reduce(BatchStats.merge, [stats for _, _, stats in level]),
         )
-        for blocks in zip(*(levels for levels, _, _ in results))
+        for level in zip(*(levels for levels, _, _ in results))
     ]
 
 
@@ -439,14 +488,15 @@ def strong_error(
     solution is the scheme itself on the reference grid, so ref should
     exceed the finest test exponent by a comfortable margin.
 
-    Each block of paths walks time once, in chunks of ``_CHUNK_STEPS`` fine
-    steps, and steps the reference and every test level e, ref - e high,
-    from the same chunk.  Every level's increments are formed by one
-    pairwise tree over the fine increments, inside the chunk and then
-    across chunks, holding one row per height above the chunk.  Memory is
-    therefore bounded by the block and chunk sizes, whatever ref and the
-    ladder's span, and the report is bit-identical to simulating
-    each level on its own ``_block_sums`` of the whole increment matrix.
+    Each block of paths walks time once, in chunks of at most
+    ``_CHUNK_STEPS`` fine steps, and steps the reference and every test
+    level e, ref - e high, from the same chunk.  Every level's increments
+    are formed by one pairwise tree over the fine increments, inside the
+    chunk and then across chunks, holding one row per height above the
+    chunk.  Memory is therefore bounded by the block and chunk sizes,
+    whatever ref and the ladder's span, and the report is bit-identical to
+    simulating each level on its own ``_block_sums`` of the whole increment
+    matrix.
     """
     _require_paths(n_paths, 2)
     exps = tuple(test_exponents)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import io
 import json
 import math
 from pathlib import Path
@@ -330,9 +331,25 @@ class TestCliExitCodes:
         args += ["--run.levels=3,4,5", "--run.n_paths=1000", "--output.format=json"]
         assert main([*args, "--out=c.json"]) == 2
         err = capsys.readouterr().err
-        assert "n_steps (7) must equal 2^ref_exponent (256)" in err
+        assert "n_steps (7) must equal 2^ref_exponent (2^8)" in err
         assert not (tmp_path / "c.json").exists()
         assert main([*args, "--grid.n_steps=256", "--out=c.json"]) == 0
+
+    @pytest.mark.parametrize(
+        "ref, message",
+        [
+            # 2^20000 has 6021 decimal digits, past int-to-str's limit
+            ("20000", "n_steps (64) must equal 2^ref_exponent (2^20000)"),
+            ("-1", "ref_exponent must be >= 0, got -1"),
+        ],
+    )
+    def test_ref_exponent_out_of_range_is_exit_2(self, capsys, ref, message):
+        args = ["convergence", *STD_FLAGS, "--grid.n_steps=64", "--run.levels=3,4"]
+        args += [f"--run.ref_exponent={ref}", "--run.n_paths=1000", "--dry-run"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_ignored_scheme_is_exit_2(self, config_file, tmp_path, capsys):
         out = tmp_path / "price.json"
@@ -662,9 +679,10 @@ class TestArrayFormatting:
             for p in range(n_paths)
             for k in range(n_cols)
         ]
-        assert _csv_text(header, _Trajectories(times, values, events)) == _csv_text(
-            header, rows
-        )
+        by_path, by_row = io.StringIO(), io.StringIO()
+        _csv_text(header, _Trajectories(times, values, events), by_path)
+        _csv_text(header, rows, by_row)
+        assert by_path.getvalue() == by_row.getvalue()
 
     def test_json_layout_of_every_value_kind(self):
         doc = {

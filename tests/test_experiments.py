@@ -40,6 +40,7 @@ from cevlab.experiments import (
     _CHUNK_STEPS,
     ConvergenceReport,
     LevelRecord,
+    _layout,
     _map_blocks,
     _standard_error,
 )
@@ -340,7 +341,7 @@ class TestStrongError:
             (11, (1, 2), 300),
             # factor 2^11 spans four chunks, summed from the 2^8 level
             (12, (1, 4), 300),
-            # two chunks, and a second block of one path
+            # two chunks, and two blocks of 4097 and 4096 paths
             (10, (3, 5), _BLOCK_PATHS + 1),
         ],
     )
@@ -592,7 +593,8 @@ class TestNegativeInnerLocation:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_global_path_index_replays_from_its_stream_key(self, monkeypatch, threads):
         # dt=1.5 is infeasible too, but only paths that climb far fail; with
-        # seed 1 the first of them lies in the second 4096-path block
+        # seed 1 the first of them lies past path 4096, in the second block
+        # of two workers
         monkeypatch.setenv("CEVLAB_THREADS", str(threads))
         p = CevParams(k=1, l=1, sigma=0.25, a=0.75, x0=1)
         grid = TimeGrid(6.0, 4)
@@ -638,6 +640,81 @@ class TestThreadEnvironment:
             )
 
 
+def _every_report(params, n_steps, n_paths):
+    """``strong_error``, ``moment_check``, ``negativity_stats`` and
+    ``simulate_paths_batch`` of one run shape, comparable by ``==``."""
+    grid = TimeGrid(1.0, n_steps)
+    values, events, stats = simulate_paths_batch(
+        SchemeId.SEMI_DISCRETE, params, grid, n_paths, 5
+    )
+    return (
+        strong_error(params, SchemeId.SEMI_DISCRETE, grid, (2, 3, 4), n_paths, 5),
+        moment_check(params, SchemeId.SEMI_DISCRETE, grid, n_paths, 5),
+        negativity_stats(params, grid, n_paths, 5),
+        values.tobytes(),
+        events.tobytes(),
+        stats,
+    )
+
+
+class TestBlockLayout:
+    """``_layout`` cuts the paths into one balanced share per worker, in
+    blocks and chunks sized by a noise budget.  No report depends on the
+    layout: every float sum is per path, and every cross-path reduction is
+    an exact count or a min."""
+
+    @pytest.mark.parametrize(
+        "workers, n_paths, n_steps, sizes, chunk",
+        [
+            # ladder: one 5000-path block per worker, chunked at 128 steps
+            (2, 10_000, 2**12, [5000] * 2, 128),
+            # reports' moments, call and put: drawn whole, 4000 x 256 <= 2^20
+            (1, 20_000, 256, [4000] * 5, 256),
+            # reports' negativity: at most 8192 paths per block
+            (1, 62_500, 16, [7813] * 4 + [7812] * 4, 16),
+            # dump
+            (2, 8192, 64, [4096] * 2, 64),
+            # more workers than paths: one path each
+            (4, 3, 8, [1] * 3, 8),
+        ],
+    )
+    def test_layout_of_benchmark_shapes(
+        self, monkeypatch, workers, n_paths, n_steps, sizes, chunk
+    ):
+        monkeypatch.setenv("CEVLAB_THREADS", str(workers))
+        blocks, got = _layout(n_paths, n_steps)
+        assert [stop - start for start, stop in blocks] == sizes
+        assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+        assert blocks[-1][1] == n_paths
+        assert got == chunk
+
+    @pytest.mark.parametrize("cap, n_paths", [(1, 20), (7, 20), (4096, 8200)])
+    def test_reports_independent_of_path_cap(
+        self, standard_params, monkeypatch, cap, n_paths
+    ):
+        monkeypatch.setenv("CEVLAB_THREADS", "2")
+        want = _every_report(standard_params, 64, n_paths)
+        monkeypatch.setattr("cevlab.experiments._BLOCK_PATHS", cap)
+        blocks, _ = _layout(n_paths, 64)
+        assert len(blocks) > 2 and max(b - a for a, b in blocks) <= cap
+        assert _every_report(standard_params, 64, n_paths) == want
+
+    @pytest.mark.parametrize("chunk", [1, 2, 8])
+    def test_reports_independent_of_noise_budget(
+        self, standard_params, monkeypatch, chunk
+    ):
+        """A budget of 6 x chunk doubles forces chunks of ``chunk`` steps on
+        two 6-path blocks, once the 128-step floor is lifted."""
+        monkeypatch.setenv("CEVLAB_THREADS", "2")
+        n_steps, n_paths = 2 * _CHUNK_STEPS, 12
+        assert _layout(n_paths, n_steps) == ([(0, 6), (6, 12)], _CHUNK_STEPS)
+        want = _every_report(standard_params, n_steps, n_paths)
+        monkeypatch.setattr("cevlab.experiments._MIN_CHUNK_STEPS", 1)
+        monkeypatch.setattr("cevlab.experiments._NOISE_BUDGET", 6 * chunk)
+        assert _layout(n_paths, n_steps) == ([(0, 6), (6, 12)], chunk)
+        assert _every_report(standard_params, n_steps, n_paths) == want
+
+
 @pytest.fixture
 def deadline():
     """Fail a test that would otherwise wait forever for a worker."""
@@ -663,7 +740,12 @@ class TestWorkerProcesses:
     """``_map_blocks`` runs block i in worker i mod w, where worker 0 is the
     calling process and the others are forked children."""
 
-    THREE_BLOCKS = 2 * _BLOCK_PATHS + 1
+    # a layout forced to three blocks, the last of one path
+    THREE_BLOCKS = [
+        (0, _BLOCK_PATHS),
+        (_BLOCK_PATHS, 2 * _BLOCK_PATHS),
+        (2 * _BLOCK_PATHS, 2 * _BLOCK_PATHS + 1),
+    ]
 
     def test_one_worker_runs_every_block_in_the_caller(self, deadline, monkeypatch):
         monkeypatch.setenv("CEVLAB_THREADS", "1")

@@ -22,7 +22,8 @@ from cevlab import (
     simulate_paths_batch,
 )
 from cevlab.brownian import _increment_block
-from cevlab.schemes import _step_block
+from cevlab.model import _inner_clamped, _inner_raw
+from cevlab.schemes import _Kernel, _step_block, _Walk
 
 
 def _load_refstep():
@@ -190,6 +191,123 @@ class TestEulerStep:
         got, went_negative, clamped = _step(SchemeId.EULER_NAIVE, -1.0, 0.1, 0.3, p)
         assert got == pytest.approx(-1.0 + 0.2 - 0.3, rel=1e-14)
         assert went_negative and not clamped
+
+
+# l = 0 breaks the drift condition, so the inner expression has a root at
+# y* = (dt a sigma^2 / (2 (1 - k dt)))^(1/(2-2a)) = 1/576, where it rounds to
+# tiny negatives: the rounding clamp's range.
+CLAMP_PARAMS = CevParams(k=1.0, l=0.0, sigma=1.0, a=0.75, x0=1.0)
+CLAMP_DT = 0.1
+
+
+def _state_in_clamp_range():
+    """A state just below y* whose inner value rounds into [-tol, 0)."""
+    root = 1.0 / 576.0
+    for y in root * (1.0 - np.arange(1, 64) * 2.0**-52):
+        raw = float(_inner_raw(y, CLAMP_DT, CLAMP_PARAMS))
+        if -1e-12 <= raw < 0.0:
+            return float(y)
+    raise AssertionError("no state rounds into the clamp range")
+
+
+def _unfused_step(scheme, y, dt, dw, params):
+    """The step by the plain formulas, the clamp by ``model._inner_clamped``:
+    (next, event mask, clamp mask, min inner^(1-a))."""
+    k, l, sigma, a = params.k, params.l, params.sigma, params.a
+    if scheme is SchemeId.SEMI_DISCRETE:
+        inner, clamps = _inner_clamped(y, dt, params)
+        ipow = np.power(inner, 1.0 - a)
+        z = sigma * (1.0 - a) * dw + ipow
+        return np.power(np.abs(z), 1.0 / (1.0 - a)), z < 0.0, clamps, float(ipow.min())
+    if scheme is SchemeId.EULER_NAIVE:
+        proposal = y + (k * l - k * y) * dt + sigma * (
+            np.sign(y) * np.power(np.abs(y), a)) * dw
+        return proposal, proposal < 0.0, np.zeros(y.shape, bool), math.inf
+    if scheme is SchemeId.EULER_FULL_TRUNCATION:
+        yp = np.maximum(y, 0.0)
+        proposal = y + (k * l - k * yp) * dt + sigma * np.power(yp, a) * dw
+        return proposal, proposal < 0.0, np.zeros(y.shape, bool), math.inf
+    proposal = y + (k * l - k * y) * dt + sigma * np.power(np.abs(y), a) * dw
+    return np.abs(proposal), proposal < 0.0, np.zeros(y.shape, bool), math.inf
+
+
+class TestFusedKernel:
+    """The fused in-place kernel against the plain formulas, on states that
+    take its rare branches: an inner value in the clamp range and a negative
+    noise term z (or proposed Euler iterate)."""
+
+    @staticmethod
+    def _rare_inputs():
+        # row 1 is clamped; row 2's large negative increment makes z < 0
+        y = np.array([1.0, _state_in_clamp_range(), 1.0, 0.3])
+        dw = np.array([0.1, 0.2, -5.0, -0.05])
+        return y, dw
+
+    def _assert_same(self, got, want):
+        y_next, events, clamps, ipow_min = got
+        assert y_next.tobytes() == want[0].tobytes()
+        assert np.array_equal(events, want[1])
+        assert np.array_equal(clamps, want[2])
+        assert ipow_min == want[3]
+
+    @pytest.mark.parametrize("masks", [True, False])
+    def test_rare_branches_match_unfused_formulas(self, masks):
+        y, dw = self._rare_inputs()
+        want = _unfused_step(SchemeId.SEMI_DISCRETE, y, CLAMP_DT, dw, CLAMP_PARAMS)
+        assert want[1].tolist() == [False, False, True, False]
+        assert want[2].tolist() == [False, True, False, False]
+        kernel = _Kernel(SchemeId.SEMI_DISCRETE, CLAMP_PARAMS, CLAMP_DT, y.shape, masks)
+        got = _step_block(SchemeId.SEMI_DISCRETE, y, CLAMP_DT, dw, CLAMP_PARAMS, kernel)
+        self._assert_same(got, want)
+        self._assert_same(
+            _step_block(SchemeId.SEMI_DISCRETE, y, CLAMP_DT, dw, CLAMP_PARAMS), want
+        )
+
+    def test_quiet_step_builds_no_masks(self):
+        y, dw = np.array([1.0, 0.5]), np.array([0.1, -0.1])
+        kernel = _Kernel(SchemeId.SEMI_DISCRETE, CLAMP_PARAMS, CLAMP_DT, y.shape)
+        y_next, events, clamps, ipow_min = kernel.step(y, dw)
+        want = _unfused_step(SchemeId.SEMI_DISCRETE, y, CLAMP_DT, dw, CLAMP_PARAMS)
+        assert events is None and clamps is None
+        assert not want[1].any() and not want[2].any()
+        assert y_next.tobytes() == want[0].tobytes() and ipow_min == want[3]
+
+    @pytest.mark.parametrize("scheme", [s for s in SchemeId if s.is_euler])
+    @pytest.mark.parametrize("masks", [True, False])
+    def test_euler_branches_match_unfused_formulas(self, scheme, masks):
+        y = np.array([1.0, -0.2, 0.0, 0.04])
+        dw = np.array([0.1, 0.05, 0.0, -2.0])
+        want = _unfused_step(scheme, y, 0.25, dw, STRESS)
+        assert want[1].any()
+        kernel = _Kernel(scheme, STRESS, 0.25, y.shape, masks)
+        got = _step_block(scheme, y, 0.25, dw, STRESS, kernel)
+        y_next, events, clamps, ipow_min = got
+        assert clamps is None or not clamps.any()
+        self._assert_same((y_next, events, want[2], ipow_min), want)
+
+    def test_walk_counts_and_minima(self):
+        y, dw = self._rare_inputs()
+        want_next, _, _, want_min = _unfused_step(
+            SchemeId.SEMI_DISCRETE, y, CLAMP_DT, dw, CLAMP_PARAMS
+        )
+        walk = _Walk(SchemeId.SEMI_DISCRETE, CLAMP_PARAMS, CLAMP_DT, y.size)
+        walk.y = y.copy()
+        walk.advance(dw[np.newaxis])
+        terminal, path_mean, stats = walk.result()
+        assert terminal.tobytes() == want_next.tobytes() == path_mean.tobytes()
+        assert (stats.sign_flip_count, stats.clamp_count) == (1, 1)
+        assert stats.min_value == min(CLAMP_PARAMS.x0, float(want_next.min()))
+        assert stats.min_inner_pow == want_min
+
+    def test_negative_inner_names_global_path_and_step(self):
+        # far below y* the inner expression is a genuine negative, not rounding
+        y, dw = self._rare_inputs()
+        y[3] = 1e-4
+        walk = _Walk(SchemeId.SEMI_DISCRETE, CLAMP_PARAMS, CLAMP_DT, y.size, 100)
+        walk.y, walk.steps = y.copy(), 7
+        with pytest.raises(NegativeInner, match=r"^path 103, step 7: ") as info:
+            walk.advance(dw[np.newaxis])
+        assert (info.value.path, info.value.step) == (103, 7)
 
 
 class TestTrajectories:
