@@ -89,27 +89,6 @@ def _increment_block(
 _TILE_PATHS = 256
 
 
-class _NoiseBuffers:
-    """The buffers one worker draws the noise of every block of a run into:
-    a time-major (steps, paths) chunk and a path-major tile, allocated at the
-    first draw and reused by every later one.  ``paths`` and ``steps`` bound
-    the block and chunk of every draw.  A forked worker allocates its own
-    arrays (or copies them on write), so no buffer is shared between
-    processes."""
-
-    def __init__(self, paths: int, steps: int) -> None:
-        self.paths, self.steps = paths, steps
-        self._time_major: np.ndarray | None = None
-        self._tile: np.ndarray | None = None
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(time-major chunk, path-major tile), allocated on the first call."""
-        if self._time_major is None:
-            self._time_major = np.empty((self.steps, self.paths))
-            self._tile = np.empty((min(_TILE_PATHS, self.paths), self.steps))
-        return self._time_major, self._tile
-
-
 def _increment_chunks(
     master_seed: int,
     start: int,
@@ -117,7 +96,8 @@ def _increment_chunks(
     n: int,
     dt: float,
     chunk: int,
-    buffers: _NoiseBuffers | None = None,
+    time_major: np.ndarray,
+    tile: np.ndarray,
 ) -> Iterator[np.ndarray]:
     """The increments of ``_increment_block(master_seed, start, stop, n, dt)``,
     time-major and ``chunk`` steps at a time.
@@ -131,18 +111,16 @@ def _increment_chunks(
     ``standard_normal`` rejects samples, and a generator caches no normals
     between calls, so the chunked draws equal one long draw.
 
-    Each chunk is drawn path-major, ``_TILE_PATHS`` paths at a time, and
-    each tile is transposed into ``buffers``' time-major array, of which the
-    chunk is a view (fresh buffers sized for this block when none are
-    given).  A chunk is overwritten when the next is drawn, so a caller that
-    keeps one past that must copy it.  Reusing the buffers keeps a worker's
-    memory fixed instead of mapping and faulting in fresh arrays per chunk.
+    Each chunk is drawn path-major into ``tile``, a (tile paths, at least
+    min(chunk, n)) array, and each tile is transposed into ``time_major``, a
+    (at least min(chunk, n), at least stop-start) array of which the chunk
+    is a view.  A chunk is overwritten when the next is drawn, so a caller
+    that keeps one past that must copy it.  Reusing the two arrays keeps a
+    worker's memory fixed instead of mapping and faulting in fresh arrays
+    per chunk.
     """
     _require_keys(master_seed, start, stop)
-    width, steps = stop - start, min(chunk, n)
-    if buffers is None:
-        buffers = _NoiseBuffers(width, steps)
-    time_major, tile = buffers.arrays()
+    width = stop - start
     tiles = [(lo, min(lo + len(tile), width)) for lo in range(0, width, len(tile))]
     if n <= chunk:
         for lo, hi in tiles:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import json
 import math
 import sys
 from typing import Callable, Mapping, NamedTuple, Sequence, TextIO
@@ -157,7 +158,7 @@ def _json_pieces(obj: object, indent: int, write: Callable[[str], object]) -> No
     elif isinstance(obj, float):
         write(_format_float(obj))
     elif isinstance(obj, str):
-        write('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        write(json.dumps(obj, ensure_ascii=False))
     elif obj is None:
         write("null")
     else:

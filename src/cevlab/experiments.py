@@ -36,8 +36,8 @@ import numpy as np
 from .brownian import (
     _dyadic_sums,
     _increment_block,
+    _TILE_PATHS,
     _increment_chunks,
-    _NoiseBuffers,
     _require_u64,
 )
 from .errors import (
@@ -247,8 +247,10 @@ def _walk_paths(
     Each block walks time once, one chunk of noise at a time, stepping the
     fine level at every fine step and the coarse levels on the pairwise sums
     that ``brownian._dyadic_sums`` forms from the chunk and one carry per
-    block.  Every worker draws all its blocks' noise into one set of
-    buffers, freed once the map is done.  Blocks return their per-path
+    block.  Every worker draws all its blocks' noise into the same two
+    arrays, allocated once per run before the fork and freed once the map
+    is done; a page is resident only once written, so each worker faults
+    in its own copy at its first draw.  Blocks return their per-path
     results and stats, which are joined in path order and merged in block
     order, so nothing depends on the worker count or the layout.  Optional
     (n_paths, n_steps+1) matrices receive the fine level's trajectories and
@@ -259,8 +261,9 @@ def _walk_paths(
     n_steps, dt = grid.n_steps, grid.dt
     dts = (dt,) + tuple(dt * 2**h for h in heights)
     blocks, chunk = _layout(n_paths, n_steps)
-    widest = max(stop - start for start, stop in blocks)
-    noise = _NoiseBuffers(widest, min(chunk, n_steps))
+    widest, steps = max(stop - start for start, stop in blocks), min(chunk, n_steps)
+    time_major = np.empty((steps, widest))
+    tile = np.empty((min(_TILE_PATHS, widest), steps))
     caller = os.getpid()
 
     def work(block: tuple[int, int]):
@@ -276,14 +279,16 @@ def _walk_paths(
             events = (
                 event_matrix[start:stop]
                 if here
-                else np.zeros((n_block, n_steps + 1), dtype=np.uint8)
+                else np.empty((n_block, n_steps + 1), dtype=np.uint8)
             )
         fine = _Walk(scheme, params, dt, n_block, start, values, events)
         coarse = [_Walk(scheme, params, d, n_block, start) for d in dts[1:]]
         carry: dict = {}
         # dw is overwritten by the next chunk; walks and the carry keep only
         # copies and sums of it
-        for dw in _increment_chunks(seed, start, stop, n_steps, dt, chunk, noise):
+        for dw in _increment_chunks(
+            seed, start, stop, n_steps, dt, chunk, time_major, tile
+        ):
             fine.advance(dw)
             if heights:
                 for level, sums in _dyadic_sums(dw, heights, carry):
@@ -294,7 +299,7 @@ def _walk_paths(
         return levels, values, events
 
     results = _map_blocks(work, blocks)
-    del noise
+    del time_major, tile
     for (start, stop), (_, values, events) in zip(blocks, results):
         if values is not None:
             trajectory[start:stop] = values
@@ -644,7 +649,7 @@ def simulate_paths_batch(
     """
     _require_paths(n_paths, 1)
     values = np.empty((n_paths, grid.n_steps + 1))
-    events = np.zeros((n_paths, grid.n_steps + 1), dtype=np.uint8)
+    events = np.empty((n_paths, grid.n_steps + 1), dtype=np.uint8)
     [(_, _, stats)] = _walk_paths(
         scheme, params, grid, n_paths, seed, trajectory=values, event_matrix=events
     )

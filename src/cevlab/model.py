@@ -44,6 +44,16 @@ def _require(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
+def _is_finite_number(v) -> bool:
+    """An int or a float, not a bool, that is finite as a float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class CevParams:
     """Constants of the mean-reverting CEV dynamics.
@@ -65,7 +75,7 @@ class CevParams:
     def __post_init__(self) -> None:
         for name in ("k", "l", "sigma", "a", "x0"):
             v = getattr(self, name)
-            _require(isinstance(v, (int, float)) and math.isfinite(v),
+            _require(_is_finite_number(v),
                      f"{name} must be a finite number, got {v!r}")
             object.__setattr__(self, name, float(v))
         _require(self.k >= 0.0, "k must be >= 0")
@@ -84,9 +94,10 @@ class TimeGrid:
     dt: float = field(init=False)
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.n_steps, int) and self.n_steps >= 1,
-                 "n_steps must be an integer >= 1")
-        _require(math.isfinite(self.t_end) and self.t_end > 0.0,
+        n_steps = self.n_steps
+        _require(isinstance(n_steps, int) and not isinstance(n_steps, bool)
+                 and n_steps >= 1, "n_steps must be an integer >= 1")
+        _require(_is_finite_number(self.t_end) and self.t_end > 0.0,
                  "t_end must be a positive finite number")
         object.__setattr__(self, "t_end", float(self.t_end))
         object.__setattr__(self, "dt", self.t_end / self.n_steps)

@@ -9,10 +9,12 @@ Euler-Maruyama variants (naive, full-truncation, reflected) are provided as
 baselines that illustrate what the update fixes: plain Euler leaves the
 positive half-line.
 
-One kernel, ``_step_block``, steps a vector of paths under any scheme, and
-one stepper, ``_Walk``, drives it over time-major increments chunk by chunk,
-carrying each path's state between chunks.  They are the only way to step:
-every experiment reaches them through ``experiments._walk_paths``.
+One stepping layer does the work.  ``_Walk`` holds a block of paths at one
+step size: the per-run scalars, the buffers and each path's state, which it
+carries from chunk to chunk of time-major increments.  ``_step_block`` is
+its step under any scheme, a fixed sequence of in-place array passes.  They
+are the only way to step: every experiment reaches them through
+``experiments._walk_paths``.
 """
 
 from __future__ import annotations
@@ -80,140 +82,86 @@ class BatchStats:
         )
 
 
-class _Kernel:
-    """The fused step of one scheme at one step size over paths of one shape.
+def _step_block(walk: _Walk, y, dw):
+    """One step of ``walk``'s scheme from the states ``y`` on the increments
+    ``dw``: (next, events, clamp count, inner_pow_min).
 
-    The per-run scalars are hoisted here, each with the association of the
-    plain formulas (``model._inner_raw`` and the Euler updates), so each is
-    the same double and every value the step computes is bit-identical to
-    theirs.  Every array pass writes into a buffer owned here, and rare
-    events are looked for by a min before any mask is built: the rounding
-    clamp (``model._inner_clamped``) runs only when some inner value is
-    negative or NaN, and the event mask is built only when some noise term
-    z (or proposed Euler iterate) is, or when ``masks`` asks for both masks
-    at every step.  The next state is written into ``out``, which a caller
-    may swap for the buffer of the state it just left, as ``_Walk`` does, so
-    that two state buffers serve a whole walk.
+    Every array pass writes into a buffer of ``walk``, and the next state
+    into ``walk.out``.  ``events`` marks a negative noise term z
+    (semi-discrete) or a negative proposed iterate (Euler variants); it is
+    None when the min shows there is none, so a mask is built only on a step
+    that has an event.  Likewise the rounding clamp (``model._inner_clamped``)
+    runs only when some inner value is negative or NaN.  ``inner_pow_min`` is
+    the smallest inner^(1-a) at the pre-step states; it is +inf for Euler
+    variants, which have no inner expression and never clamp.
     """
-
-    def __init__(
-        self,
-        scheme: SchemeId,
-        params: CevParams,
-        dt: float,
-        shape: tuple[int, ...],
-        masks: bool = False,
-    ) -> None:
-        self.scheme, self.params, self.dt, self.masks = scheme, params, dt, masks
-        k, l, sigma, a = params.k, params.l, params.sigma, params.a
-        self.kl = k * l
-        if scheme is SchemeId.SEMI_DISCRETE:
-            one_minus_a = 1.0 - a
-            self.keep = 1.0 - k * dt
-            self.half_a_sigma2 = 0.5 * a * sigma**2
-            self.inner_exp = 2.0 * a - 1.0
-            self.one_minus_a = one_minus_a
-            self.noise = sigma * one_minus_a
-            self.out_exp = 1.0 / one_minus_a
-        self.a_buf, self.b_buf, self.out = (np.empty(shape) for _ in range(3))
-
-    def step(self, y, dw):
-        """(next, event_mask, clamp_mask, inner_pow_min) of one step; a mask
-        is None when it would be all False and ``masks`` is off."""
-        if self.scheme is SchemeId.SEMI_DISCRETE:
-            return self._semi_discrete(y, dw)
-        return self._euler(y, dw)
-
-    def _semi_discrete(self, y, dw):
-        t, z, out = self.a_buf, self.b_buf, self.out
+    t, z, out = walk.a_buf, walk.b_buf, walk.out
+    if walk.scheme is SchemeId.SEMI_DISCRETE:
         # inner(y) = y (1 - k dt) + dt (k l - a sigma^2 y^(2a-1) / 2)
-        np.power(y, self.inner_exp, out=t)
-        np.multiply(t, self.half_a_sigma2, out=t)
-        np.subtract(self.kl, t, out=t)
-        np.multiply(t, self.dt, out=t)
-        inner = np.multiply(y, self.keep, out=z)
+        np.power(y, walk.inner_exp, out=t)
+        np.multiply(t, walk.half_a_sigma2, out=t)
+        np.subtract(walk.kl, t, out=t)
+        np.multiply(t, walk.dt, out=t)
+        inner = np.multiply(y, walk.keep, out=z)
         np.add(inner, t, out=inner)
-        clamps = None
+        clamps = 0
         if not inner.min() >= 0.0:
-            inner, clamps = _inner_clamped(y, self.dt, self.params)
-        ipow = np.power(inner, self.one_minus_a, out=t)
+            inner, mask = _inner_clamped(y, walk.dt, walk.params)
+            clamps = int(np.count_nonzero(mask))
+        ipow = np.power(inner, walk.one_minus_a, out=t)
         ipow_min = float(ipow.min())
-        np.multiply(dw, self.noise, out=z)
+        np.multiply(dw, walk.noise, out=z)
         np.add(z, ipow, out=z)
-        events = None
-        if self.masks or not z.min() >= 0.0:
-            events = z < 0.0
+        events = None if z.min() >= 0.0 else z < 0.0
         np.abs(z, out=z)
-        np.power(z, self.out_exp, out=out)
-        return out, events, self._clamp_mask(clamps), ipow_min
-
-    def _euler(self, y, dw):
-        k, sigma, a = self.params.k, self.params.sigma, self.params.a
-        drift, diffusion, out = self.a_buf, self.b_buf, self.out
-        if self.scheme is SchemeId.EULER_NAIVE:
-            # sign-preserving |x|^a keeps the iteration total below zero
-            np.abs(y, out=diffusion)
-            np.power(diffusion, a, out=diffusion)
-            np.multiply(np.sign(y, out=drift), diffusion, out=diffusion)
-            np.multiply(y, k, out=drift)
-        elif self.scheme is SchemeId.EULER_FULL_TRUNCATION:
-            np.maximum(y, 0.0, out=drift)
-            np.power(drift, a, out=diffusion)
-            np.multiply(drift, k, out=drift)
-        else:  # EULER_REFLECTED
-            np.abs(y, out=diffusion)
-            np.power(diffusion, a, out=diffusion)
-            np.multiply(y, k, out=drift)
-        # y + (k l - k y) dt + sigma diffusion dw, each scheme's y in k y
-        np.subtract(self.kl, drift, out=drift)
-        np.multiply(drift, self.dt, out=drift)
-        np.add(y, drift, out=drift)
-        np.multiply(diffusion, sigma, out=diffusion)
-        np.multiply(diffusion, dw, out=diffusion)
-        proposal = np.add(drift, diffusion, out=out)
-        events = None
-        if self.masks or not proposal.min() >= 0.0:
-            events = proposal < 0.0
-        if self.scheme is SchemeId.EULER_REFLECTED:
-            np.abs(proposal, out=out)
-        return out, events, self._clamp_mask(None), math.inf
-
-    def _clamp_mask(self, clamps):
-        if clamps is None and self.masks:
-            return np.zeros(self.out.shape, dtype=bool)
-        return clamps
-
-
-def _step_block(
-    scheme: SchemeId, y, dt: float, dw, params: CevParams, kernel: _Kernel | None = None
-):
-    """One vectorized step; returns (next, event_mask, clamp_mask, inner_pow_min).
-
-    ``event_mask`` marks a negative noise term z (semi-discrete) or a negative
-    proposed iterate (Euler variants).  ``inner_pow_min`` is the smallest
-    inner^(1-a) seen at the pre-step states; it is +inf for Euler variants,
-    whose clamp mask is all False.  Without ``kernel`` the step allocates
-    its own buffers, broadcasts ``y`` against ``dw`` and returns both masks.
-    ``_Walk`` passes the ``_Kernel`` it built for ``scheme``, ``dt`` and
-    ``params``, whose buffers the step writes into, and whose ``masks``
-    setting decides whether an all-False mask is returned as None.
-    """
-    if kernel is None:
-        shape = np.broadcast_shapes(np.shape(y), np.shape(dw))
-        kernel = _Kernel(scheme, params, dt, shape, masks=True)
-    return kernel.step(y, dw)
+        np.power(z, walk.out_exp, out=out)
+        return out, events, clamps, ipow_min
+    k, sigma, a = walk.params.k, walk.params.sigma, walk.params.a
+    drift, diffusion = t, z
+    if walk.scheme is SchemeId.EULER_NAIVE:
+        # sign-preserving |x|^a keeps the iteration total below zero
+        np.abs(y, out=diffusion)
+        np.power(diffusion, a, out=diffusion)
+        np.multiply(np.sign(y, out=drift), diffusion, out=diffusion)
+        np.multiply(y, k, out=drift)
+    elif walk.scheme is SchemeId.EULER_FULL_TRUNCATION:
+        np.maximum(y, 0.0, out=drift)
+        np.power(drift, a, out=diffusion)
+        np.multiply(drift, k, out=drift)
+    else:  # EULER_REFLECTED
+        np.abs(y, out=diffusion)
+        np.power(diffusion, a, out=diffusion)
+        np.multiply(y, k, out=drift)
+    # y + (k l - k y) dt + sigma diffusion dw, each scheme's y in k y
+    np.subtract(walk.kl, drift, out=drift)
+    np.multiply(drift, walk.dt, out=drift)
+    np.add(y, drift, out=drift)
+    np.multiply(diffusion, sigma, out=diffusion)
+    np.multiply(diffusion, dw, out=diffusion)
+    proposal = np.add(drift, diffusion, out=out)
+    events = None if proposal.min() >= 0.0 else proposal < 0.0
+    if walk.scheme is SchemeId.EULER_REFLECTED:
+        np.abs(proposal, out=out)
+    return out, events, 0, math.inf
 
 
 class _Walk:
     """One grid level of a block of paths, stepped a time-major chunk at a time.
 
+    The walk is the step's state: it hoists the per-run scalars of its
+    scheme at step ``dt``, each with the association of the plain formulas
+    (``model._inner_raw`` and the Euler updates), so each is the same double
+    and every value ``_step_block`` computes is bit-identical to theirs.  It
+    owns two scratch buffers and two state buffers: each step writes the
+    next state into ``out``, and the state it left becomes the next ``out``.
+
     Carries the state, the running sum behind ``path_mean`` (the mean of the
     post-step values, the initial state excluded) and the diagnostics across
     chunks, and numbers steps from the start of the run:
-    a NegativeInner from the kernel is re-raised naming the global path
+    a NegativeInner from the step is re-raised naming the global path
     (``first_path`` + row) and the level's global step.  Optional (B, n+1)
-    matrices receive the trajectory and the per-step events.  The walk owns
-    its ``_Kernel`` and two state buffers, which the kernel writes in turn.
+    matrices receive the trajectory and the per-step events; the walk writes
+    every column of both, so neither needs initialising.
     """
 
     def __init__(
@@ -227,30 +175,35 @@ class _Walk:
         event_matrix: np.ndarray | None = None,
     ) -> None:
         self.scheme, self.params, self.dt = scheme, params, dt
+        k, l, sigma, a = params.k, params.l, params.sigma, params.a
+        self.kl = k * l
+        self.keep = 1.0 - k * dt
+        self.half_a_sigma2 = 0.5 * a * sigma**2
+        self.inner_exp = 2.0 * a - 1.0
+        self.one_minus_a = 1.0 - a
+        self.noise = sigma * self.one_minus_a
+        self.out_exp = 1.0 / self.one_minus_a
+        self.a_buf, self.b_buf, self.out = (np.empty(n_block) for _ in range(3))
         self.first_path = first_path
         self.trajectory, self.event_matrix = trajectory, event_matrix
-        self.kernel = _Kernel(
-            scheme, params, dt, (n_block,), masks=event_matrix is not None
-        )
         self.y = np.full(n_block, params.x0)
         self.running = np.zeros(n_block)
         self.steps = self.sign_flips = self.clamp_count = 0
         self.min_value, self.min_inner_pow = float(params.x0), math.inf
         if trajectory is not None:
             trajectory[:, 0] = params.x0
+        if event_matrix is not None:
+            event_matrix[:, 0] = 0
 
     def advance(self, dw: np.ndarray) -> None:
         """Take one step per row of the time-major (m, B) increments ``dw``."""
-        scheme, params, dt, kernel = self.scheme, self.params, self.dt, self.kernel
         trajectory, event_matrix = self.trajectory, self.event_matrix
         y, running = self.y, self.running
         sign_flips, clamp_count = self.sign_flips, self.clamp_count
         min_value, min_inner_pow = self.min_value, self.min_inner_pow
         for k, dw_k in enumerate(dw, self.steps):
             try:
-                y_next, events, clamps, ipow_min = _step_block(
-                    scheme, y, dt, dw_k, params, kernel
-                )
+                y_next, events, clamps, ipow_min = _step_block(self, y, dw_k)
             except NegativeInner as exc:
                 path = self.first_path + exc.path
                 raise NegativeInner(
@@ -258,17 +211,16 @@ class _Walk:
                 ) from exc
             if events is not None:
                 sign_flips += int(np.count_nonzero(events))
-            if clamps is not None:
-                clamp_count += int(np.count_nonzero(clamps))
+            clamp_count += clamps
             min_value = min(min_value, float(y_next.min()))
             min_inner_pow = min(min_inner_pow, ipow_min)
             running += y_next
             if trajectory is not None:
                 trajectory[:, k + 1] = y_next
             if event_matrix is not None:
-                event_matrix[:, k + 1] = events
+                event_matrix[:, k + 1] = 0 if events is None else events
             # the state just left is the buffer the next step writes
-            kernel.out, y = y, y_next
+            self.out, y = y, y_next
         self.y, self.steps = y, self.steps + len(dw)
         self.sign_flips, self.clamp_count = sign_flips, clamp_count
         self.min_value, self.min_inner_pow = min_value, min_inner_pow

@@ -1,6 +1,8 @@
-"""The public surface: what ``cevlab`` and its modules export."""
+"""The public surface: what ``cevlab`` and its modules export, and the
+names the layer trace wraps."""
 
 import importlib
+import importlib.util
 import inspect
 import os
 import pkgutil
@@ -123,3 +125,32 @@ def test_cli_import_loads_no_pool_machinery():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def _load_tracing():
+    """The benchmark's layer tracer, loaded by file path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("cevlab_test_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Trace targets whose functions were deleted; their metrics read as absent.
+ABSENT_TRACE_TARGETS = {"generator", "run_block"}
+
+
+def test_layer_trace_targets_resolve():
+    """Every name the layer trace wraps is a callable of its module, so no
+    rename blinds a layer without this list changing."""
+    unresolved = []
+    for name, _, module, attr, _ in _load_tracing().TARGETS:
+        mod = importlib.import_module(module)
+        if attr.endswith("*"):
+            found = [a for a in dir(mod)
+                     if a.startswith(attr[:-1]) and callable(getattr(mod, a))]
+        else:
+            found = [attr] if callable(getattr(mod, attr, None)) else []
+        if not found:
+            unresolved.append(name)
+    assert sorted(unresolved) == sorted(ABSENT_TRACE_TARGETS)

@@ -120,8 +120,10 @@ class TestIncrementChunks:
         """Copied as they arrive, the time-major chunks stack to the block's
         transpose bit for bit, a short last chunk included."""
         seed, start, stop, dt = 20240601, 4095, 4101, 0.37
-        chunks = []
-        for c in _increment_chunks(seed, start, stop, n, dt, chunk):
+        steps, chunks = min(chunk, n), []
+        time_major = np.empty((steps, stop - start))
+        tile = np.empty((stop - start, steps))
+        for c in _increment_chunks(seed, start, stop, n, dt, chunk, time_major, tile):
             assert c.shape == (min(chunk, n - chunk * len(chunks)), stop - start)
             assert c.flags.c_contiguous or n <= chunk
             chunks.append(c.copy())

@@ -433,6 +433,18 @@ class TestCliExitCodes:
         assert document["resolved_config"]["a"] == 0.75
         assert document["resolved_config"]["experiment"] == "check"
 
+    def test_control_characters_in_strings_round_trip(self, config_file, tmp_path, capsys):
+        """A tab in --out is escaped in the JSON artifact and in --dry-run."""
+        out = tmp_path / "a\tb.json"
+        args = ["check", "--config", str(config_file), "--output.format=json",
+                f"--out={out}"]
+        assert main([*args, "--dry-run"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["resolved_config"]["out"] == str(out)
+        assert main(args) == 0
+        document = json.loads(out.read_text(encoding="utf-8"))
+        assert document["provenance"]["config"]["out"] == str(out)
+
 
 class TestArtifacts:
     def test_simulate_csv_schema_and_row_count(self, config_file, tmp_path, capsys):

@@ -45,6 +45,11 @@ class TestCevParams:
             (dict(k=1, l=1, sigma=1, a=1.2, x0=1), "a must lie in (0.5, 1)"),
             (dict(k=1, l=1, sigma=1, a=0.75, x0=0.0), "x0 must be"),
             (dict(k=math.nan, l=1, sigma=1, a=0.75, x0=1), "finite"),
+            (dict(k=True, l=1, sigma=1, a=0.75, x0=1), "k must be a finite number"),
+            (dict(k=1, l=1, sigma=1, a=0.75, x0=False), "x0 must be a finite number"),
+            (dict(k=1, l="1", sigma=1, a=0.75, x0=1), "l must be a finite number"),
+            (dict(k=1, l=1, sigma=None, a=0.75, x0=1), "sigma must be a finite number"),
+            (dict(k=1, l=10**400, sigma=1, a=0.75, x0=1), "l must be a finite number"),
         ],
     )
     def test_rejects_invalid(self, kwargs, fragment):
@@ -67,6 +72,21 @@ class TestTimeGrid:
             TimeGrid(t_end=1.0, n_steps=0)
         with pytest.raises(ValidationError):
             TimeGrid(t_end=-1.0, n_steps=4)
+
+    @pytest.mark.parametrize(
+        "t_end, n_steps, fragment",
+        [
+            (1.0, True, "n_steps must be an integer"),
+            (1.0, 4.0, "n_steps must be an integer"),
+            ("1", 4, "t_end must be a positive finite number"),
+            (True, 4, "t_end must be a positive finite number"),
+            (None, 4, "t_end must be a positive finite number"),
+            (10**400, 4, "t_end must be a positive finite number"),
+        ],
+    )
+    def test_rejects_bools_and_non_numbers(self, t_end, n_steps, fragment):
+        with pytest.raises(ValidationError, match=fragment):
+            TimeGrid(t_end, n_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from cevlab import (
 )
 from cevlab.brownian import _increment_block
 from cevlab.model import _inner_clamped, _inner_raw
-from cevlab.schemes import _Kernel, _step_block, _Walk
+from cevlab.schemes import _step_block, _Walk
 
 
 def _load_refstep():
@@ -48,12 +48,21 @@ EULER_TOL = 1e-12
 STRESS = CevParams(k=1.0, l=0.61, sigma=1.0, a=0.6, x0=0.1)
 
 
+def _walk_step(scheme, y, dt, dw, params, with_events=True):
+    """One step of a walk from the states ``y`` on the increments ``dw``:
+    (next, event row or None, stats)."""
+    events = np.empty((np.size(y), 2), np.uint8) if with_events else None
+    walk = _Walk(scheme, params, dt, np.size(y), event_matrix=events)
+    walk.y = np.array(y, float)
+    walk.advance(np.asarray(dw, float)[np.newaxis])
+    terminal, _, stats = walk.result()
+    return terminal, None if events is None else events[:, 1].astype(bool), stats
+
+
 def _step(scheme, y, dt, dw, params):
-    """One kernel step from a single state: (next, event, clamped)."""
-    out, events, clamps, _ = _step_block(
-        scheme, np.array([y], float), dt, np.array([dw], float), params
-    )
-    return float(out[0]), bool(events[0]), bool(clamps[0])
+    """One step from a single state: (next, event, clamped)."""
+    out, events, stats = _walk_step(scheme, [y], dt, [dw], params)
+    return float(out[0]), bool(events[0]), stats.clamp_count > 0
 
 
 def _euler_reference(scheme, x, dt, dw, k, l, sigma, a):
@@ -149,10 +158,10 @@ class TestSemidiscreteStep:
         dt = 1 / 16
         y = 10 ** rng.uniform(-6, 4, size=1_000_000)
         dw = rng.normal(0.0, math.sqrt(dt), size=1_000_000)
-        out, _, _, _ = _step_block(SchemeId.SEMI_DISCRETE, y, dt, dw, standard_params)
+        out, _, _ = _walk_step(SchemeId.SEMI_DISCRETE, y, dt, dw, standard_params)
         assert float(out.min()) > 0.0
         for bad_dw in (-10 * math.sqrt(dt), 10 * math.sqrt(dt)):
-            out, _, _, _ = _step_block(
+            out, _, _ = _walk_step(
                 SchemeId.SEMI_DISCRETE, y, dt, np.full(y.size, bad_dw), standard_params
             )
             assert float(out.min()) > 0.0
@@ -162,9 +171,9 @@ class TestSemidiscreteStep:
         inner = inner_value(y, dt, standard_params)
         threshold = -(inner ** (1 - 0.75)) / (1.0 * 0.25)
         grid = np.linspace(threshold * 0.999, 5.0, 200)
-        # one state broadcast against 200 increments
-        outputs, _, _, _ = _step_block(
-            SchemeId.SEMI_DISCRETE, np.array([y]), dt, grid, standard_params
+        # one state against 200 increments
+        outputs, _, _ = _walk_step(
+            SchemeId.SEMI_DISCRETE, np.full(200, y), dt, grid, standard_params
         )
         assert outputs.shape == (200,)
         assert np.all(np.diff(outputs) >= 0.0)
@@ -244,46 +253,64 @@ class TestFusedKernel:
         return y, dw
 
     def _assert_same(self, got, want):
-        y_next, events, clamps, ipow_min = got
+        y_next, events, stats = got
         assert y_next.tobytes() == want[0].tobytes()
-        assert np.array_equal(events, want[1])
-        assert np.array_equal(clamps, want[2])
-        assert ipow_min == want[3]
+        assert events is None or np.array_equal(events, want[1])
+        assert stats.sign_flip_count == np.count_nonzero(want[1])
+        assert stats.clamp_count == np.count_nonzero(want[2])
+        assert stats.min_inner_pow == want[3]
 
-    @pytest.mark.parametrize("masks", [True, False])
-    def test_rare_branches_match_unfused_formulas(self, masks):
+    @pytest.mark.parametrize("with_events", [True, False])
+    def test_rare_branches_match_unfused_formulas(self, with_events):
         y, dw = self._rare_inputs()
         want = _unfused_step(SchemeId.SEMI_DISCRETE, y, CLAMP_DT, dw, CLAMP_PARAMS)
         assert want[1].tolist() == [False, False, True, False]
         assert want[2].tolist() == [False, True, False, False]
-        kernel = _Kernel(SchemeId.SEMI_DISCRETE, CLAMP_PARAMS, CLAMP_DT, y.shape, masks)
-        got = _step_block(SchemeId.SEMI_DISCRETE, y, CLAMP_DT, dw, CLAMP_PARAMS, kernel)
-        self._assert_same(got, want)
-        self._assert_same(
-            _step_block(SchemeId.SEMI_DISCRETE, y, CLAMP_DT, dw, CLAMP_PARAMS), want
+        got = _walk_step(
+            SchemeId.SEMI_DISCRETE, y, CLAMP_DT, dw, CLAMP_PARAMS, with_events
         )
+        self._assert_same(got, want)
 
     def test_quiet_step_builds_no_masks(self):
         y, dw = np.array([1.0, 0.5]), np.array([0.1, -0.1])
-        kernel = _Kernel(SchemeId.SEMI_DISCRETE, CLAMP_PARAMS, CLAMP_DT, y.shape)
-        y_next, events, clamps, ipow_min = kernel.step(y, dw)
+        walk = _Walk(SchemeId.SEMI_DISCRETE, CLAMP_PARAMS, CLAMP_DT, y.size)
+        y_next, events, clamps, ipow_min = _step_block(walk, y, dw)
         want = _unfused_step(SchemeId.SEMI_DISCRETE, y, CLAMP_DT, dw, CLAMP_PARAMS)
-        assert events is None and clamps is None
+        assert events is None and clamps == 0
         assert not want[1].any() and not want[2].any()
         assert y_next.tobytes() == want[0].tobytes() and ipow_min == want[3]
 
     @pytest.mark.parametrize("scheme", [s for s in SchemeId if s.is_euler])
-    @pytest.mark.parametrize("masks", [True, False])
-    def test_euler_branches_match_unfused_formulas(self, scheme, masks):
+    @pytest.mark.parametrize("with_events", [True, False])
+    def test_euler_branches_match_unfused_formulas(self, scheme, with_events):
         y = np.array([1.0, -0.2, 0.0, 0.04])
         dw = np.array([0.1, 0.05, 0.0, -2.0])
         want = _unfused_step(scheme, y, 0.25, dw, STRESS)
         assert want[1].any()
-        kernel = _Kernel(scheme, STRESS, 0.25, y.shape, masks)
-        got = _step_block(scheme, y, 0.25, dw, STRESS, kernel)
-        y_next, events, clamps, ipow_min = got
-        assert clamps is None or not clamps.any()
-        self._assert_same((y_next, events, want[2], ipow_min), want)
+        got = _walk_step(scheme, y, 0.25, dw, STRESS, with_events)
+        assert got[2].clamp_count == 0
+        self._assert_same(got, want)
+
+    def test_event_matrix_columns_are_all_written(self):
+        """Every column of an event matrix is written: 0 on a quiet step,
+        1 exactly where z went negative, whatever the matrix held before."""
+        n_paths, n_steps, dt = 32, 8, 1 / 8
+        k, l, sigma, a = STRESS.k, STRESS.l, STRESS.sigma, STRESS.a
+        dw = _increment_block(42, 0, n_paths, n_steps, dt)
+        values = np.empty((n_paths, n_steps + 1))
+        events = np.ones((n_paths, n_steps + 1), np.uint8)
+        walk = _Walk(SchemeId.SEMI_DISCRETE, STRESS, dt, n_paths, 0, values, events)
+        walk.advance(dw.T)
+        flags = [
+            [False] + [
+                _semidiscrete_z_negative(y, dt, dw_k, k, l, sigma, a)
+                for y, dw_k in zip(row, dws)
+            ]
+            for row, dws in zip(values, dw)
+        ]
+        assert events.tolist() == np.array(flags, np.uint8).tolist()
+        stepped = events[:, 1:].any(axis=0)
+        assert stepped.any() and not stepped.all()  # both kinds of step occur
 
     def test_walk_counts_and_minima(self):
         y, dw = self._rare_inputs()
@@ -446,8 +473,8 @@ class TestIndependentReference:
         if scheme.is_euler:
             y[::3] *= -1.0  # the baselines step from negative states too
         dw = rng.normal(0.0, math.sqrt(dt), size=500)
-        out, events, clamps, _ = _step_block(scheme, y, dt, dw, STRESS)
-        assert not clamps.any()
+        out, events, stats = _walk_step(scheme, y, dt, dw, STRESS)
+        assert stats.clamp_count == 0
         k, l, sigma, a = STRESS.k, STRESS.l, STRESS.sigma, STRESS.a
         for i in range(y.size):
             yi, dwi = float(y[i]), float(dw[i])
