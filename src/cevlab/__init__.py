@@ -1,87 +1,71 @@
 """cevlab: explicit positivity-preserving simulation of the mean-reverting
 CEV process, with a coupled Monte Carlo harness for strong-order, moment,
-and tail diagnostics."""
+and tail diagnostics.
+
+The exports load lazily (PEP 562): ``import cevlab`` imports no submodule
+and so no numpy, and the first use of a name imports the module that
+defines it.  That lets ``python -m cevlab`` set up its process in
+``cevlab.__main__`` before numpy loads.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import (
-    CevlabError,
-    CouplingError,
-    InfeasibleLevel,
-    InsufficientPoints,
-    NegativeInner,
-    NonFiniteResult,
-    NonPositiveValue,
-    ParseError,
-    ValidationError,
-)
-from .config import RunConfig, parse_config
-from .experiments import (
-    ConvergenceReport,
-    LevelRecord,
-    MomentReport,
-    NegativityStats,
-    PayoffKind,
-    PayoffSpec,
-    fit_order,
-    moment_check,
-    negativity_stats,
-    price_payoff,
-    simulate_paths_batch,
-    strong_error,
-)
-from .model import (
-    AssumptionAReport,
-    CevParams,
-    TimeGrid,
-    analytic_mean,
-    inner_value,
-    max_stable_step,
-    normal_cdf,
-    step_negativity_prob,
-    validate_assumption_a,
-)
-from .schemes import BatchStats, SchemeId
-
-__all__ = [
-    "__version__",
+# Every exported name and the submodule that defines it.
+_EXPORTS = {
     # model
-    "CevParams",
-    "TimeGrid",
-    "AssumptionAReport",
-    "validate_assumption_a",
-    "max_stable_step",
-    "inner_value",
-    "analytic_mean",
-    "step_negativity_prob",
-    "normal_cdf",
+    "CevParams": "model",
+    "TimeGrid": "model",
+    "AssumptionAReport": "model",
+    "validate_assumption_a": "model",
+    "max_stable_step": "model",
+    "inner_value": "model",
+    "analytic_mean": "model",
+    "step_negativity_prob": "model",
+    "normal_cdf": "model",
     # schemes
-    "SchemeId",
-    "BatchStats",
+    "SchemeId": "schemes",
+    "BatchStats": "schemes",
     # experiments
-    "LevelRecord",
-    "ConvergenceReport",
-    "MomentReport",
-    "PayoffKind",
-    "PayoffSpec",
-    "NegativityStats",
-    "strong_error",
-    "fit_order",
-    "moment_check",
-    "negativity_stats",
-    "price_payoff",
-    "simulate_paths_batch",
+    "LevelRecord": "experiments",
+    "ConvergenceReport": "experiments",
+    "MomentReport": "experiments",
+    "PayoffKind": "experiments",
+    "PayoffSpec": "experiments",
+    "NegativityStats": "experiments",
+    "strong_error": "experiments",
+    "fit_order": "experiments",
+    "moment_check": "experiments",
+    "negativity_stats": "experiments",
+    "price_payoff": "experiments",
+    "simulate_paths_batch": "experiments",
     # config
-    "RunConfig",
-    "parse_config",
+    "RunConfig": "config",
+    "parse_config": "config",
     # errors
-    "CevlabError",
-    "ValidationError",
-    "ParseError",
-    "NegativeInner",
-    "InfeasibleLevel",
-    "InsufficientPoints",
-    "NonPositiveValue",
-    "NonFiniteResult",
-    "CouplingError",
-]
+    "CevlabError": "errors",
+    "ValidationError": "errors",
+    "ParseError": "errors",
+    "NegativeInner": "errors",
+    "InfeasibleLevel": "errors",
+    "InsufficientPoints": "errors",
+    "NonPositiveValue": "errors",
+    "NonFiniteResult": "errors",
+    "CouplingError": "errors",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CouplingError, ValidationError
+from .errors import CouplingError, ValidationError, _shown
 
 __all__: list[str] = []
 
@@ -31,7 +31,9 @@ def _require_u64(name: str, v) -> None:
     """The one rule for every seed and path index: an int (not a bool) in
     [0, 2^64), the range of a Philox key word."""
     if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < _U64:
-        raise ValidationError(f"{name} must be an integer in [0, 2^64), got {v!r}")
+        raise ValidationError(
+            f"{name} must be an integer in [0, 2^64), got {_shown(v)}"
+        )
 
 
 def _require_keys(master_seed: int, start: int, stop: int) -> None:
@@ -58,17 +60,19 @@ def _increment_block(
     [master_seed, path] and an empty output buffer, which is the state a
     fresh ``Philox(key=[master_seed, path])`` starts from.  Generator caches
     no normals, so every row is bit-identical to a freshly keyed stream.
+    The state holds Python lists, not arrays: the ``state`` setter reads it
+    one element at a time, which costs less than half as much from lists.
     The keys are validated once for the block, before any draw; each call
     owns its generator, so concurrent calls share no state.
     """
     _require_keys(master_seed, start, stop)
-    key = np.array([master_seed, 0], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
+    key = [master_seed, 0]
+    bitgen = np.random.Philox(key=np.array(key, dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     fresh = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,

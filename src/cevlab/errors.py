@@ -5,6 +5,15 @@ callers can distinguish our failures from genuine bugs.
 """
 
 
+def _shown(value) -> str:
+    """A rejected value as an error message shows it: its repr, but an int
+    of more than 128 bits by its size, since such a repr can be too long to
+    read or, past the interpreter's int-to-str digit limit, to form at all."""
+    if isinstance(value, int) and value.bit_length() > 128:
+        return f"an int of {value.bit_length()} bits"
+    return repr(value)
+
+
 class CevlabError(Exception):
     """Base class for all cevlab errors."""
 

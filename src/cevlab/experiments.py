@@ -45,6 +45,7 @@ from .errors import (
     NonFiniteResult,
     NonPositiveValue,
     ValidationError,
+    _shown,
 )
 from .model import CevParams, TimeGrid, _require_feasible, _sign_flip_prob, analytic_mean
 from .schemes import BatchStats, SchemeId, _Walk, _parse_member
@@ -101,7 +102,7 @@ def _resolve_workers() -> int:
 def _require_paths(n_paths, minimum: int) -> None:
     """The one path-count rule: an int (not a bool) of at least ``minimum``."""
     if isinstance(n_paths, bool) or not isinstance(n_paths, int) or n_paths < minimum:
-        raise ValidationError(f"n_paths must be an int >= {minimum}, got {n_paths!r}")
+        raise ValidationError(f"n_paths must be an int >= {minimum}, got {_shown(n_paths)}")
 
 
 def _layout(n_paths: int, n_steps: int) -> tuple[list[tuple[int, int]], int]:
@@ -186,8 +187,11 @@ def _map_blocks(
     naming its pid and wait status) and no result is returned.  Without
     ``os.fork`` every block runs here.
 
-    cevlab itself starts no threads, so forking is safe in the CLI; a caller
-    that runs threads of its own should set CEVLAB_THREADS=1.
+    cevlab itself starts no threads, and a CLI process runs no BLAS pool
+    thread either (``cevlab.__main__`` asks for one BLAS thread before numpy
+    loads), so forking is safe in the CLI.  Library callers keep numpy's
+    default BLAS pool; one that runs threads of its own should set
+    CEVLAB_THREADS=1.
     """
     workers = min(_resolve_workers(), len(blocks))
     if workers <= 1 or not hasattr(os, "fork"):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleLevel, NegativeInner, ValidationError
+from .errors import InfeasibleLevel, NegativeInner, ValidationError, _shown
 
 __all__ = [
     "INNER_CLAMP_REL",
@@ -76,7 +76,7 @@ class CevParams:
         for name in ("k", "l", "sigma", "a", "x0"):
             v = getattr(self, name)
             _require(_is_finite_number(v),
-                     f"{name} must be a finite number, got {v!r}")
+                     f"{name} must be a finite number, got {_shown(v)}")
             object.__setattr__(self, name, float(v))
         _require(self.k >= 0.0, "k must be >= 0")
         _require(self.l >= 0.0, "l must be >= 0")
@@ -100,7 +100,13 @@ class TimeGrid:
         _require(_is_finite_number(self.t_end) and self.t_end > 0.0,
                  "t_end must be a positive finite number")
         object.__setattr__(self, "t_end", float(self.t_end))
-        object.__setattr__(self, "dt", self.t_end / self.n_steps)
+        try:
+            dt = self.t_end / n_steps
+        except OverflowError:  # n_steps beyond the float range
+            dt = 0.0
+        _require(dt > 0.0, "n_steps must be small enough that t_end / n_steps "
+                 "is a positive float")
+        object.__setattr__(self, "dt", dt)
 
     def times(self) -> np.ndarray:
         """Grid nodes t_0 .. t_n as a length n_steps+1 array."""

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import cevlab
+import cevlab.cli
 
 # Every name the package exports.  A change to the API changes this list.
 PUBLIC_API = [
@@ -110,21 +111,80 @@ def test_experiments_take_grid_paths_and_seed_by_name(name):
     assert {"grid", "n_paths", "seed"} <= set(parameters)
 
 
+def _fresh_python(code: str, **env: str) -> str:
+    """Stripped stdout of ``code`` run in a fresh interpreter that imports
+    cevlab from this checkout, with ``env`` set and OPENBLAS_NUM_THREADS
+    unset unless ``env`` sets it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**base, **env},
+        capture_output=True, text=True, check=True,
+    )
+    return out.stdout.strip()
+
+
 def test_cli_import_loads_no_pool_machinery():
     """Every CLI start pays for what ``cevlab.cli`` imports.  Workers are
     forked directly, so neither executors nor multiprocessing are loaded."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])
-    )}
     code = (
         "import sys, cevlab.cli; "
         "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert _fresh_python(code) == "[]"
+
+
+def test_package_import_loads_no_numpy_and_sets_no_blas_threads():
+    code = (
+        "import os, sys, cevlab; "
+        "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))"
     )
-    assert out.stdout.strip() == "[]"
+    assert _fresh_python(code) == "False None"
+
+
+def test_lazy_exports_resolve_and_list():
+    """From a fresh import, every export resolves on first use, ``dir``
+    lists it, and an unknown name is an AttributeError."""
+    code = (
+        "import cevlab\n"
+        "listed = dir(cevlab)\n"
+        "print([n for n in cevlab.__all__ if n not in listed])\n"
+        "print([n for n in cevlab.__all__ if getattr(cevlab, n, None) is None])\n"
+        "try:\n"
+        "    cevlab.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert _fresh_python(code).splitlines() == [
+        "[]", "[]", "module 'cevlab' has no attribute 'no_such_name'",
+    ]
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_command_asks_for_one_blas_thread_unless_the_user_chose(preset, expected):
+    env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    code = "import os, cevlab.__main__; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_python(code, **env) == expected
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
+def test_command_process_runs_one_thread():
+    """A CLI process holds no idle BLAS pool thread, which would spin on the
+    CPU and be copied into no forked worker anyway."""
+    code = "import os, cevlab.__main__; print(len(os.listdir('/proc/self/task')))"
+    assert _fresh_python(code) == "1"
+
+
+def test_installed_command_runs_the_module_entry_point():
+    """The ``cevlab`` script starts like ``python -m cevlab``."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        entry = tomllib.load(fh)["project"]["scripts"]["cevlab"]
+    module, _, attr = entry.partition(":")
+    assert module == "cevlab.__main__"
+    assert getattr(importlib.import_module(module), attr) is cevlab.cli.main
 
 
 def _load_tracing():

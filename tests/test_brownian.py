@@ -32,7 +32,11 @@ class TestU64Rule:
     def test_accepts_u64(self, v):
         _require_u64("master_seed", v)
 
-    @pytest.mark.parametrize("v", [-1, -3, 2**64, True, False, 1.0, "1", None])
+    @pytest.mark.parametrize(
+        "v",
+        [-1, -3, 2**64, True, False, 1.0, "1", None,
+         pytest.param(-(10**5000), id="int-past-str-digit-limit")],
+    )
     def test_rejects_out_of_range_and_non_int(self, v):
         with pytest.raises(ValidationError, match=r"^path must be an integer in \["):
             _require_u64("path", v)
@@ -61,7 +65,8 @@ class TestIncrementBlock:
     @pytest.mark.parametrize("n", [1, 3, 16, 64, 4096])
     @pytest.mark.parametrize(
         "seed, start, stop",
-        [(20240601, 4096, 4100), (0, 0, 3), (2**64 - 1, 2**64 - 3, 2**64)],
+        [(20240601, 4096, 4100), (0, 0, 3), (2**64 - 1, 2**64 - 3, 2**64),
+         (2**63 + 12345, 2**63 - 2, 2**63 + 2)],
     )
     def test_rows_match_fresh_philox_streams(self, seed, start, stop, n):
         dt = 0.37

@@ -50,6 +50,8 @@ class TestCevParams:
             (dict(k=1, l="1", sigma=1, a=0.75, x0=1), "l must be a finite number"),
             (dict(k=1, l=1, sigma=None, a=0.75, x0=1), "sigma must be a finite number"),
             (dict(k=1, l=10**400, sigma=1, a=0.75, x0=1), "l must be a finite number"),
+            (dict(k=10**5000, l=1, sigma=1, a=0.75, x0=1),
+             "k must be a finite number, got an int of 16610 bits"),
         ],
     )
     def test_rejects_invalid(self, kwargs, fragment):
@@ -82,6 +84,8 @@ class TestTimeGrid:
             (True, 4, "t_end must be a positive finite number"),
             (None, 4, "t_end must be a positive finite number"),
             (10**400, 4, "t_end must be a positive finite number"),
+            (1.0, 10**400, "n_steps must be small enough"),
+            (1e-300, 10**300, "n_steps must be small enough"),
         ],
     )
     def test_rejects_bools_and_non_numbers(self, t_end, n_steps, fragment):
