@@ -6,10 +6,10 @@ Every experiment takes its grid, path count and seed by the names ``grid``,
 its ladder.  Blocks of paths are independent work items, one equal share
 of them per worker.  The CEVLAB_THREADS environment variable caps the
 number of worker processes (by default the machine core count).  The
-calling process is one worker and the others are forked children, which
-send their blocks' results back pickled.  Per-path noise comes from keyed
-streams and per-path results are assembled in path order, so every reported
-number is bit-identical regardless of the worker count and the layout.
+calling process is one worker and the others are forked children; a block
+writes its per-path results into its rows of arrays all workers share, and
+returns only its stats.  Per-path noise comes from keyed streams, so every
+reported number is bit-identical regardless of the worker count and layout.
 
 Every experiment runs through one driver, ``_walk_paths``: each block walks
 time once, in time-major chunks of at most ``_CHUNK_STEPS`` fine steps, and
@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import mmap
 import os
 import pickle
 from dataclasses import dataclass
@@ -47,7 +48,9 @@ from .errors import (
     ValidationError,
     _shown,
 )
-from .model import CevParams, TimeGrid, _require_feasible, _sign_flip_prob, analytic_mean
+from .model import (
+    CevParams, TimeGrid, _is_finite_number, _require_feasible, _sign_flip_prob, analytic_mean
+)
 from .schemes import BatchStats, SchemeId, _Walk, _parse_member
 
 # Nothing here calls ``_increment_block`` (``_walk_paths`` draws through
@@ -100,9 +103,13 @@ def _resolve_workers() -> int:
 
 
 def _require_paths(n_paths, minimum: int) -> None:
-    """The one path-count rule: an int (not a bool) of at least ``minimum``."""
-    if isinstance(n_paths, bool) or not isinstance(n_paths, int) or n_paths < minimum:
-        raise ValidationError(f"n_paths must be an int >= {minimum}, got {_shown(n_paths)}")
+    """The one path-count rule: an int (not a bool) from ``minimum`` to 2^64,
+    since path p is keyed by the 64-bit word p."""
+    is_int = isinstance(n_paths, int) and not isinstance(n_paths, bool)
+    if not (is_int and minimum <= n_paths <= 2**64):
+        raise ValidationError(
+            f"n_paths must be an int >= {minimum} and <= 2^64, got {_shown(n_paths)}"
+        )
 
 
 def _layout(n_paths: int, n_steps: int) -> tuple[list[tuple[int, int]], int]:
@@ -176,16 +183,17 @@ def _map_blocks(
     parallel, and return its results in block order.
 
     Block i runs in worker i mod w, with w the CEVLAB_THREADS cap (at most
-    one worker per block).  Worker 0 is this process; workers 1..w-1
-    are ``os.fork()`` children, which share nothing with this process after
-    the fork: ``work`` must return everything it computes, as a picklable
-    value, and write nothing that the caller reads.  A child runs its blocks
-    in order, stops at its first failing block and pipes back the pickled
-    results.  Every child is read to EOF and reaped before this returns or
-    raises.  If any block failed, the exception of the lowest-indexed failed
-    block is raised (a child that sent no result raises ChildProcessError
-    naming its pid and wait status) and no result is returned.  Without
-    ``os.fork`` every block runs here.
+    one worker per block).  Worker 0 is this process; workers 1..w-1 are
+    ``os.fork()`` children, which share with this process only the
+    ``_shared`` arrays mapped before the fork: ``work`` writes nothing the
+    caller reads except its own rows of ``_shared`` arrays, and returns a
+    picklable value.  A child runs its blocks in order, stops at its first
+    failing block and pipes back the pickled results.  Every child is read
+    to EOF and reaped before this returns or raises.  If any block failed,
+    the exception of the lowest-indexed failed block is raised (a child
+    that sent no result raises ChildProcessError naming its pid and wait
+    status) and no result is returned.  Without ``os.fork`` every block
+    runs here.
 
     cevlab itself starts no threads, and a CLI process runs no BLAS pool
     thread either (``cevlab.__main__`` asks for one BLAS thread before numpy
@@ -231,6 +239,14 @@ def _map_blocks(
     return [outcomes[i] for i in range(len(blocks))]
 
 
+def _shared(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """A zero-filled array in an anonymous shared mapping: the rows a forked
+    worker writes into it are the rows its caller reads."""
+    dtype = np.dtype(dtype)
+    size = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, size * dtype.itemsize), dtype, size).reshape(shape)
+
+
 def _walk_paths(
     scheme: SchemeId,
     params: CevParams,
@@ -244,7 +260,7 @@ def _walk_paths(
     """Walk n_paths keyed paths through the fine steps of ``grid``, and
     through one coarse grid per entry of ``heights`` (ascending): the grid h
     high steps every 2^h fine steps, driven by the sum of those increments.
-    The seed is validated here, once, before any worker is forked.
+    The scheme and seed rules run here, once, before any worker is forked.
 
     Returns (terminal, path_mean, stats) per level: the fine grid first,
     then one per height.  The paths are cut into the blocks of ``_layout``.
@@ -254,13 +270,14 @@ def _walk_paths(
     block.  Every worker draws all its blocks' noise into the same two
     arrays, allocated once per run before the fork and freed once the map
     is done; a page is resident only once written, so each worker faults
-    in its own copy at its first draw.  Blocks return their per-path
-    results and stats, which are joined in path order and merged in block
-    order, so nothing depends on the worker count or the layout.  Optional
-    (n_paths, n_steps+1) matrices receive the fine level's trajectories and
-    events: blocks run by this process write their rows in place, and the
-    rows of a forked worker's blocks are copied in from its results.
+    in its own copy at its first draw.  Whichever worker runs it, a block
+    writes its rows of the ``_shared`` terminal and path-mean arrays, and
+    of the optional ``_shared`` (n_paths, n_steps+1) fine-level
+    ``trajectory`` and ``event_matrix``, and returns only its per-level
+    stats, merged in block order; nothing depends on the worker count.
     """
+    if not isinstance(scheme, SchemeId):
+        raise ValidationError(f"scheme must be a SchemeId, got {_shown(scheme)}")
     _require_u64("seed", seed)
     n_steps, dt = grid.n_steps, grid.dt
     dts = (dt,) + tuple(dt * 2**h for h in heights)
@@ -268,25 +285,13 @@ def _walk_paths(
     widest, steps = max(stop - start for start, stop in blocks), min(chunk, n_steps)
     time_major = np.empty((steps, widest))
     tile = np.empty((min(_TILE_PATHS, widest), steps))
-    caller = os.getpid()
+    terminal, path_mean = _shared((len(dts), n_paths)), _shared((len(dts), n_paths))
 
-    def work(block: tuple[int, int]):
+    def work(block: tuple[int, int]) -> list[BatchStats]:
         start, stop = block
-        n_block = stop - start
-        here = os.getpid() == caller
-        values = events = None
-        if trajectory is not None:
-            values = (
-                trajectory[start:stop] if here else np.empty((n_block, n_steps + 1))
-            )
-        if event_matrix is not None:
-            events = (
-                event_matrix[start:stop]
-                if here
-                else np.empty((n_block, n_steps + 1), dtype=np.uint8)
-            )
-        fine = _Walk(scheme, params, dt, n_block, start, values, events)
-        coarse = [_Walk(scheme, params, d, n_block, start) for d in dts[1:]]
+        rows = [None if m is None else m[start:stop] for m in (trajectory, event_matrix)]
+        fine = _Walk(scheme, params, dt, stop - start, start, *rows)
+        coarse = [_Walk(scheme, params, d, stop - start, start) for d in dts[1:]]
         carry: dict = {}
         # dw is overwritten by the next chunk; walks and the carry keep only
         # copies and sums of it
@@ -298,24 +303,15 @@ def _walk_paths(
                 for level, sums in _dyadic_sums(dw, heights, carry):
                     coarse[level].advance(sums)
         levels = [walk.result() for walk in (fine, *coarse)]
-        if here:
-            return levels, None, None
-        return levels, values, events
+        for level, (term, mean, _) in enumerate(levels):
+            terminal[level, start:stop], path_mean[level, start:stop] = term, mean
+        return [stats for _, _, stats in levels]
 
-    results = _map_blocks(work, blocks)
+    block_stats = _map_blocks(work, blocks)
     del time_major, tile
-    for (start, stop), (_, values, events) in zip(blocks, results):
-        if values is not None:
-            trajectory[start:stop] = values
-        if events is not None:
-            event_matrix[start:stop] = events
     return [
-        (
-            np.concatenate([terminal for terminal, _, _ in level]),
-            np.concatenate([path_mean for _, path_mean, _ in level]),
-            functools.reduce(BatchStats.merge, [stats for _, _, stats in level]),
-        )
-        for level in zip(*(levels for levels, _, _ in results))
+        (terminal[level], path_mean[level], functools.reduce(BatchStats.merge, stats))
+        for level, stats in enumerate(zip(*block_stats))
     ]
 
 
@@ -427,8 +423,10 @@ class PayoffSpec:
     strike: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.strike) and self.strike >= 0.0):
-            raise ValidationError("strike must be >= 0")
+        if not isinstance(self.kind, PayoffKind):
+            raise ValidationError(f"kind must be a PayoffKind, got {_shown(self.kind)}")
+        if not (_is_finite_number(self.strike) and self.strike >= 0.0):
+            raise ValidationError(f"strike must be a number >= 0, got {_shown(self.strike)}")
 
 
 # ---------------------------------------------------------------------------
@@ -652,8 +650,8 @@ def simulate_paths_batch(
     n_paths nor on the worker count.
     """
     _require_paths(n_paths, 1)
-    values = np.empty((n_paths, grid.n_steps + 1))
-    events = np.empty((n_paths, grid.n_steps + 1), dtype=np.uint8)
+    values = _shared((n_paths, grid.n_steps + 1))
+    events = _shared((n_paths, grid.n_steps + 1), np.uint8)
     [(_, _, stats)] = _walk_paths(
         scheme, params, grid, n_paths, seed, trajectory=values, event_matrix=events
     )

@@ -3,10 +3,12 @@ sign-flip statistics, and payoff pricing."""
 
 import math
 import os
+import pickle
 import re
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +46,7 @@ from cevlab.experiments import (
     _map_blocks,
     _standard_error,
 )
-from cevlab.schemes import _Walk
+from cevlab.schemes import BatchStats, _Walk
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -240,6 +242,40 @@ class TestRunInputs:
         inputs[field] = value
         with pytest.raises(ValidationError, match=f"{field} must be an int"):
             _call(name, standard_params, TimeGrid(1.0, 2**8), **inputs)
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("n_paths", [10**30, 2**64 + 1], ids=["1e30", "2^64+1"])
+    def test_path_ceiling_rejected_at_once(self, standard_params, monkeypatch, name, n_paths):
+        """Path p is keyed by the 64-bit word p, so more than 2^64 paths are
+        rejected before a block list is built for them."""
+        monkeypatch.setenv("CEVLAB_THREADS", "1")
+        began = time.perf_counter()
+        with pytest.raises(ValidationError, match=r"n_paths must be an int >= \d and <= 2\^64"):
+            _call(name, standard_params, TimeGrid(1.0, 16), n_paths, 1)
+        assert time.perf_counter() - began < 0.5
+
+    @pytest.mark.parametrize("name", ["strong_error", "moment_check", "simulate_paths_batch"])
+    @pytest.mark.parametrize("scheme", ["SemiDiscrete", "bogus", None])
+    def test_rejects_a_scheme_that_is_not_a_scheme_id(
+        self, standard_params, monkeypatch, name, scheme
+    ):
+        """A scheme's name is not a scheme: no block runs for it, so no
+        unlisted scheme body does either."""
+
+        def no_blocks(work, blocks):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr("cevlab.experiments._map_blocks", no_blocks)
+        grid = TimeGrid(1.0, 2**6)
+        run = {
+            "strong_error": lambda: strong_error(standard_params, scheme, grid, (4, 5), 10, 0),
+            "moment_check": lambda: moment_check(standard_params, scheme, grid, 10, 0),
+            "simulate_paths_batch": lambda: simulate_paths_batch(
+                scheme, standard_params, grid, 10, 0
+            ),
+        }[name]
+        with pytest.raises(ValidationError, match="scheme must be a SchemeId, got "):
+            run()
 
     @pytest.mark.parametrize("name", ENTRY_POINTS)
     def test_path_floor(self, standard_params, name):
@@ -541,6 +577,24 @@ class TestPricePayoff:
         assert price == 0.0
         assert ci == 0.0
 
+    @pytest.mark.parametrize(
+        "kind, strike",
+        [
+            ("EuropeanCall", 1.0),  # a name, which the Asian branch used to catch
+            (None, 1.0),
+            (PayoffKind.EUROPEAN_CALL, True),
+            (PayoffKind.EUROPEAN_CALL, "1"),
+            (PayoffKind.EUROPEAN_CALL, 10**400),
+            (PayoffKind.EUROPEAN_CALL, math.inf),
+            (PayoffKind.EUROPEAN_CALL, math.nan),
+            (PayoffKind.EUROPEAN_PUT, -0.5),
+        ],
+        ids=["kind-name", "kind-none", "bool", "str", "huge-int", "inf", "nan", "negative"],
+    )
+    def test_spec_rejects_invalid_fields(self, kind, strike):
+        with pytest.raises(ValidationError, match="^(kind|strike) must be a"):
+            PayoffSpec(kind=kind, strike=strike)
+
     def test_asian_excludes_initial_state(self, noiseless_params):
         grid = TimeGrid(1.0, 16)
         price, _ = price_payoff(
@@ -776,6 +830,29 @@ class TestWorkerProcesses:
         message = str(info.value)
         assert message.startswith(f"worker process {pid} ended with wait status ")
         assert "(exit code 3)" in message
+        _assert_every_worker_reaped()
+
+    def test_blocks_send_back_only_their_stats(self, deadline, standard_params, monkeypatch):
+        """Whichever worker runs it, a block writes its rows into shared
+        arrays, so no per-path array crosses the pipe: a block's result is
+        its per-level stats, a few hundred bytes pickled."""
+        monkeypatch.setenv("CEVLAB_THREADS", "2")
+        results = []
+
+        def spy(work, blocks):
+            out = _map_blocks(work, blocks)
+            results.extend(out)
+            return out
+
+        monkeypatch.setattr("cevlab.experiments._map_blocks", spy)
+        simulate_paths_batch(
+            SchemeId.SEMI_DISCRETE, standard_params, TimeGrid(1.0, 64), 8192, seed=0
+        )
+        assert len(results) == 2
+        for result in results:
+            assert isinstance(result, list)
+            assert all(isinstance(stats, BatchStats) for stats in result)
+            assert len(pickle.dumps(result, pickle.HIGHEST_PROTOCOL)) < 512
         _assert_every_worker_reaped()
 
     def test_lowest_failed_block_is_raised(self, deadline, monkeypatch):
