@@ -6,17 +6,29 @@ Experiments: check, simulate, convergence, moments, negativity, price.
 Values come from the flat key=value config file; ``--section.key=value``
 flags override file entries (e.g. ``--model.k=2 --grid.n_steps=128``,
 ``--out=report.json``).  Exit codes: 0 success, 1 usage/parse error,
-2 validation error, 3 runtime numerical error.
+2 validation error, 3 runtime numerical or I/O error.
+
+Artifacts are written piece by piece, never held whole.  The rows of a
+2-D array (the trajectory CSV, and ``paths`` and ``z_negative`` in JSON)
+are formatted in worker processes by the block runner that simulates the
+paths (``experiments._map_blocks``), one block of rows per worker, each
+into an unnamed temporary file that is then copied into the artifact in
+order; so while an artifact is written, its parts take its size again in
+the default temporary directory.
 """
 
 from __future__ import annotations
 
+import codecs
+import contextlib
 import csv
 import dataclasses
 import json
 import math
+import os
 import sys
-from typing import Callable, Mapping, NamedTuple, Sequence, TextIO
+import tempfile
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -24,6 +36,9 @@ from . import __version__
 from .config import EXPERIMENTS, RunConfig, parse_config
 from .errors import CevlabError, ParseError, ValidationError
 from .experiments import (
+    _map_blocks,
+    _resolve_workers,
+    _split,
     moment_check,
     negativity_stats,
     price_payoff,
@@ -48,6 +63,11 @@ class _UsageError(Exception):
     pass
 
 
+# Bytes of a formatted part copied into the artifact at a time.  Each copy
+# is held as bytes, as text and as encoded text at once, so it stays small.
+_COPY_BYTES = 64 * 1024
+
+
 # ---------------------------------------------------------------------------
 # JSON emission with fixed 17-significant-digit floats
 # ---------------------------------------------------------------------------
@@ -61,22 +81,67 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _row_text(row: np.ndarray, sep: str) -> str:
-    """Cells of a 1-D numeric array joined by ``sep``, each written exactly as
-    ``_format_float`` (floats) or ``str`` (integers) writes it.
+def _row_texts(block: np.ndarray, sep: str) -> Iterator[str]:
+    """The rows of a 2-D numeric array, each as its cells joined by ``sep``,
+    each cell written exactly as ``_format_float`` (floats) or ``str``
+    (integers) writes it.
 
-    Finite rows take one C-level ``%`` call; ``"%.17g"`` and
-    ``format(x, ".17g")`` agree on every finite double.  A row holding NaN or
-    an infinity goes cell by cell, so its ``NaN`` / ``Infinity`` tokens
-    survive.
+    Finite rows take one C-level ``%`` call, with one format string and one
+    finiteness check per block; ``"%.17g"`` and ``format(x, ".17g")`` agree
+    on every finite double.  A row holding NaN or an infinity goes cell by
+    cell, so its ``NaN`` / ``Infinity`` tokens survive.
     """
-    if row.dtype.kind == "f":
-        if not np.isfinite(row).all():
-            return sep.join(map(_format_float, row.tolist()))
+    if block.dtype.kind == "f":
+        finite = np.isfinite(block).all(axis=1).tolist()
         cell = "%.17g"
     else:
+        finite = [True] * len(block)
         cell = "%d"
-    return sep.join([cell] * row.size) % tuple(row.tolist())
+    line = sep.join([cell] * block.shape[1])
+    for row, ok in zip(block, finite):
+        cells = row.tolist()
+        yield line % tuple(cells) if ok else sep.join(map(_format_float, cells))
+
+
+def _row_text(row: np.ndarray, sep: str) -> str:
+    """``_row_texts`` of a 1-D numeric array."""
+    return next(_row_texts(row.reshape(1, -1), sep))
+
+
+def _write_rows(
+    n_rows: int,
+    rows: Callable[[int, int, Callable[[str], object]], None],
+    write: Callable[[str], object],
+) -> None:
+    """Pass the text of rows 0..n_rows-1 to ``write``, formatted in parallel.
+
+    ``rows(start, stop, out)`` passes the text of rows [start, stop) to
+    ``out``.  The rows are cut into one block per worker and formatted by
+    ``_map_blocks``.  Each block writes its text into its own unnamed
+    temporary file, opened here before any worker is forked, through a UTF-8
+    text wrapper of its own.  The parts are then copied to ``write`` in
+    block order, ``_COPY_BYTES`` at a time, so no part is ever held whole in
+    memory; while they exist they take the text's size again in the default
+    temporary directory.  If a block fails, its exception is raised (a
+    ChildProcessError for a worker that died) and nothing is passed to
+    ``write``.
+    """
+    blocks = _split(n_rows, _resolve_workers())
+    with contextlib.ExitStack() as stack:
+        parts = [stack.enter_context(tempfile.TemporaryFile(buffering=0)) for _ in blocks]
+        fds = {block: part.fileno() for block, part in zip(blocks, parts)}
+
+        def work(block: tuple[int, int]) -> None:
+            text = os.fdopen(fds[block], "w", encoding="utf-8", newline="", closefd=False)
+            with text:
+                rows(*block, text.write)
+
+        _map_blocks(work, blocks)
+        decode = codecs.getincrementaldecoder("utf-8")().decode
+        for part in parts:
+            part.seek(0)
+            while chunk := part.read(_COPY_BYTES):
+                write(decode(chunk))
 
 
 def _json_dumps(
@@ -106,7 +171,7 @@ def _json_pieces(obj: object, indent: int, write: Callable[[str], object]) -> No
 
     A dataclass instance is written as the mapping of its fields.  A large
     array is written one row at a time, never as one string per enclosing
-    container.
+    container; the rows of a 2-D array are formatted by ``_write_rows``.
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -146,9 +211,12 @@ def _json_pieces(obj: object, indent: int, write: Callable[[str], object]) -> No
             write("[]")
             return
         first, sep = "[\n" + inner + "[", "],\n" + inner + "["
-        for row in obj:
-            write(first + _row_text(row, ", "))
-            first = sep
+
+        def rows(start: int, stop: int, out: Callable[[str], object]) -> None:
+            for i, text in enumerate(_row_texts(obj[start:stop], ", "), start):
+                out((sep if i else first) + text)
+
+        _write_rows(len(obj), rows, write)
         write("]\n" + pad + "]")
         return
     if isinstance(obj, bool):
@@ -200,16 +268,22 @@ def _trajectory_csv(buf: TextIO, traj: _Trajectories) -> None:
     )
     # times print as digits, '.', 'e', signs or NaN/Infinity: never '%'
     steps_nonfinite = steps.replace("%.17g", "%s")
-    cells = [0, 0.0, 0] * len(traj.times)
-    for p, (values, events) in enumerate(zip(traj.values, traj.events)):
-        cells[0::3] = [p] * len(values)
-        cells[2::3] = events.tolist()
-        if np.isfinite(values).all():
-            cells[1::3] = values.tolist()
-            buf.write(steps % tuple(cells))
-        else:
-            cells[1::3] = [_format_float(v) for v in values.tolist()]
-            buf.write(steps_nonfinite % tuple(cells))
+
+    def rows(start: int, stop: int, out: Callable[[str], object]) -> None:
+        cells = [0, 0.0, 0] * len(traj.times)
+        values, events = traj.values[start:stop], traj.events[start:stop]
+        finite = np.isfinite(values).all(axis=1).tolist()
+        for p, row, flags, ok in zip(range(start, stop), values, events, finite):
+            cells[0::3] = [p] * len(row)
+            cells[2::3] = flags.tolist()
+            if ok:
+                cells[1::3] = row.tolist()
+                out(steps % tuple(cells))
+            else:
+                cells[1::3] = [_format_float(v) for v in row.tolist()]
+                out(steps_nonfinite % tuple(cells))
+
+    _write_rows(len(traj.values), rows, buf.write)
 
 
 def _csv_text(
@@ -350,7 +424,8 @@ def run(config: RunConfig) -> int:
             "results": result,
         }
     # serialized straight into the file: each piece is encoded as it is
-    # written, so no copy of the whole document is ever held
+    # written, so no copy of the whole document is ever held; the workers
+    # format the rows of 2-D arrays into temporary parts, copied in here
     try:
         with open(config.out_path, "w", encoding="utf-8", newline="") as fh:
             if config.out_format == "csv":

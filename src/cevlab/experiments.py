@@ -24,6 +24,7 @@ number of steps.
 from __future__ import annotations
 
 import enum
+import errno
 import functools
 import math
 import mmap
@@ -129,15 +130,22 @@ def _layout(n_paths: int, n_steps: int) -> tuple[list[tuple[int, int]], int]:
     least = n_steps if whole else min(_MIN_CHUNK_STEPS, _CHUNK_STEPS)
     cap = max(1, min(_BLOCK_PATHS, _NOISE_BUDGET // least))
     workers = min(_resolve_workers(), n_paths)
-    rounds = -(-n_paths // (workers * cap))
-    count = min(workers * rounds, n_paths)
-    size, extra = divmod(n_paths, count)
-    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    blocks = _split(n_paths, workers * -(-n_paths // (workers * cap)))
     chunk = n_steps if whole else _CHUNK_STEPS
-    widest = size + (extra > 0)
+    widest = blocks[0][1]
     while chunk > _MIN_CHUNK_STEPS and widest * chunk > _NOISE_BUDGET:
         chunk //= 2
-    return list(zip(bounds, bounds[1:])), chunk
+    return blocks, chunk
+
+
+def _split(n: int, count: int) -> list[tuple[int, int]]:
+    """[start, stop) bounds cutting range(n) into ``count`` contiguous blocks
+    (at most one per item, at least one) whose sizes differ by at most 1,
+    the larger ones first."""
+    count = max(1, min(count, n))
+    size, extra = divmod(n, count)
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 _T = TypeVar("_T")
@@ -179,15 +187,18 @@ def _child_share(
 def _map_blocks(
     work: Callable[[tuple[int, int]], _T], blocks: list[tuple[int, int]]
 ) -> list[_T]:
-    """Run ``work`` over ``blocks``, [start, stop) path blocks, possibly in
-    parallel, and return its results in block order.
+    """Run ``work`` over ``blocks``, [start, stop) row ranges of any work
+    (paths to simulate, artifact rows to format), possibly in parallel, and
+    return its results in block order.
 
     Block i runs in worker i mod w, with w the CEVLAB_THREADS cap (at most
     one worker per block).  Worker 0 is this process; workers 1..w-1 are
-    ``os.fork()`` children, which share with this process only the
-    ``_shared`` arrays mapped before the fork: ``work`` writes nothing the
-    caller reads except its own rows of ``_shared`` arrays, and returns a
-    picklable value.  A child runs its blocks in order, stops at its first
+    ``os.fork()`` children, which share with this process only what was
+    made before the fork to be shared, such as ``_shared`` arrays or an
+    open file's descriptor: ``work`` writes nothing the caller reads except
+    its own rows of such shared storage, and returns a picklable value.  A
+    child never returns to the caller's code, so it never flushes a file
+    object it inherited.  A child runs its blocks in order, stops at its first
     failing block and pipes back the pickled results.  Every child is read
     to EOF and reaped before this returns or raises.  If any block failed,
     the exception of the lowest-indexed failed block is raised (a child
@@ -241,10 +252,21 @@ def _map_blocks(
 
 def _shared(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     """A zero-filled array in an anonymous shared mapping: the rows a forked
-    worker writes into it are the rows its caller reads."""
+    worker writes into it are the rows its caller reads.  Raises
+    ValidationError, naming the shape and byte count, when no mapping that
+    large can be made."""
     dtype = np.dtype(dtype)
     size = math.prod(shape)
-    return np.frombuffer(mmap.mmap(-1, size * dtype.itemsize), dtype, size).reshape(shape)
+    try:
+        buffer = mmap.mmap(-1, size * dtype.itemsize)
+    except (OSError, OverflowError, MemoryError) as exc:
+        if isinstance(exc, OSError) and exc.errno != errno.ENOMEM:
+            raise
+        raise ValidationError(
+            f"cannot allocate a {shape} {dtype} array "
+            f"({size * dtype.itemsize} bytes): {exc}"
+        ) from exc
+    return np.frombuffer(buffer, dtype, size).reshape(shape)
 
 
 def _walk_paths(
@@ -281,11 +303,12 @@ def _walk_paths(
     _require_u64("seed", seed)
     n_steps, dt = grid.n_steps, grid.dt
     dts = (dt,) + tuple(dt * 2**h for h in heights)
+    # first, so a path count too large to hold fails before any layout work
+    terminal, path_mean = _shared((len(dts), n_paths)), _shared((len(dts), n_paths))
     blocks, chunk = _layout(n_paths, n_steps)
     widest, steps = max(stop - start for start, stop in blocks), min(chunk, n_steps)
     time_major = np.empty((steps, widest))
     tile = np.empty((min(_TILE_PATHS, widest), steps))
-    terminal, path_mean = _shared((len(dts), n_paths)), _shared((len(dts), n_paths))
 
     def work(block: tuple[int, int]) -> list[BatchStats]:
         start, stop = block

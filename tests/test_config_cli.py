@@ -1,10 +1,12 @@
 """Config parsing, flag overrides, CSV/JSON artifacts, and CLI exit codes."""
 
 import dataclasses
+import errno
 import hashlib
 import io
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from cevlab.cli import (
     _json_dumps,
     _row_text,
     _Trajectories,
+    _write_rows,
     main,
 )
 from cevlab.experiments import PayoffKind
@@ -423,6 +426,40 @@ class TestCliExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("failure", ["ENOSPC", "exit"])
+    def test_failed_emission_block_is_exit_3(
+        self, tmp_path, monkeypatch, capsys, fmt, failure
+    ):
+        # a forked worker formatting the second block of rows fails, or dies
+        # without a word; the run still reports the failure and leaks no fd
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("CEVLAB_THREADS", "2")
+        caller = os.getpid()
+        original = _write_rows
+
+        def failing_rows(n_rows, rows, write):
+            def emit(start, stop, out):
+                if os.getpid() != caller:
+                    if failure == "exit":
+                        os._exit(1)
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                rows(start, stop, out)
+
+            original(n_rows, emit, write)
+
+        monkeypatch.setattr("cevlab.cli._write_rows", failing_rows)
+        args = ["simulate", *STD_FLAGS, "--grid.n_steps=8", "--run.n_paths=7"]
+        before = len(os.listdir("/proc/self/fd"))
+        assert main([*args, f"--output.format={fmt}", f"--out=paths.{fmt}"]) == 3
+        assert len(os.listdir("/proc/self/fd")) == before
+        err = capsys.readouterr().err
+        assert "error: cannot write output file:" in err
+        if failure == "exit":
+            assert "worker process" in err and "sent no result" in err
+        else:
+            assert os.strerror(errno.ENOSPC) in err
+
     def test_help_is_exit_0(self, capsys):
         assert main(["--help"]) == 0
         assert "usage: cevlab" in capsys.readouterr().out
@@ -556,32 +593,31 @@ class TestArtifacts:
             encoding="utf-8"
         ).replace(str(out2), "X")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_output_identical_across_thread_caps(
         self, config_file, tmp_path, monkeypatch
     ):
-        outs = {}
-        for threads in ("1", "4"):
-            monkeypatch.setenv("CEVLAB_THREADS", threads)
-            out = tmp_path / f"t{threads}.json"
-            code = main(
-                [
-                    "convergence",
-                    "--config",
-                    str(config_file),
-                    "--grid.n_steps=512",
-                    "--run.levels=3,4,5",
-                    "--run.ref_exponent=9",
-                    "--run.n_paths=5000",
-                    "--run.seed=7",
-                    "--output.format=json",
-                    f"--out={out}",
-                ]
-            )
-            assert code == 0
-            outs[threads] = out.read_bytes().replace(
-                str(out).encode(), b"X"
-            )
-        assert outs["1"] == outs["4"]
+        # Trajectory rows are formatted by the workers too: 7 paths give
+        # uneven row blocks for 2 and 3 workers, and Euler with k*dt ~ 1e99
+        # fills rows with NaN and Infinity cells.
+        convergence = ["convergence", "--grid.n_steps=512", "--run.levels=3,4,5",
+                       "--run.ref_exponent=9", "--run.n_paths=5000", "--run.seed=7"]
+        simulate = ["simulate", "--grid.n_steps=8", "--run.n_paths=7", "--run.seed=7"]
+        diverging = [*simulate, "--run.scheme=EulerNaive", "--model.k=1e100"]
+        runs = [(convergence, "json", ("4",))] + [
+            (args, fmt, ("2", "3")) for args in (simulate, diverging) for fmt in ("csv", "json")
+        ]
+        for (experiment, *flags), fmt, caps in runs:
+            outs = {}
+            for threads in ("1", *caps):
+                monkeypatch.setenv("CEVLAB_THREADS", threads)
+                out = tmp_path / f"t{threads}.{fmt}"
+                args = [experiment, "--config", str(config_file), *flags]
+                assert main([*args, f"--output.format={fmt}", f"--out={out}"]) == 0
+                outs[threads] = out.read_bytes().replace(str(out).encode(), b"X")
+            assert all(out == outs["1"] for out in outs.values()), (flags, fmt)
+            if "--model.k=1e100" in flags:
+                assert b"NaN" in outs["1"] and b"Infinity" in outs["1"]
 
     def test_json_floats_round_trip(self, config_file, tmp_path):
         out = tmp_path / "m.json"

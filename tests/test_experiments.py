@@ -254,6 +254,49 @@ class TestRunInputs:
             _call(name, standard_params, TimeGrid(1.0, 16), n_paths, 1)
         assert time.perf_counter() - began < 0.5
 
+    @pytest.mark.parametrize("name", ["moment_check", "simulate_paths_batch", "cli"])
+    @pytest.mark.parametrize("n_paths", [10**13, 2**64], ids=["1e13", "2^64"])
+    def test_unholdable_path_count_rejected_at_once(self, tmp_path, name, n_paths):
+        """A path count the rule admits but no memory holds fails at the first
+        allocation of its results, before any block list is built.  Each run
+        is a child process under a 1.5 GB address-space limit, one worker."""
+        run = {
+            "moment_check": "moment_check(p, SchemeId.SEMI_DISCRETE, grid, n, 1)",
+            "simulate_paths_batch": "simulate_paths_batch(SchemeId.SEMI_DISCRETE, p, grid, n, 1)",
+            "cli": "print('exit', main(['moments', '--model.k=1', '--model.l=1', "
+            "'--model.sigma=0.5', '--model.a=0.75', '--model.x0=1', '--grid.t_end=1', "
+            "'--grid.n_steps=16', f'--run.n_paths={n}', '--out=m.json']))",
+        }[name]
+        code = (
+            "import resource, time\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, hard))\n"
+            "from cevlab import *\n"
+            "from cevlab.cli import main\n"
+            f"p, grid, n = CevParams(1, 1, 0.5, 0.75, 1), TimeGrid(1.0, 16), {n_paths}\n"
+            "began = time.perf_counter()\n"
+            "try:\n"
+            f"    {run}\n"
+            "except ValidationError as exc:\n"
+            "    print('rejected', exc)\n"
+            "print('elapsed', time.perf_counter() - began)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC), "CEVLAB_THREADS": "1",
+               "OPENBLAS_NUM_THREADS": "1"}
+        child = subprocess.run(
+            [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        lines = child.stdout.splitlines()
+        if name == "cli":
+            assert lines[0] == "exit 2"
+            assert "error: cannot allocate a " in child.stderr
+        else:
+            assert re.fullmatch(r"rejected cannot allocate a \(\d+, \d+\) \w+ array "
+                                r"\(\d+ bytes\): .+", lines[0])
+        assert float(lines[-1].split()[1]) < 0.5
+
     @pytest.mark.parametrize("name", ["strong_error", "moment_check", "simulate_paths_batch"])
     @pytest.mark.parametrize("scheme", ["SemiDiscrete", "bogus", None])
     def test_rejects_a_scheme_that_is_not_a_scheme_id(
