@@ -8,37 +8,29 @@ flags override file entries (e.g. ``--model.k=2 --grid.n_steps=128``,
 ``--out=report.json``).  Exit codes: 0 success, 1 usage/parse error,
 2 validation error, 3 runtime numerical or I/O error.
 
-Artifacts are written piece by piece, never held whole.  The rows of a
-2-D array (the trajectory CSV, and ``paths`` and ``z_negative`` in JSON)
-are formatted in worker processes by the block runner that simulates the
-paths (``experiments._map_blocks``), one block of rows per worker, each
-into an unnamed temporary file that is then copied into the artifact in
-order; so while an artifact is written, its parts take its size again in
-the default temporary directory.
+Artifacts are written piece by piece, never held whole.  Numeric arrays
+(the trajectory CSV, and ``times``, ``paths`` and ``z_negative`` in JSON)
+are formatted ``_BLOCK_CELLS`` cells at a time by ``_text``, in this
+process.  An artifact whose write fails is removed.
 """
 
 from __future__ import annotations
 
-import codecs
-import contextlib
 import csv
 import dataclasses
 import json
-import math
 import os
+import stat
 import sys
-import tempfile
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _text
+from ._text import format_float as _format_float
 from .config import EXPERIMENTS, RunConfig, parse_config
 from .errors import CevlabError, ParseError, ValidationError
 from .experiments import (
-    _map_blocks,
-    _resolve_workers,
-    _split,
     moment_check,
     negativity_stats,
     price_payoff,
@@ -63,9 +55,9 @@ class _UsageError(Exception):
     pass
 
 
-# Bytes of a formatted part copied into the artifact at a time.  Each copy
-# is held as bytes, as text and as encoded text at once, so it stays small.
-_COPY_BYTES = 64 * 1024
+# Cells of an array formatted at a time.  Formatting holds a few dozen
+# bytes per cell in temporaries; kept small, they stay on the heap.
+_BLOCK_CELLS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -73,75 +65,31 @@ _COPY_BYTES = 64 * 1024
 # ---------------------------------------------------------------------------
 
 
-def _format_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
+def _tiles(n_rows: int, n_cols: int) -> Iterator[tuple[int, int, int, int]]:
+    """``(r0, r1, c0, c1)`` tiles of an n_rows x n_cols array in row-major
+    order, at most ``_BLOCK_CELLS`` cells each: whole rows where a row fits,
+    else pieces of one row."""
+    width = max(1, min(n_cols, _BLOCK_CELLS))
+    height = max(1, _BLOCK_CELLS // width)
+    for r0 in range(0, n_rows, height):
+        for c0 in range(0, max(n_cols, 1), width):
+            yield r0, min(r0 + height, n_rows), c0, min(c0 + width, n_cols)
 
 
-def _row_texts(block: np.ndarray, sep: str) -> Iterator[str]:
-    """The rows of a 2-D numeric array, each as its cells joined by ``sep``,
-    each cell written exactly as ``_format_float`` (floats) or ``str``
-    (integers) writes it.
-
-    Finite rows take one C-level ``%`` call, with one format string and one
-    finiteness check per block; ``"%.17g"`` and ``format(x, ".17g")`` agree
-    on every finite double.  A row holding NaN or an infinity goes cell by
-    cell, so its ``NaN`` / ``Infinity`` tokens survive.
-    """
-    if block.dtype.kind == "f":
-        finite = np.isfinite(block).all(axis=1).tolist()
-        cell = "%.17g"
-    else:
-        finite = [True] * len(block)
-        cell = "%d"
-    line = sep.join([cell] * block.shape[1])
-    for row, ok in zip(block, finite):
-        cells = row.tolist()
-        yield line % tuple(cells) if ok else sep.join(map(_format_float, cells))
+_COMMA, _CRLF = _text.literals([","]), _text.literals(["\r\n"])
+_CELL_SEP = _text.literals(["", ", "])  # before the first cell of a row, before the rest
 
 
-def _row_text(row: np.ndarray, sep: str) -> str:
-    """``_row_texts`` of a 1-D numeric array."""
-    return next(_row_texts(row.reshape(1, -1), sep))
-
-
-def _write_rows(
-    n_rows: int,
-    rows: Callable[[int, int, Callable[[str], object]], None],
-    write: Callable[[str], object],
+def _json_rows(
+    arr: np.ndarray, first: str, sep: str, write: Callable[[str], object]
 ) -> None:
-    """Pass the text of rows 0..n_rows-1 to ``write``, formatted in parallel.
-
-    ``rows(start, stop, out)`` passes the text of rows [start, stop) to
-    ``out``.  The rows are cut into one block per worker and formatted by
-    ``_map_blocks``.  Each block writes its text into its own unnamed
-    temporary file, opened here before any worker is forked, through a UTF-8
-    text wrapper of its own.  The parts are then copied to ``write`` in
-    block order, ``_COPY_BYTES`` at a time, so no part is ever held whole in
-    memory; while they exist they take the text's size again in the default
-    temporary directory.  If a block fails, its exception is raised (a
-    ChildProcessError for a worker that died) and nothing is passed to
-    ``write``.
-    """
-    blocks = _split(n_rows, _resolve_workers())
-    with contextlib.ExitStack() as stack:
-        parts = [stack.enter_context(tempfile.TemporaryFile(buffering=0)) for _ in blocks]
-        fds = {block: part.fileno() for block, part in zip(blocks, parts)}
-
-        def work(block: tuple[int, int]) -> None:
-            text = os.fdopen(fds[block], "w", encoding="utf-8", newline="", closefd=False)
-            with text:
-                rows(*block, text.write)
-
-        _map_blocks(work, blocks)
-        decode = codecs.getincrementaldecoder("utf-8")().decode
-        for part in parts:
-            part.seek(0)
-            while chunk := part.read(_COPY_BYTES):
-                write(decode(chunk))
+    """Pass the rows of a 2-D array to ``write``: row 0 led by ``first``, the
+    others by ``sep``, each followed by its cells joined by ``", "``."""
+    leads = _text.literals([first, sep])
+    for r0, r1, c0, c1 in _tiles(*arr.shape):
+        row_parts = [leads[np.minimum(np.arange(r0, r1), 1)]] if c0 == 0 else []
+        seps = _CELL_SEP[np.minimum(np.arange(c0, c1), 1)]
+        write(_text.join(row_parts, [seps, _text.cells(arr[r0:r1, c0:c1])]))
 
 
 def _json_dumps(
@@ -169,9 +117,9 @@ def _fields(obj: object) -> Mapping[str, object]:
 def _json_pieces(obj: object, indent: int, write: Callable[[str], object]) -> None:
     """Pass the text of ``obj`` to ``write`` piece by piece.
 
-    A dataclass instance is written as the mapping of its fields.  A large
-    array is written one row at a time, never as one string per enclosing
-    container; the rows of a 2-D array are formatted by ``_write_rows``.
+    A dataclass instance is written as the mapping of its fields.  A numeric
+    array is written ``_BLOCK_CELLS`` cells at a time, never as one string
+    per enclosing container.
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -205,19 +153,13 @@ def _json_pieces(obj: object, indent: int, write: Callable[[str], object]) -> No
         if obj.dtype.kind not in "fiu" or obj.ndim not in (1, 2):
             raise TypeError(f"cannot serialize {obj.ndim}-D {obj.dtype} array")
         if obj.ndim == 1:
-            write("[" + _row_text(obj, ", ") + "]")
-            return
-        if len(obj) == 0:
+            _json_rows(obj[None], "[", "", write)
+            write("]")
+        elif len(obj) == 0:
             write("[]")
-            return
-        first, sep = "[\n" + inner + "[", "],\n" + inner + "["
-
-        def rows(start: int, stop: int, out: Callable[[str], object]) -> None:
-            for i, text in enumerate(_row_texts(obj[start:stop], ", "), start):
-                out((sep if i else first) + text)
-
-        _write_rows(len(obj), rows, write)
-        write("]\n" + pad + "]")
+        else:
+            _json_rows(obj, "[\n" + inner + "[", "],\n" + inner + "[", write)
+            write("]\n" + pad + "]")
         return
     if isinstance(obj, bool):
         write("true" if obj else "false")
@@ -256,34 +198,19 @@ class _Trajectories(NamedTuple):
 
 
 def _trajectory_csv(buf: TextIO, traj: _Trajectories) -> None:
-    """Write ``path,step,time,value,z_negative`` rows, one ``%`` call per path.
-
-    The step and time cells are the same for every path, so they are
-    formatted once into a per-path line template.  The cells never need
-    quoting, so the lines equal ``csv.writer``'s.
+    """Write ``path,step,time,value,z_negative`` rows, ``_BLOCK_CELLS`` at a
+    time.  The cells never need quoting, so the lines equal ``csv.writer``'s.
     """
-    steps = "".join(
-        f"%d,{k},{_format_float(t)},%.17g,%d\r\n"
-        for k, t in enumerate(traj.times.tolist())
-    )
-    # times print as digits, '.', 'e', signs or NaN/Infinity: never '%'
-    steps_nonfinite = steps.replace("%.17g", "%s")
-
-    def rows(start: int, stop: int, out: Callable[[str], object]) -> None:
-        cells = [0, 0.0, 0] * len(traj.times)
-        values, events = traj.values[start:stop], traj.events[start:stop]
-        finite = np.isfinite(values).all(axis=1).tolist()
-        for p, row, flags, ok in zip(range(start, stop), values, events, finite):
-            cells[0::3] = [p] * len(row)
-            cells[2::3] = flags.tolist()
-            if ok:
-                cells[1::3] = row.tolist()
-                out(steps % tuple(cells))
-            else:
-                cells[1::3] = [_format_float(v) for v in row.tolist()]
-                out(steps_nonfinite % tuple(cells))
-
-    _write_rows(len(traj.values), rows, buf.write)
+    steps_at, steps = -1, None
+    for r0, r1, c0, c1 in _tiles(*traj.values.shape):
+        if c0 != steps_at:  # the ",step,time," cells of these columns
+            steps_at, steps = c0, _text.concat([
+                _COMMA, _text.cells(np.arange(c0, c1)), _COMMA,
+                _text.cells(traj.times[c0:c1]), _COMMA])
+        buf.write(_text.join([], [
+            _text.cells(np.arange(r0, r1))[:, None], steps,
+            _text.cells(traj.values[r0:r1, c0:c1]), _COMMA,
+            _text.cells(traj.events[r0:r1, c0:c1]), _CRLF]))
 
 
 def _csv_text(
@@ -398,6 +325,16 @@ _ARTIFACTS = {  # experiment: (CSV header, row rule, summary rule)
 }
 
 
+def _remove_partial(path: str) -> None:
+    """Remove the regular file at ``path``, an artifact whose write failed,
+    so that no provenance block is left for an incomplete run."""
+    try:
+        if stat.S_ISREG(os.stat(path).st_mode):
+            os.unlink(path)
+    except OSError:
+        pass
+
+
 def run(config: RunConfig) -> int:
     """Execute the configured experiment, write its artifact, print a one-line
     summary.  Returns the process exit code."""
@@ -424,16 +361,19 @@ def run(config: RunConfig) -> int:
             "results": result,
         }
     # serialized straight into the file: each piece is encoded as it is
-    # written, so no copy of the whole document is ever held; the workers
-    # format the rows of 2-D arrays into temporary parts, copied in here
+    # written, so no copy of the whole document is ever held
+    opened = False
     try:
         with open(config.out_path, "w", encoding="utf-8", newline="") as fh:
+            opened = True
             if config.out_format == "csv":
                 _csv_text(header, table, fh)
             else:
                 _json_dumps(document, fh.write)
                 fh.write("\n")
     except OSError as exc:
+        if opened:
+            _remove_partial(config.out_path)
         print(f"error: cannot write output file: {exc}", file=sys.stderr)
         return 3
     print(f"{summary(result)} -> {config.out_path}")

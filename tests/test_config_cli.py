@@ -1,30 +1,34 @@
 """Config parsing, flag overrides, CSV/JSON artifacts, and CLI exit codes."""
 
+import contextlib
 import dataclasses
 import errno
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
+import tracemalloc
+import types
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cevlab import ParseError, SchemeId, ValidationError, parse_config
 from cevlab.config import EXPERIMENTS
+from cevlab import cli
 from cevlab.cli import (
     _csv_text,
     _fields,
     _format_float,
     _json_dumps,
-    _row_text,
     _Trajectories,
-    _write_rows,
     main,
 )
 from cevlab.experiments import PayoffKind
@@ -427,38 +431,56 @@ class TestCliExitCodes:
         assert code == 3
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("failure", ["ENOSPC", "exit"])
-    def test_failed_emission_block_is_exit_3(
-        self, tmp_path, monkeypatch, capsys, fmt, failure
-    ):
-        # a forked worker formatting the second block of rows fails, or dies
-        # without a word; the run still reports the failure and leaks no fd
+    def test_failed_artifact_write_is_exit_3(self, tmp_path, monkeypatch, capsys, fmt):
+        # the disk fills up halfway through the artifact, inside its arrays
+        # (one path per block): the run reports the failure, leaks no fd and
+        # leaves no partial artifact with a provenance block behind
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("CEVLAB_THREADS", "2")
-        caller = os.getpid()
-        original = _write_rows
+        monkeypatch.setattr("cevlab.cli._BLOCK_CELLS", 9)
+        args = ["simulate", *STD_FLAGS, "--grid.n_steps=8", "--run.n_paths=7",
+                f"--output.format={fmt}"]
+        assert main([*args, "--out=whole"]) == 0
+        space = os.path.getsize("whole") // 2
+        written = []
 
-        def failing_rows(n_rows, rows, write):
-            def emit(start, stop, out):
-                if os.getpid() != caller:
-                    if failure == "exit":
-                        os._exit(1)
+        class FullDisk:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def write(self, text):
+                if sum(map(len, written)) + len(text) > space:
                     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-                rows(start, stop, out)
+                written.append(text)
+                return self._fh.write(text)
 
-            original(n_rows, emit, write)
+            def __enter__(self):
+                return self
 
-        monkeypatch.setattr("cevlab.cli._write_rows", failing_rows)
-        args = ["simulate", *STD_FLAGS, "--grid.n_steps=8", "--run.n_paths=7"]
+            def __exit__(self, *exc):
+                self._fh.close()
+
+        monkeypatch.setattr(
+            "cevlab.cli.open", lambda *a, **k: FullDisk(open(*a, **k)), raising=False)
+        capsys.readouterr()
         before = len(os.listdir("/proc/self/fd"))
-        assert main([*args, f"--output.format={fmt}", f"--out=paths.{fmt}"]) == 3
+        assert main([*args, f"--out=paths.{fmt}"]) == 3
         assert len(os.listdir("/proc/self/fd")) == before
         err = capsys.readouterr().err
-        assert "error: cannot write output file:" in err
-        if failure == "exit":
-            assert "worker process" in err and "sent no result" in err
-        else:
-            assert os.strerror(errno.ENOSPC) in err
+        assert f"error: cannot write output file: [Errno {errno.ENOSPC}]" in err
+        assert not (tmp_path / f"paths.{fmt}").exists()
+        # the last write that went through was a block of rows: one path
+        last = written[-1]
+        assert last.count("\r\n") == 9 if fmt == "csv" else last.count(", ") == 8
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_to_a_device_leaves_it(self, config_file, tmp_path, capsys):
+        # only a regular file is removed; through a link, so that a fault
+        # here could remove no more than the link
+        out = tmp_path / "full"
+        out.symlink_to("/dev/full")
+        assert main(["check", "--config", str(config_file), f"--out={out}"]) == 3
+        assert "cannot write output file" in capsys.readouterr().err
+        assert out.is_symlink()
 
     def test_help_is_exit_0(self, capsys):
         assert main(["--help"]) == 0
@@ -672,6 +694,46 @@ _EDGE_FLOATS = st.sampled_from(
 )
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | _EDGE_FLOATS
 _INT_DTYPES = st.sampled_from([np.uint8, np.int32, np.int64, np.uint64])
+_SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5)
+_ARRAYS = hnp.arrays(np.float64, _SHAPES, elements=_FLOATS) | hnp.arrays(np.uint8, _SHAPES)
+# Emission block sizes, in cells, that cut the drawn arrays into several
+# blocks and rows into pieces, with a ragged last block (None: the default).
+_BLOCKS = st.sampled_from([None, 1, 2, 3, 5])
+
+
+def _assert_same_text(got: str, expected: str) -> None:
+    """Equal texts; else name the first line that differs (pytest's own diff
+    of two long texts takes minutes)."""
+    if got != expected:
+        pairs = itertools.zip_longest(got.splitlines(), expected.splitlines())
+        line, (a, b) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
+        pytest.fail(f"line {line}: {a!r} != {b!r}")
+
+
+def _block_cells(n):
+    return mock.patch("cevlab.cli._BLOCK_CELLS", n) if n else contextlib.nullcontext()
+
+
+@st.composite
+def _trajectories(draw):
+    n_paths, n_cols = draw(st.integers(0, 4)), draw(st.integers(1, 6))
+    return _Trajectories(
+        draw(hnp.arrays(np.float64, n_cols, elements=_FLOATS)),
+        draw(hnp.arrays(np.float64, (n_paths, n_cols), elements=_FLOATS)),
+        draw(hnp.arrays(np.uint8, (n_paths, n_cols))),
+    )
+
+
+def _trajectory(n_paths: int, n_steps: int) -> _Trajectories:
+    """Positive paths with rare events, like ``simulate``'s."""
+    rng = np.random.default_rng(20240601)
+    values = rng.lognormal(0.0, 0.5, (n_paths, n_steps + 1))
+    events = (rng.random(values.shape) < 0.01).astype(np.uint8)
+    return _Trajectories(np.linspace(0.0, 1.0, n_steps + 1), values, events)
+
+
+# Three full emission blocks of 64-step paths and a ragged fourth one
+_TRAJECTORY = _trajectory(3 * (cli._BLOCK_CELLS // 65) + 11, 64)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -688,49 +750,41 @@ class TestArrayFormatting:
     @settings(max_examples=300)
     def test_float_row_matches_per_cell_format(self, row):
         expected = ", ".join(_format_float(x) for x in row.tolist())
-        assert _row_text(row, ", ") == expected
+        assert _json_dumps(row) == f"[{expected}]"
 
     @given(data=st.data(), dtype=_INT_DTYPES, size=st.integers(0, 12))
     @settings(max_examples=100)
     def test_int_row_matches_str(self, data, dtype, size):
         row = data.draw(hnp.arrays(dtype, size))
-        assert _row_text(row, ",") == ",".join(str(x) for x in row.tolist())
+        assert _json_dumps(row) == "[" + ", ".join(str(x) for x in row.tolist()) + "]"
 
-    @given(
-        data=st.data(),
-        shape=hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
-        floats=st.booleans(),
-    )
-    @settings(max_examples=150)
-    def test_json_array_layout_matches_nested_lists(self, data, shape, floats):
-        if floats:
-            arr = data.draw(hnp.arrays(np.float64, shape, elements=_FLOATS))
-        else:
-            arr = data.draw(hnp.arrays(np.uint8, shape))
+    @given(arr=_ARRAYS, block=_BLOCKS)
+    @example(arr=_TRAJECTORY.values, block=None)
+    @example(arr=_TRAJECTORY.events, block=None)
+    @settings(max_examples=150, deadline=None)  # the reference takes ~0.2 s on the example
+    def test_json_array_layout_matches_nested_lists(self, arr, block):
         doc = {"times": arr, "nested": {"paths": arr}}
         listed = {"times": arr.tolist(), "nested": {"paths": arr.tolist()}}
-        assert _json_dumps(doc) == _json_dumps(listed)
+        with _block_cells(block):
+            text = _json_dumps(doc)
+        _assert_same_text(text, _json_dumps(listed))
 
-    @given(
-        data=st.data(),
-        n_paths=st.integers(0, 4),
-        n_cols=st.integers(1, 6),
-    )
-    @settings(max_examples=100)
-    def test_trajectory_csv_matches_csv_writer(self, data, n_paths, n_cols):
-        times = data.draw(hnp.arrays(np.float64, n_cols, elements=_FLOATS))
-        values = data.draw(hnp.arrays(np.float64, (n_paths, n_cols), elements=_FLOATS))
-        events = data.draw(hnp.arrays(np.uint8, (n_paths, n_cols)))
+    @given(traj=_trajectories(), block=_BLOCKS)
+    @example(traj=_TRAJECTORY, block=None)
+    @settings(max_examples=100, deadline=None)
+    def test_trajectory_csv_matches_csv_writer(self, traj, block):
+        (n_paths, n_cols), times = traj.values.shape, traj.times
         header = ("path", "step", "time", "value", "z_negative")
         rows = [
-            (p, k, float(times[k]), float(values[p, k]), int(events[p, k]))
+            (p, k, float(times[k]), float(traj.values[p, k]), int(traj.events[p, k]))
             for p in range(n_paths)
             for k in range(n_cols)
         ]
         by_path, by_row = io.StringIO(), io.StringIO()
-        _csv_text(header, _Trajectories(times, values, events), by_path)
+        with _block_cells(block):
+            _csv_text(header, traj, by_path)
         _csv_text(header, rows, by_row)
-        assert by_path.getvalue() == by_row.getvalue()
+        _assert_same_text(by_path.getvalue(), by_row.getvalue())
 
     def test_json_layout_of_every_value_kind(self):
         doc = {
@@ -769,6 +823,25 @@ class TestArrayFormatting:
         assert _json_dumps(as_dicts) == expected
         # a record's fields are walked shallowly: its arrays are not copied
         assert _fields(doc["record"])["values"] is doc["record"].values
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n_paths, n_steps", [(8192, 64), (2, 266_239)])
+    def test_array_emission_memory_is_bounded(self, fmt, n_paths, n_steps):
+        # the text is held a block at a time, and a long row is cut: in
+        # blocks of 4096 cells these peak at 0.99-1.29 MB of traced memory;
+        # in blocks of 8320 (128 rows) the JSON of 8192 x 65 cells at 2.05 MB
+        traj = _trajectory(n_paths, n_steps)
+        null = types.SimpleNamespace(write=lambda text: None)
+        tracemalloc.start()
+        try:
+            if fmt == "csv":
+                _csv_text(("path", "step", "time", "value", "z_negative"), traj, null)
+            else:
+                _json_dumps(traj.values, null.write)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6e6
 
     def test_unsupported_arrays_rejected(self):
         with pytest.raises(TypeError):
