@@ -11,7 +11,7 @@ flags override file entries (e.g. ``--model.k=2 --grid.n_steps=128``,
 Artifacts are written piece by piece, never held whole.  Numeric arrays
 (the trajectory CSV, and ``times``, ``paths`` and ``z_negative`` in JSON)
 are formatted ``_BLOCK_CELLS`` cells at a time by ``_text``, in this
-process.  An artifact whose write fails is removed.
+process.  An artifact whose write fails is removed if it is a regular file.
 """
 
 from __future__ import annotations

@@ -20,9 +20,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cevlab import ParseError, SchemeId, ValidationError, parse_config
+from cevlab import ParseError, SchemeId, ValidationError, cli, parse_config
 from cevlab.config import EXPERIMENTS
-from cevlab import cli
 from cevlab.cli import (
     _csv_text,
     _fields,
@@ -705,7 +704,7 @@ def _assert_same_text(got: str, expected: str) -> None:
     """Equal texts; else name the first line that differs (pytest's own diff
     of two long texts takes minutes)."""
     if got != expected:
-        pairs = itertools.zip_longest(got.splitlines(), expected.splitlines())
+        pairs = itertools.zip_longest(got.split("\n"), expected.split("\n"))
         line, (a, b) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
         pytest.fail(f"line {line}: {a!r} != {b!r}")
 
