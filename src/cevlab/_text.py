@@ -9,7 +9,8 @@ Floats with 1e-4 <= |x| < 1e17, and zeros, are the cells that ``%.17g``
 writes without an exponent.  They are formatted with integer arithmetic:
 
 * The decimal exponent E of the value rounded to 17 digits comes from
-  ``log10``, corrected by the range of the digits.
+  ``log10``.  Near a power of ten, where that can be one off, the digits
+  fall out of range and the cell is left to ``format_float``.
 * The digits D = round-half-even(|x| * 10**(16 - E)) are exact: the power of
   ten is an exact double for 16 - E <= 22, and a Dekker two-product gives
   the rounding error of the product.
@@ -52,7 +53,7 @@ _INT_POW10 = np.array([10**k for k in range(18)], dtype=np.int64)
 _TAIL = np.array(
     [[(_ALL << 8 * (8 - c)) & _ALL if c else 0
       for c in (min(8, max(0, n - 16 + 8 * k)) for k in range(3))]
-     for n in range(25)],
+     for n in range(21)],  # a fraction has at most 20 digits
     dtype=np.uint64,
 )
 
@@ -112,7 +113,8 @@ def _strip_leading(w: np.ndarray) -> np.ndarray:
     t |= t << 16
     t |= t << 32  # each byte: some digit up to it in the word is non-zero
     keep = _nonzero_bytes(t)
-    for i in range(1, w.shape[-1]):  # a word after a non-zero word is kept whole
+    # a word after a non-zero word is kept whole
+    for i in range(1, w.shape[-1]):
         keep[..., i] |= -(z[..., i - 1] != 0).astype(np.uint64)
         z[..., i] |= z[..., i - 1]
     keep[..., -1] |= _LAST_BYTE
@@ -127,7 +129,8 @@ def _strip_trailing(w: np.ndarray, n: np.ndarray) -> np.ndarray:
     t |= t >> 16
     t |= t >> 32  # each byte: some digit from it on in the word is non-zero
     keep = _nonzero_bytes(t)
-    for i in range(w.shape[-1] - 2, -1, -1):  # a word before a non-zero word is kept whole
+    # a word before a non-zero word is kept whole
+    for i in range(w.shape[-1] - 2, -1, -1):
         keep[..., i] |= -(z[..., i + 1] != 0).astype(np.uint64)
         z[..., i] |= z[..., i + 1]
     return w & keep & np.take(_TAIL, n, axis=0)  # faster than _TAIL[n]
@@ -137,6 +140,13 @@ def _bytes(w: np.ndarray) -> np.ndarray:
     """ASCII words as characters: shape (..., n) -> (..., 8n)."""
     w = w.astype("<u8", copy=False)
     return w.view(np.uint8).reshape(w.shape[:-1] + (8 * w.shape[-1],))
+
+
+def _unsigned_text(v: np.ndarray) -> np.ndarray:
+    """The digits of 1-D uint64 ``v``, right-aligned in the width of the
+    largest, leading zeros NUL."""
+    width = len(str(v.max()))
+    return _bytes(_strip_leading(_words(v, -(-width // 8))))[:, -width:]
 
 
 def literals(texts: Sequence[str]) -> np.ndarray:
@@ -163,9 +173,8 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     div = _INT_POW10[np.minimum(16 - e, 17)]
     ip = d // div
     fp = d - ip * div
-    wi = len(str(ip.max()))
-    wf = 16 - int(e.min())
-    ib = _bytes(_strip_leading(_words(ip.astype(np.uint64), -(-wi // 8))))[:, -wi:]
+    ib = _unsigned_text(ip.astype(np.uint64))
+    wi, wf = ib.shape[1], 16 - int(e.min())
     fb = _bytes(_strip_trailing(_words(fp.astype(np.uint64), 3), 16 - e))[:, 24 - wf:]
     out = np.empty((len(x), wi + wf + 2), np.uint8)
     out[:, 0] = np.where(np.signbit(x), ord("-"), 0)
@@ -188,8 +197,7 @@ def _int_cells(x: np.ndarray) -> np.ndarray:
     signed = bool(neg.any())
     if signed:
         np.negative(m, out=m, where=neg)
-    width = len(str(m.max()))
-    digits = _bytes(_strip_leading(_words(m, -(-width // 8))))[:, -width:]
+    digits = _unsigned_text(m)
     if not signed:
         return digits
     return concat([np.where(neg, ord("-"), 0).astype(np.uint8)[:, None], digits])

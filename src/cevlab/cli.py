@@ -77,7 +77,7 @@ def _tiles(n_rows: int, n_cols: int) -> Iterator[tuple[int, int, int, int]]:
 
 
 _COMMA, _CRLF = _text.literals([","]), _text.literals(["\r\n"])
-_CELL_SEP = _text.literals(["", ", "])  # before the first cell of a row, before the rest
+_CELL_SEP = _text.literals(["", ", "])  # before a row's first cell, before the rest
 
 
 def _json_rows(
