@@ -4,8 +4,11 @@ and tail diagnostics.
 
 The exports load lazily (PEP 562): ``import cevlab`` imports no submodule
 and so no numpy, and the first use of a name imports the module that
-defines it.  That lets ``python -m cevlab`` set up its process in
-``cevlab.__main__`` before numpy loads.
+defines it.  ``model``, ``config`` and ``errors`` (parameters, input rules,
+run configs, errors) are numpy-free; the first use of an engine name
+(``BatchStats``, the report types and the experiments) loads numpy.  That
+lets ``python -m cevlab`` set up its process in ``cevlab.__main__`` before
+numpy loads, and validate a run without loading it at all.
 """
 
 import importlib
@@ -24,15 +27,15 @@ _EXPORTS = {
     "analytic_mean": "model",
     "step_negativity_prob": "model",
     "normal_cdf": "model",
-    # schemes
-    "SchemeId": "schemes",
+    # schemes (SchemeId is defined with the input rules in model)
+    "SchemeId": "model",
     "BatchStats": "schemes",
-    # experiments
+    # experiments (the payoff types are defined with the input rules in model)
     "LevelRecord": "experiments",
     "ConvergenceReport": "experiments",
     "MomentReport": "experiments",
-    "PayoffKind": "experiments",
-    "PayoffSpec": "experiments",
+    "PayoffKind": "model",
+    "PayoffSpec": "model",
     "NegativityStats": "experiments",
     "strong_error": "experiments",
     "fit_order": "experiments",

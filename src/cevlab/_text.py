@@ -27,21 +27,13 @@ every host.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
+from .model import format_float
+
 __all__ = ["cells", "concat", "format_float", "join", "literals"]
-
-
-def format_float(x: float) -> str:
-    """``%.17g`` text of a float, with ``NaN``, ``Infinity`` and ``-Infinity``."""
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
 
 
 _ZEROS = 0x3030303030303030  # "00000000"

@@ -18,22 +18,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CouplingError, ValidationError, _shown
+from .errors import CouplingError
+from .model import _require_u64
 
 __all__: list[str] = []
 
-_U64 = 2**64
-
 _COUPLING_TOL = 1e-12
-
-
-def _require_u64(name: str, v) -> None:
-    """The one rule for every seed and path index: an int (not a bool) in
-    [0, 2^64), the range of a Philox key word."""
-    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < _U64:
-        raise ValidationError(
-            f"{name} must be an integer in [0, 2^64), got {_shown(v)}"
-        )
 
 
 def _require_keys(master_seed: int, start: int, stop: int) -> None:

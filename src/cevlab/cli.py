@@ -12,6 +12,11 @@ Artifacts are written piece by piece, never held whole.  Numeric arrays
 (the trajectory CSV, and ``times``, ``paths`` and ``z_negative`` in JSON)
 are formatted ``_BLOCK_CELLS`` cells at a time by ``_text``, in this
 process.  An artifact whose write fails is removed if it is a regular file.
+
+This module imports no numpy.  Parsing, validation, ``check``, ``--dry-run``
+and ``--help`` run on scalar ``math`` alone; the numpy engine
+(``experiments``, and ``_text`` for arrays) is imported by the ``_run_*``
+adapters that simulate, and by the writers when they meet an array.
 """
 
 from __future__ import annotations
@@ -21,22 +26,17 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import (
+    TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence, TextIO,
+)
 
-import numpy as np
-
-from . import __version__, _text
-from ._text import format_float as _format_float
+from . import __version__
 from .config import EXPERIMENTS, RunConfig, parse_config
 from .errors import CevlabError, ParseError, ValidationError
-from .experiments import (
-    moment_check,
-    negativity_stats,
-    price_payoff,
-    simulate_paths_batch,
-    strong_error,
-)
-from .model import validate_assumption_a
+from .model import format_float as _format_float, validate_assumption_a
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["main", "run"]
 
@@ -75,19 +75,20 @@ def _tiles(n_rows: int, n_cols: int) -> Iterator[tuple[int, int, int, int]]:
             yield r0, min(r0 + height, n_rows), c0, min(c0 + width, n_cols)
 
 
-_COMMA, _CRLF = _text.literals([","]), _text.literals(["\r\n"])
-_CELL_SEP = _text.literals(["", ", "])  # before a row's first cell, before the rest
-
-
 def _json_rows(
     arr: np.ndarray, first: str, sep: str, write: Callable[[str], object]
 ) -> None:
     """Pass the rows of a 2-D array to ``write``: row 0 led by ``first``, the
     others by ``sep``, each followed by its cells joined by ``", "``."""
+    import numpy as np
+
+    from . import _text
+
     leads = _text.literals([first, sep])
+    cell_sep = _text.literals(["", ", "])  # before a row's first cell, before the rest
     for r0, r1, c0, c1 in _tiles(*arr.shape):
         row_parts = [leads[np.minimum(np.arange(r0, r1), 1)]] if c0 == 0 else []
-        seps = _CELL_SEP[np.minimum(np.arange(c0, c1), 1)]
+        seps = cell_sep[np.minimum(np.arange(c0, c1), 1)]
         write(_text.join(row_parts, [seps, _text.cells(arr[r0:r1, c0:c1])]))
 
 
@@ -118,7 +119,8 @@ def _json_pieces(obj: object, indent: int, write: Callable[[str], object]) -> No
 
     A dataclass instance is written as the mapping of its fields.  A numeric
     array is written ``_BLOCK_CELLS`` cells at a time, never as one string
-    per enclosing container.
+    per enclosing container; numpy is imported only for a value that is no
+    scalar, mapping or sequence.
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -148,18 +150,6 @@ def _json_pieces(obj: object, indent: int, write: Callable[[str], object]) -> No
             first = sep
         write(last)
         return
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind not in "fiu" or obj.ndim not in (1, 2):
-            raise TypeError(f"cannot serialize {obj.ndim}-D {obj.dtype} array")
-        if obj.ndim == 1:
-            _json_rows(obj[None], "[", "", write)
-            write("]")
-        elif len(obj) == 0:
-            write("[]")
-        else:
-            _json_rows(obj, "[\n" + inner + "[", "],\n" + inner + "[", write)
-            write("]\n" + pad + "]")
-        return
     if isinstance(obj, bool):
         write("true" if obj else "false")
     elif isinstance(obj, int):
@@ -171,7 +161,20 @@ def _json_pieces(obj: object, indent: int, write: Callable[[str], object]) -> No
     elif obj is None:
         write("null")
     else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+        import numpy as np
+
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"cannot serialize {type(obj)!r}")
+        if obj.dtype.kind not in "fiu" or obj.ndim not in (1, 2):
+            raise TypeError(f"cannot serialize {obj.ndim}-D {obj.dtype} array")
+        if obj.ndim == 1:
+            _json_rows(obj[None], "[", "", write)
+            write("]")
+        elif len(obj) == 0:
+            write("[]")
+        else:
+            _json_rows(obj, "[\n" + inner + "[", "],\n" + inner + "[", write)
+            write("]\n" + pad + "]")
 
 
 def _provenance(config: RunConfig) -> dict[str, object]:
@@ -200,16 +203,21 @@ def _trajectory_csv(buf: TextIO, traj: _Trajectories) -> None:
     """Write ``path,step,time,value,z_negative`` rows, ``_BLOCK_CELLS`` at a
     time.  The cells never need quoting, so the lines equal ``csv.writer``'s.
     """
+    import numpy as np
+
+    from . import _text
+
+    comma, crlf = _text.literals([","]), _text.literals(["\r\n"])
     steps: dict[int, np.ndarray] = {}  # ",step,time," cells by column tile
     for r0, r1, c0, c1 in _tiles(*traj.values.shape):
         if c0 not in steps:  # the same for every path: formatted once
             steps[c0] = _text.concat([
-                _COMMA, _text.cells(np.arange(c0, c1)), _COMMA,
-                _text.cells(traj.times[c0:c1]), _COMMA])
+                comma, _text.cells(np.arange(c0, c1)), comma,
+                _text.cells(traj.times[c0:c1]), comma])
         buf.write(_text.join([], [
             _text.cells(np.arange(r0, r1))[:, None], steps[c0],
-            _text.cells(traj.values[r0:r1, c0:c1]), _COMMA,
-            _text.cells(traj.events[r0:r1, c0:c1]), _CRLF]))
+            _text.cells(traj.values[r0:r1, c0:c1]), comma,
+            _text.cells(traj.events[r0:r1, c0:c1]), crlf]))
 
 
 def _csv_text(
@@ -230,12 +238,16 @@ def _csv_text(
             )
 
 
+# The adapters that simulate import the engine when called, and call it by
+# module attribute, so a wrapper bound over an experiment sees the call.
 def _run_check(config: RunConfig):
     return validate_assumption_a(config.params, config.grid.dt)
 
 
 def _run_simulate(config: RunConfig):
-    values, events, stats = simulate_paths_batch(
+    from . import experiments
+
+    values, events, stats = experiments.simulate_paths_batch(
         config.scheme, config.params, config.grid, config.n_paths, config.seed
     )
     return {
@@ -252,24 +264,34 @@ def _run_simulate(config: RunConfig):
 
 
 def _run_convergence(config: RunConfig):
-    return strong_error(
+    from . import experiments
+
+    return experiments.strong_error(
         config.params, config.scheme, config.grid, config.levels, config.n_paths,
         config.seed,
     )
 
 
 def _run_moments(config: RunConfig):
-    return moment_check(
+    from . import experiments
+
+    return experiments.moment_check(
         config.params, config.scheme, config.grid, config.n_paths, config.seed
     )
 
 
 def _run_negativity(config: RunConfig):
-    return negativity_stats(config.params, config.grid, config.n_paths, config.seed)
+    from . import experiments
+
+    return experiments.negativity_stats(
+        config.params, config.grid, config.n_paths, config.seed
+    )
 
 
 def _run_price(config: RunConfig):
-    price, ci = price_payoff(
+    from . import experiments
+
+    price, ci = experiments.price_payoff(
         config.params, config.payoff, config.grid, config.n_paths, config.seed
     )
     return {
@@ -388,6 +410,12 @@ def run(config: RunConfig) -> int:
 def _parse_argv(
     argv: Sequence[str],
 ) -> tuple[str | None, str | None, dict[str, str], bool]:
+    """(experiment, config path, dotted overrides, dry run) of ``argv``.
+
+    A repeated dotted flag keeps its last value.  A second ``--config``, and
+    a positional experiment that names another experiment than
+    ``--run.experiment``, are usage errors: one of the two would be ignored.
+    """
     experiment: str | None = None
     config_path: str | None = None
     overrides: dict[str, str] = {}
@@ -400,6 +428,8 @@ def _parse_argv(
         if arg == "--dry-run":
             dry_run = True
         elif arg == "--config" or arg.startswith("--config="):
+            if config_path is not None:
+                raise _UsageError("--config may be given only once")
             if arg == "--config":
                 i += 1
                 if i >= len(argv):
@@ -419,6 +449,12 @@ def _parse_argv(
         else:
             raise _UsageError(f"unexpected positional argument {arg!r}")
         i += 1
+    flagged = overrides.get("run.experiment")
+    if (experiment is not None and flagged is not None
+            and experiment.strip().lower() != flagged.strip().lower()):
+        raise _UsageError(
+            f"experiment {experiment!r} disagrees with --run.experiment={flagged}"
+        )
     return experiment, config_path, overrides, dry_run
 
 

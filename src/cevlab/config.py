@@ -3,6 +3,9 @@
 A config document is UTF-8 text, one ``key = value`` pair per line, ``#``
 comments allowed.  CLI flags use ``--section.key=value`` and override file
 values.  Section names exist only on the flag side; the file is flat.
+
+Every rule this module applies comes from ``model``, so parsing and
+validating a run loads no numpy.
 """
 
 from __future__ import annotations
@@ -11,17 +14,19 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .brownian import _require_u64
 from .errors import ParseError, ValidationError
-from .experiments import (
+from .model import (
+    CevParams,
     PayoffKind,
     PayoffSpec,
+    SchemeId,
+    TimeGrid,
     _ladder_heights,
+    _require_feasible,
     _require_feasible_ladder,
     _require_paths,
+    _require_u64,
 )
-from .model import CevParams, TimeGrid, _require_feasible
-from .schemes import SchemeId
 
 __all__ = ["RunConfig", "parse_config", "EXPERIMENTS", "FLAG_TO_KEY"]
 

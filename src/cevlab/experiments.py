@@ -23,7 +23,6 @@ number of steps.
 
 from __future__ import annotations
 
-import enum
 import errno
 import functools
 import math
@@ -40,7 +39,6 @@ from .brownian import (
     _increment_block,
     _TILE_PATHS,
     _increment_chunks,
-    _require_u64,
 )
 from .errors import (
     InsufficientPoints,
@@ -49,10 +47,22 @@ from .errors import (
     ValidationError,
     _shown,
 )
+# PayoffKind, PayoffSpec and the run rules are defined with the other input
+# rules in ``model`` (importable without numpy) and kept importable from here
 from .model import (
-    CevParams, TimeGrid, _is_finite_number, _require_feasible, _sign_flip_prob, analytic_mean
+    CevParams,
+    PayoffKind,
+    PayoffSpec,
+    SchemeId,
+    TimeGrid,
+    _ladder_heights,
+    _require_feasible_ladder,
+    _require_paths,
+    _require_u64,
+    _sign_flip_prob,
+    analytic_mean,
 )
-from .schemes import BatchStats, SchemeId, _Walk, _parse_member
+from .schemes import BatchStats, _Walk
 
 # Nothing here calls ``_increment_block`` (``_walk_paths`` draws through
 # ``_increment_chunks``), but the perfbench layer trace finds it under this
@@ -101,16 +111,6 @@ def _resolve_workers() -> int:
     if workers < 1:
         raise ValidationError(f"CEVLAB_THREADS must be a positive integer, got {env!r}")
     return workers
-
-
-def _require_paths(n_paths, minimum: int) -> None:
-    """The one path-count rule: an int (not a bool) from ``minimum`` to 2^64,
-    since path p is keyed by the 64-bit word p."""
-    is_int = isinstance(n_paths, int) and not isinstance(n_paths, bool)
-    if not (is_int and minimum <= n_paths <= 2**64):
-        raise ValidationError(
-            f"n_paths must be an int >= {minimum} and <= 2^64, got {_shown(n_paths)}"
-        )
 
 
 def _layout(n_paths: int, n_steps: int) -> tuple[list[tuple[int, int]], int]:
@@ -342,41 +342,6 @@ def _walk_paths(
 # ---------------------------------------------------------------------------
 
 
-def _ladder_heights(grid: TimeGrid, exps: tuple[int, ...]) -> tuple[int, ...]:
-    """Heights ref - e of the test exponents ``exps`` above the reference
-    grid, finest level first, where 2^ref is ``grid.n_steps``; every rule of
-    a dyadic ladder is checked here.  Raises ValidationError."""
-    ref = grid.n_steps.bit_length() - 1
-    if grid.n_steps != 2**ref:
-        raise ValidationError(
-            f"the reference grid's n_steps must be a power of two, got {grid.n_steps}"
-        )
-    if any(isinstance(e, bool) or not isinstance(e, int) for e in exps):
-        raise ValidationError(f"test exponents must be ints, got {exps!r}")
-    if not exps:
-        raise ValidationError("test_exponents must be non-empty")
-    if any(e < 0 for e in exps):
-        raise ValidationError("test exponents must be nonnegative")
-    if any(b <= a for a, b in zip(exps, exps[1:])):
-        raise ValidationError("test exponents must be strictly ascending")
-    if ref <= exps[-1]:
-        raise ValidationError(
-            f"ref_exponent must exceed every test exponent (got {ref} <= {exps[-1]})"
-        )
-    return tuple(ref - e for e in reversed(exps))
-
-
-def _require_feasible_ladder(
-    params: CevParams, grid: TimeGrid, test_exponents: tuple[int, ...]
-) -> None:
-    """Every test level and the reference level of the semi-discrete ladder
-    must satisfy the stability conditions; raises InfeasibleLevel otherwise."""
-    for e in test_exponents:
-        _require_feasible(params, grid.t_end / 2**e, f"test level e={e}")
-    ref = grid.n_steps.bit_length() - 1
-    _require_feasible(params, grid.dt, f"reference level r={ref}")
-
-
 @dataclass(frozen=True)
 class LevelRecord:
     """Strong-error estimate at one step size."""
@@ -424,31 +389,6 @@ class NegativityStats:
     z_negative_events: int
     clamp_events: int
     max_step_negativity_prob: float
-
-
-class PayoffKind(enum.Enum):
-    EUROPEAN_CALL = "EuropeanCall"
-    EUROPEAN_PUT = "EuropeanPut"
-    ASIAN_ARITHMETIC_CALL = "AsianArithmeticCall"
-
-    @classmethod
-    def parse(cls, token: str) -> "PayoffKind":
-        return _parse_member(cls, token, "payoff")
-
-
-@dataclass(frozen=True)
-class PayoffSpec:
-    """Payoff selector.  The Asian call averages the post-step values
-    (initial state excluded)."""
-
-    kind: PayoffKind
-    strike: float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, PayoffKind):
-            raise ValidationError(f"kind must be a PayoffKind, got {_shown(self.kind)}")
-        if not (_is_finite_number(self.strike) and self.strike >= 0.0):
-            raise ValidationError(f"strike must be a number >= 0, got {_shown(self.strike)}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,21 +9,34 @@ with mean-reversion speed ``k >= 0``, long-run level ``l >= 0``, diffusion
 coefficient ``sigma >= 0`` and elasticity exponent ``a`` strictly inside
 (1/2, 1).  Everything in this module is a pure function of immutable value
 types and is safe to call from any number of threads.
+
+This module also holds every input rule a run is validated by (schemes,
+payoffs, seeds, path counts, the dyadic ladder, stability) and the text of
+a float in an artifact, so that ``config`` and the CLI can validate a run,
+and print its resolved config, without the numpy engine.  Importing it
+loads no numpy; the array helpers (``TimeGrid.times``, ``_inner_raw``,
+``_inner_clamped``) import it when called.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InfeasibleLevel, NegativeInner, ValidationError, _shown
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "INNER_CLAMP_REL",
     "CevParams",
     "TimeGrid",
+    "SchemeId",
+    "PayoffKind",
+    "PayoffSpec",
     "AssumptionAReport",
     "max_stable_step",
     "validate_assumption_a",
@@ -110,6 +123,8 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         """Grid nodes t_0 .. t_n as a length n_steps+1 array."""
+        import numpy as np
+
         return np.linspace(0.0, self.t_end, self.n_steps + 1)
 
 
@@ -170,12 +185,133 @@ def _require_feasible(params: CevParams, dt: float, what: str) -> None:
         )
 
 
+def _require_feasible_ladder(
+    params: CevParams, grid: TimeGrid, test_exponents: tuple[int, ...]
+) -> None:
+    """Every test level and the reference level of the semi-discrete ladder
+    must satisfy the stability conditions; raises InfeasibleLevel otherwise."""
+    for e in test_exponents:
+        _require_feasible(params, grid.t_end / 2**e, f"test level e={e}")
+    ref = grid.n_steps.bit_length() - 1
+    _require_feasible(params, grid.dt, f"reference level r={ref}")
+
+
+def _ladder_heights(grid: TimeGrid, exps: tuple[int, ...]) -> tuple[int, ...]:
+    """Heights ref - e of the test exponents ``exps`` above the reference
+    grid, finest level first, where 2^ref is ``grid.n_steps``; every rule of
+    a dyadic ladder is checked here.  Raises ValidationError."""
+    ref = grid.n_steps.bit_length() - 1
+    if grid.n_steps != 2**ref:
+        raise ValidationError(
+            f"the reference grid's n_steps must be a power of two, got {grid.n_steps}"
+        )
+    if any(isinstance(e, bool) or not isinstance(e, int) for e in exps):
+        raise ValidationError(f"test exponents must be ints, got {exps!r}")
+    if not exps:
+        raise ValidationError("test_exponents must be non-empty")
+    if any(e < 0 for e in exps):
+        raise ValidationError("test exponents must be nonnegative")
+    if any(b <= a for a, b in zip(exps, exps[1:])):
+        raise ValidationError("test exponents must be strictly ascending")
+    if ref <= exps[-1]:
+        raise ValidationError(
+            f"ref_exponent must exceed every test exponent (got {ref} <= {exps[-1]})"
+        )
+    return tuple(ref - e for e in reversed(exps))
+
+
+_U64 = 2**64
+
+
+def _require_u64(name: str, v) -> None:
+    """The one rule for every seed and path index: an int (not a bool) in
+    [0, 2^64), the range of a Philox key word."""
+    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < _U64:
+        raise ValidationError(
+            f"{name} must be an integer in [0, 2^64), got {_shown(v)}"
+        )
+
+
+def _require_paths(n_paths, minimum: int) -> None:
+    """The one path-count rule: an int (not a bool) from ``minimum`` to 2^64,
+    since path p is keyed by the 64-bit word p."""
+    is_int = isinstance(n_paths, int) and not isinstance(n_paths, bool)
+    if not (is_int and minimum <= n_paths <= 2**64):
+        raise ValidationError(
+            f"n_paths must be an int >= {minimum} and <= 2^64, got {_shown(n_paths)}"
+        )
+
+
+def _parse_member(cls: type[enum.Enum], token: str, noun: str):
+    """The member of ``cls`` whose value is ``token`` up to case and blanks."""
+    lowered = token.strip().lower()
+    for member in cls:
+        if lowered == member.value.lower():
+            return member
+    valid = ", ".join(m.value for m in cls)
+    raise ValidationError(f"unknown {noun} {token!r}; expected one of: {valid}")
+
+
+class SchemeId(enum.Enum):
+    """Closed set of implemented schemes; unknown names are rejected at parse time."""
+
+    SEMI_DISCRETE = "SemiDiscrete"
+    EULER_NAIVE = "EulerNaive"
+    EULER_FULL_TRUNCATION = "EulerFullTruncation"
+    EULER_REFLECTED = "EulerReflected"
+
+    @classmethod
+    def parse(cls, token: str) -> "SchemeId":
+        return _parse_member(cls, token, "scheme")
+
+    @property
+    def is_euler(self) -> bool:
+        return self is not SchemeId.SEMI_DISCRETE
+
+
+class PayoffKind(enum.Enum):
+    EUROPEAN_CALL = "EuropeanCall"
+    EUROPEAN_PUT = "EuropeanPut"
+    ASIAN_ARITHMETIC_CALL = "AsianArithmeticCall"
+
+    @classmethod
+    def parse(cls, token: str) -> "PayoffKind":
+        return _parse_member(cls, token, "payoff")
+
+
+@dataclass(frozen=True)
+class PayoffSpec:
+    """Payoff selector.  The Asian call averages the post-step values
+    (initial state excluded)."""
+
+    kind: PayoffKind
+    strike: float
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.kind, PayoffKind):
+            raise ValidationError(f"kind must be a PayoffKind, got {_shown(self.kind)}")
+        if not (_is_finite_number(self.strike) and self.strike >= 0.0):
+            raise ValidationError(f"strike must be a number >= 0, got {_shown(self.strike)}")
+
+
+def format_float(x: float) -> str:
+    """``%.17g`` text of a float, with ``NaN``, ``Infinity`` and ``-Infinity``:
+    the text of every float in an artifact."""
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return format(x, ".17g")
+
+
 def _inner_raw(y, dt: float, params: CevParams):
     """Inner deterministic expression y(1 - k dt) + dt (k l - a sigma^2 y^(2a-1) / 2).
 
     Array-capable; the y = 0 case yields dt*k*l since 0^(2a-1) = 0 for
     a > 1/2 (np.power handles the zero base without evaluating a log).
     """
+    import numpy as np
+
     pow_term = np.power(y, 2.0 * params.a - 1.0)
     return y * (1.0 - params.k * dt) + dt * (
         params.k * params.l - 0.5 * params.a * params.sigma**2 * pow_term
@@ -189,6 +325,8 @@ def _inner_clamped(y, dt: float, params: CevParams):
     below -INNER_CLAMP_REL * max(1, y), which signals a genuine violation of
     the step condition rather than rounding noise.
     """
+    import numpy as np
+
     raw = _inner_raw(y, dt, params)
     tol = INNER_CLAMP_REL * np.maximum(1.0, y)
     below = raw < -tol

@@ -19,43 +19,17 @@ are the only way to step: every experiment reaches them through
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeInner, ValidationError
-from .model import CevParams, _inner_clamped
+from .errors import NegativeInner
+# SchemeId is defined with the other input rules in ``model`` (importable
+# without numpy) and kept importable from here
+from .model import CevParams, SchemeId, _inner_clamped
 
 __all__ = ["SchemeId", "BatchStats"]
-
-
-def _parse_member(cls: type[enum.Enum], token: str, noun: str):
-    """The member of ``cls`` whose value is ``token`` up to case and blanks."""
-    lowered = token.strip().lower()
-    for member in cls:
-        if lowered == member.value.lower():
-            return member
-    valid = ", ".join(m.value for m in cls)
-    raise ValidationError(f"unknown {noun} {token!r}; expected one of: {valid}")
-
-
-class SchemeId(enum.Enum):
-    """Closed set of implemented schemes; unknown names are rejected at parse time."""
-
-    SEMI_DISCRETE = "SemiDiscrete"
-    EULER_NAIVE = "EulerNaive"
-    EULER_FULL_TRUNCATION = "EulerFullTruncation"
-    EULER_REFLECTED = "EulerReflected"
-
-    @classmethod
-    def parse(cls, token: str) -> "SchemeId":
-        return _parse_member(cls, token, "scheme")
-
-    @property
-    def is_euler(self) -> bool:
-        return self is not SchemeId.SEMI_DISCRETE
 
 
 @dataclass(frozen=True)

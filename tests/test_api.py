@@ -14,6 +14,7 @@ import pytest
 
 import cevlab
 import cevlab.cli
+import cevlab.config
 
 # Every name the package exports.  A change to the API changes this list.
 PUBLIC_API = [
@@ -171,9 +172,71 @@ def test_command_asks_for_one_blas_thread_unless_the_user_chose(preset, expected
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
 def test_command_process_runs_one_thread():
     """A CLI process holds no idle BLAS pool thread, which would spin on the
-    CPU and be copied into no forked worker anyway."""
-    code = "import os, cevlab.__main__; print(len(os.listdir('/proc/self/task')))"
+    CPU and be copied into no forked worker anyway.  The command loads no
+    numpy itself, so numpy is imported after it, as a run that simulates
+    imports it."""
+    code = (
+        "import os, cevlab.__main__, numpy; "
+        "print(len(os.listdir('/proc/self/task')))"
+    )
     assert _fresh_python(code) == "1"
+
+
+# The standard model as flags, and the extra flags each experiment requires.
+_STD = ["--model.k=1", "--model.l=1", "--model.sigma=1", "--model.a=0.75",
+        "--model.x0=1", "--grid.t_end=1", "--grid.n_steps=64"]
+_EXTRA = {
+    "convergence": ["--grid.n_steps=256", "--run.ref_exponent=8", "--run.levels=3,4"],
+    "price": ["--run.payoff=EuropeanCall", "--run.strike=1"],
+}
+
+
+def _command(argv: list[str]) -> tuple[int, bool]:
+    """(exit code, numpy loaded) of the command run with ``argv`` in a fresh
+    interpreter, one worker."""
+    code = (
+        "import sys\n"
+        "from cevlab.__main__ import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    status, loaded = _fresh_python(code, CEVLAB_THREADS="1").splitlines()[-1].split()
+    return int(status), loaded == "True"
+
+
+@pytest.mark.parametrize("experiment", cevlab.config.EXPERIMENTS)
+def test_dry_run_loads_no_numpy(experiment):
+    argv = [experiment, *_STD, *_EXTRA.get(experiment, []), "--dry-run"]
+    assert _command(argv) == (0, False)
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["--help"], 0),
+    (["check", "--model.k"], 1),  # usage error
+    (["check", *_STD, "--model.q=1"], 1),  # parse error: unknown flag
+    (["convergence", *_STD, *_EXTRA["convergence"], "--run.levels=0,4",
+      "--run.n_paths=1000"], 2),  # infeasible test level dt = 1
+])
+def test_rejected_or_help_command_loads_no_numpy(argv, status):
+    assert _command(argv) == (status, False)
+
+
+def test_check_loads_no_numpy(tmp_path):
+    out = tmp_path / "check.csv"
+    assert _command(["check", *_STD, f"--out={out}"]) == (0, False)
+    assert out.read_text().startswith("metric,value,se")
+
+
+def test_simulating_run_loads_numpy(tmp_path):
+    out = tmp_path / "moments.json"
+    argv = ["moments", *_STD, "--run.n_paths=1000", f"--out={out}"]
+    assert _command(argv) == (0, True)
+    assert out.is_file()
+
+
+def test_config_import_loads_no_numpy():
+    code = "import sys, cevlab.config; print('numpy' in sys.modules)"
+    assert _fresh_python(code) == "False"
 
 
 def test_installed_command_runs_the_module_entry_point():

@@ -311,6 +311,31 @@ class TestCliExitCodes:
     def test_usage_error_missing_config_value(self, capsys):
         assert main(["check", "--config"]) == 1
 
+    @pytest.mark.parametrize("form", ["--config", "--config="])
+    def test_second_config_is_exit_1(self, config_file, tmp_path, capsys, form):
+        """Only one config file is read, so a second one is refused rather
+        than left unread."""
+        other = tmp_path / "other.cfg"
+        other.write_text(STANDARD.replace("k = 1", "k = 2"), encoding="utf-8")
+        second = [f"--config={other}"] if form.endswith("=") else [form, str(other)]
+        out = tmp_path / "report.csv"
+        args = ["check", "--config", str(config_file), *second, f"--out={out}"]
+        assert main(args) == 1
+        assert "--config may be given only once" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_experiment_disagreeing_with_its_flag_is_exit_1(
+        self, config_file, tmp_path, capsys
+    ):
+        out = tmp_path / "report.csv"
+        args = ["check", "--config", str(config_file), f"--out={out}"]
+        assert main([*args, "--run.experiment=price"]) == 1
+        assert "disagrees with --run.experiment=price" in capsys.readouterr().err
+        assert not out.exists()
+        # the same experiment twice is no conflict, up to case and blanks
+        assert main([*args, "--run.experiment= Check"]) == 0
+        assert "feasible=true" in capsys.readouterr().out
+
     def test_parse_error_is_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(STANDARD.replace("sigma = 1", ""), encoding="utf-8")
