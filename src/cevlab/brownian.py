@@ -4,11 +4,13 @@ The stream contract: path ``p`` of master seed ``s`` draws standard normals
 from ``Generator(Philox(key=[s, p]))`` and scales them by sqrt(dt).  Draws
 are therefore bit-identical for the same key regardless of worker count,
 generation order or how many draws are taken per call, and streams for
-different paths never overlap.  ``_increment_block`` draws a block of paths
-at once, ``_increment_chunks`` the same block time-major and a chunk at a
-time.  A coarse grid is coupled to the fine path that drives it by block
-sums of its increments, all from one pairwise tree: ``_block_sums`` climbs
-it inside an array, ``_dyadic_sums`` inside each chunk and then across them.
+different paths never overlap.  Every Philox here is built from a
+``_StreamKey``, which gives it that key directly.  ``_increment_block`` draws
+a block of paths at once, ``_increment_chunks`` the same block time-major
+and a chunk at a time.  A coarse grid is coupled to the fine path that
+drives it by block sums of its increments, all from one pairwise tree:
+``_block_sums`` climbs it inside an array, ``_dyadic_sums`` inside each
+chunk and then across them.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 from typing import Iterator
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import CouplingError
 from .model import _require_u64
@@ -31,6 +34,30 @@ def _require_keys(master_seed: int, start: int, stop: int) -> None:
     if stop > start:
         _require_u64("first path index", start)
         _require_u64("last path index", stop - 1)
+
+
+class _StreamKey(ISeedSequence):
+    """The seed of the stream keyed by (master_seed, path):
+    ``Philox(_StreamKey(s, p))`` draws what ``Philox(key=[s, p])`` draws.
+
+    Philox takes its key from ``generate_state(2, np.uint64)`` and starts
+    its counter at 0, as with ``key=``.  Given ``key=`` instead, numpy also
+    builds a ``SeedSequence`` from OS entropy and drops it: about 10 of the
+    24 us a keyed stream takes to build (numpy 2.4).  Keys are validated by
+    the callers, before any stream is built.
+    """
+
+    __slots__ = ("master_seed", "path")
+
+    def __init__(self, master_seed: int, path: int) -> None:
+        self.master_seed, self.path = master_seed, path
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(
+                f"a stream key is two uint64 words, not {n_words} of {np.dtype(dtype)}"
+            )
+        return np.array([self.master_seed, self.path], dtype=np.uint64)
 
 
 def _increment_block(
@@ -57,7 +84,7 @@ def _increment_block(
     """
     _require_keys(master_seed, start, stop)
     key = [master_seed, 0]
-    bitgen = np.random.Philox(key=np.array(key, dtype=np.uint64))
+    bitgen = np.random.Philox(_StreamKey(master_seed, 0))
     gen = np.random.Generator(bitgen)
     fresh = {
         "bit_generator": "Philox",
@@ -100,10 +127,10 @@ def _increment_chunks(
     last; stacked, they are the transpose of the block, bit for bit.  A run
     of at most ``chunk`` steps is one chunk, drawn by re-keyed
     ``_increment_block`` calls.  A longer run keeps one live
-    ``Philox(key=[master_seed, path])`` per path and resumes it chunk after
-    chunk: Philox offsets cannot be computed from the draw count, because
-    ``standard_normal`` rejects samples, and a generator caches no normals
-    between calls, so the chunked draws equal one long draw.
+    ``Philox(_StreamKey(master_seed, path))`` per path and resumes it chunk
+    after chunk: Philox offsets cannot be computed from the draw count,
+    because ``standard_normal`` rejects samples, and a generator caches no
+    normals between calls, so the chunked draws equal one long draw.
 
     Each chunk is drawn path-major into ``tile``, a (tile paths, at least
     min(chunk, n)) array, and each tile is transposed into ``time_major``, a
@@ -124,9 +151,7 @@ def _increment_chunks(
         yield time_major[:n, :width]
         return
     gens = [
-        np.random.Generator(
-            np.random.Philox(key=np.array([master_seed, path], dtype=np.uint64))
-        )
+        np.random.Generator(np.random.Philox(_StreamKey(master_seed, path)))
         for path in range(start, stop)
     ]
     scale = math.sqrt(dt)
@@ -136,18 +161,20 @@ def _increment_chunks(
             rows = tile[: hi - lo, :m]
             for gen, row in zip(gens[lo:hi], rows):
                 gen.standard_normal(out=row)
-            rows *= scale
-            np.copyto(time_major[:m, lo:hi], rows.T)
+            # scaled and transposed in one pass: the same product per draw
+            np.multiply(rows.T, scale, out=time_major[:m, lo:hi])
         yield time_major[:m, :width]
 
 
-def _block_sums(values: np.ndarray, factor: int) -> np.ndarray:
+def _block_sums(values: np.ndarray, factor: int, overwrite: bool = False) -> np.ndarray:
     """Sum adjacent blocks of ``factor`` entries along the leading (time) axis.
 
     ``factor`` must be a power of two dividing the length, or ValueError.
     Adjacent pairs are summed repeatedly (factor 1 returns ``values``), so
     block_sums(block_sums(x, p), q) is bit-identical to block_sums(x, p*q).
     Further axes (paths of a time-major chunk) are summed independently.
+    With ``overwrite``, each pair's sum is written over its left entry and
+    the result is the view ``values[::factor]``, so no array is allocated.
     """
     if factor < 1 or factor & (factor - 1) or len(values) % factor:
         raise ValueError(
@@ -155,7 +182,8 @@ def _block_sums(values: np.ndarray, factor: int) -> np.ndarray:
             f"got {factor}"
         )
     while factor > 1:
-        values = values[0::2] + values[1::2]
+        left = values[0::2]
+        values = np.add(left, values[1::2], out=left if overwrite else None)
         factor //= 2
     return values
 
@@ -167,12 +195,16 @@ def _dyadic_sums(
     time-major (2^k, paths) run of fine increments.  The level at height
     ``heights[i]`` (ascending) steps every 2^height fine steps, on their sum.
 
-    Up to height k the sums are ``_block_sums`` of the last level's, and each
-    must match the chunk's fine increment path by path, or CouplingError.
-    Above it they pair whole chunks: ``carry`` (one per walk, initially
-    empty) maps j to the pending left half of a sum of 2^(j+1) chunks.  Both
-    follow ``_block_sums``' pairwise order, so every level gets bit for bit
-    the ``_block_sums`` of the whole path, holding one row per height.
+    Up to height k the sums are ``_block_sums`` of the last level's, written
+    over the chunk: level i's increments are the rows 0, 2^height, ... of
+    ``chunk``, which the next level overwrites.  So the caller must be done
+    with the fine increments before the first yield, and with each level's
+    before the next.  Each sum must match the chunk's fine increment path by
+    path, or CouplingError.  Above height k the sums pair whole chunks:
+    ``carry`` (one per walk, initially empty) maps j to the pending left
+    half of a sum of 2^(j+1) chunks, kept as a copy.  Both follow
+    ``_block_sums``' pairwise order, so every level gets bit for bit the
+    ``_block_sums`` of the whole path, holding one row per height.
     """
     k = len(chunk).bit_length() - 1
     total = chunk.sum(axis=0)
@@ -181,7 +213,8 @@ def _dyadic_sums(
     for i, h in enumerate(heights):
         inner = min(h, k)
         if height < inner:
-            sums, height = _block_sums(sums, 2 ** (inner - height)), inner
+            sums = _block_sums(sums, 2 ** (inner - height), overwrite=True)
+            height = inner
             dev = np.abs(sums.sum(axis=0) - total)
             if np.any(dev > bound):
                 raise CouplingError(
@@ -189,9 +222,8 @@ def _dyadic_sums(
                     f"{float(dev.max()):.3e} at coarsening factor {2**height}"
                 )
         if h > height:
-            # a one-step chunk is still the noise buffer, which the next
-            # chunk overwrites: the carry keeps a copy
-            row = sums[0].copy() if sums is chunk else sums[0]
+            # sums is a view of the chunk, which the next chunk overwrites
+            row = sums[0].copy()
             for j in range(height - k, h - k):
                 left = carry.pop(j, None)
                 if left is None:

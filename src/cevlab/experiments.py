@@ -87,7 +87,11 @@ __all__ = [
 # every floating-point sum is per path, and every cross-path reduction is an
 # exact count or a min (``TestBlockLayout`` in tests/test_experiments.py).
 # Paths per block at most: the largest work item a worker process receives.
-_BLOCK_PATHS = 8192
+# A chunked block keeps one live stream per path, so at 4096 the 10,000-path
+# ladder runs as four 2500-path blocks with 256-step chunks: the same noise
+# buffer as two 5000 x 128 blocks, half the live streams at a time and half
+# the draw calls per path.
+_BLOCK_PATHS = 4096
 # Doubles a worker's noise buffer may hold: block paths x chunk steps.
 _NOISE_BUDGET = 2**20
 # Fine steps per time-major chunk at most: a power of two, so every dyadic
@@ -315,8 +319,9 @@ def _walk_paths(
         fine = _Walk(scheme, params, dt, stop - start, start, *rows)
         coarse = [_Walk(scheme, params, d, stop - start, start) for d in dts[1:]]
         carry: dict = {}
-        # dw is overwritten by the next chunk; walks and the carry keep only
-        # copies and sums of it
+        # the fine level steps on dw before _dyadic_sums writes the coarse
+        # sums over it, and the next chunk overwrites it: walks and the carry
+        # keep only copies of it
         for dw in _increment_chunks(
             seed, start, stop, n_steps, dt, chunk, time_major, tile
         ):

@@ -72,21 +72,24 @@ def _step_block(walk: _Walk, y, dw):
     t, z, out = walk.a_buf, walk.b_buf, walk.out
     if walk.scheme is SchemeId.SEMI_DISCRETE:
         # inner(y) = y (1 - k dt) + dt (k l - a sigma^2 y^(2a-1) / 2)
-        np.power(y, walk.inner_exp, out=t)
+        if walk.inner_exp == 0.5:  # a = 0.75: sqrt is pow(y, 0.5) bit for bit
+            np.sqrt(y, out=t)
+        else:
+            np.power(y, walk.inner_exp, out=t)
         np.multiply(t, walk.half_a_sigma2, out=t)
         np.subtract(walk.kl, t, out=t)
         np.multiply(t, walk.dt, out=t)
         inner = np.multiply(y, walk.keep, out=z)
         np.add(inner, t, out=inner)
         clamps = 0
-        if not inner.min() >= 0.0:
+        if not np.minimum.reduce(inner) >= 0.0:
             inner, mask = _inner_clamped(y, walk.dt, walk.params)
             clamps = int(np.count_nonzero(mask))
         ipow = np.power(inner, walk.one_minus_a, out=t)
-        ipow_min = float(ipow.min())
+        ipow_min = float(np.minimum.reduce(ipow))
         np.multiply(dw, walk.noise, out=z)
         np.add(z, ipow, out=z)
-        events = None if z.min() >= 0.0 else z < 0.0
+        events = None if np.minimum.reduce(z) >= 0.0 else z < 0.0
         np.abs(z, out=z)
         np.power(z, walk.out_exp, out=out)
         return out, events, clamps, ipow_min
@@ -113,7 +116,7 @@ def _step_block(walk: _Walk, y, dw):
     np.multiply(diffusion, sigma, out=diffusion)
     np.multiply(diffusion, dw, out=diffusion)
     proposal = np.add(drift, diffusion, out=out)
-    events = None if proposal.min() >= 0.0 else proposal < 0.0
+    events = None if np.minimum.reduce(proposal) >= 0.0 else proposal < 0.0
     if walk.scheme is SchemeId.EULER_REFLECTED:
         np.abs(proposal, out=out)
     return out, events, 0, math.inf
@@ -186,7 +189,7 @@ class _Walk:
             if events is not None:
                 sign_flips += int(np.count_nonzero(events))
             clamp_count += clamps
-            min_value = min(min_value, float(y_next.min()))
+            min_value = min(min_value, float(np.minimum.reduce(y_next)))
             min_inner_pow = min(min_inner_pow, ipow_min)
             running += y_next
             if trajectory is not None:

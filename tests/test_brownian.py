@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from hypothesis import strategies as st
 from cevlab import ValidationError
 from cevlab.brownian import (
     _block_sums,
+    _dyadic_sums,
     _increment_block,
     _increment_chunks,
     _require_u64,
+    _StreamKey,
 )
 
 
@@ -136,6 +139,108 @@ class TestIncrementChunks:
         stacked = np.concatenate(chunks)
         want = _increment_block(seed, start, stop, n, dt).T
         assert stacked.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+class TestKeyOnlyStreams:
+    """Every Philox is built from a ``_StreamKey``: the streams are those of
+    ``Philox(key=[s, p])``, without a ``SeedSequence`` behind them."""
+
+    KEYS = [(0, 0, 3), (2**64 - 1, 2**64 - 3, 2**64), (0, 2**64 - 2, 2**64),
+            (2**64 - 1, 0, 2)]
+
+    @pytest.mark.parametrize("seed, start, stop", KEYS)
+    def test_chunked_draws_equal_keyed_philox(self, seed, start, stop):
+        n, chunk, dt = 40, 8, 0.37  # five chunks of live streams
+        time_major = np.empty((chunk, stop - start))
+        tile = np.empty((stop - start, chunk))
+        chunks = [
+            c.copy()
+            for c in _increment_chunks(seed, start, stop, n, dt, chunk, time_major, tile)
+        ]
+        assert len(chunks) == 5
+        stacked = np.concatenate(chunks).T
+        for row, path in zip(stacked, range(start, stop)):
+            assert row.tobytes() == _fresh_stream_row(seed, path, n, dt).tobytes()
+
+    @pytest.mark.parametrize("seed, start, stop", KEYS)
+    def test_block_rows_equal_keyed_philox(self, seed, start, stop):
+        block = _increment_block(seed, start, stop, 33, 0.37)
+        for row, path in zip(block, range(start, stop)):
+            assert row.tobytes() == _fresh_stream_row(seed, path, 33, 0.37).tobytes()
+
+    def test_live_streams_hold_no_seed_sequence(self):
+        seed, start, stop = 11, 2**64 - 4, 2**64
+        draws = _increment_chunks(
+            seed, start, stop, 12, 0.5, 4, np.empty((4, 4)), np.empty((4, 4))
+        )
+        next(draws)
+        gens = draws.gi_frame.f_locals["gens"]
+        assert len(gens) == stop - start
+        for gen, path in zip(gens, range(start, stop)):
+            seed_seq = gen.bit_generator.seed_seq
+            assert not isinstance(seed_seq, np.random.SeedSequence)
+            assert isinstance(seed_seq, _StreamKey)
+            assert (seed_seq.master_seed, seed_seq.path) == (seed, path)
+        draws.close()
+
+    @pytest.mark.parametrize("n_words, dtype", [(2, np.uint32), (4, np.uint64)])
+    def test_key_gives_only_two_u64_words(self, n_words, dtype):
+        with pytest.raises(ValueError, match="two uint64 words"):
+            _StreamKey(1, 2).generate_state(n_words, dtype)
+
+
+class TestDyadicSums:
+    """``_dyadic_sums`` writes its within-chunk sums over the chunk and
+    still gives every level the ``_block_sums`` of the whole path."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 4, 16, 64])
+    def test_levels_equal_block_sums_of_the_whole_matrix(self, chunk):
+        n, heights = 64, (1, 2, 3, 5, 6)
+        whole = _increment_block(3, 10, 15, n, 1.0 / n).T
+        got = {i: [] for i in range(len(heights))}
+        carry: dict = {}
+        for step in range(0, n, chunk):
+            for i, sums in _dyadic_sums(whole[step : step + chunk].copy(), heights, carry):
+                got[i].append(sums.copy())
+        assert not carry
+        for i, h in enumerate(heights):
+            want = _block_sums(whole, 2**h)
+            assert np.concatenate(got[i]).tobytes() == want.tobytes()
+
+    def test_sums_are_written_over_the_chunk(self):
+        values = _increment_block(3, 0, 2, 8, 0.125).T
+        chunk = values.copy()
+        [(_, sums)] = _dyadic_sums(chunk, (2,), {})
+        assert np.shares_memory(sums, chunk)
+        assert sums.tobytes() == _block_sums(values, 4).tobytes()
+
+    @pytest.mark.parametrize("factor", [1, 2, 8])
+    def test_overwriting_block_sums_equal_fresh_ones(self, factor):
+        values = _increment_block(5, 0, 3, 16, 1 / 16).T
+        fresh = _block_sums(values, factor)
+        scratch = values.copy()
+        got = _block_sums(scratch, factor, overwrite=True)
+        assert np.shares_memory(got, scratch)
+        assert got.tobytes() == fresh.tobytes()
+
+    def test_chunked_walk_noise_memory_is_streams_and_buffers(self):
+        """The noise side of one chunked 2500-path ladder block: 2^12 steps
+        in 256-step chunks, coarsened to the ladder's six heights.  Past the
+        two reused buffers it holds one small stream per path and no
+        chunk-sized temporary (one level-1 sum alone would be 2.56 MB)."""
+        paths, n, chunk, heights = 2500, 2**12, 256, (3, 4, 5, 6, 7, 8)
+        time_major, tile = np.empty((chunk, paths)), np.empty((256, chunk))
+        carry: dict = {}
+        tracemalloc.start()
+        try:
+            for dw in _increment_chunks(1, 0, paths, n, 1.0 / n, chunk, time_major, tile):
+                for _ in _dyadic_sums(dw, heights, carry):
+                    pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not carry
+        assert peak < paths * 1024
 
 
 class TestCoarsen:

@@ -68,8 +68,9 @@ _SMOKE_COMMANDS = [
     ("reports", "negativity.json", ["negativity", *STD_FLAGS, "--grid.n_steps=16",
                                     "--run.n_paths=1000"]),
 ]
-# The experiment x format pairs that no smoke command covers, pinned in
-# CLI_REFERENCE: (None, artifact, CLI arguments).
+# The experiment x format pairs that no smoke command covers, and a ladder
+# longer than one chunk (2048 steps, drawn from live per-path streams), pinned
+# in CLI_REFERENCE: (None, artifact, CLI arguments).
 _CLI_COMMANDS = [
     (None, "check.csv", ["check", *STD_FLAGS, "--grid.n_steps=64", "--model.sigma=2.0"]),
     (None, "check.json", ["check", *STD_FLAGS, "--grid.n_steps=64"]),
@@ -81,6 +82,9 @@ _CLI_COMMANDS = [
                               "--run.n_paths=1000"]),
     (None, "asian.csv", ["price", *_REPORT_GRID, "--run.payoff=AsianArithmeticCall",
                          "--run.strike=1.4"]),
+    (None, "convergence_chunked.json", ["convergence", *STD_FLAGS, "--grid.n_steps=2048",
+                                        "--run.n_paths=1000", "--run.ref_exponent=11",
+                                        "--run.levels=4,5,6,7"]),
 ]
 _PINNED_COMMANDS = _SMOKE_COMMANDS + _CLI_COMMANDS
 

@@ -763,12 +763,12 @@ class TestBlockLayout:
     @pytest.mark.parametrize(
         "workers, n_paths, n_steps, sizes, chunk",
         [
-            # ladder: one 5000-path block per worker, chunked at 128 steps
-            (2, 10_000, 2**12, [5000] * 2, 128),
+            # ladder: two 2500-path blocks per worker, chunked at 256 steps
+            (2, 10_000, 2**12, [2500] * 4, 256),
             # reports' moments, call and put: drawn whole, 4000 x 256 <= 2^20
             (1, 20_000, 256, [4000] * 5, 256),
-            # reports' negativity: at most 8192 paths per block
-            (1, 62_500, 16, [7813] * 4 + [7812] * 4, 16),
+            # reports' negativity: at most 4096 paths per block
+            (1, 62_500, 16, [3907] * 4 + [3906] * 12, 16),
             # dump
             (2, 8192, 64, [4096] * 2, 64),
             # more workers than paths: one path each
