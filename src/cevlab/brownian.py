@@ -4,13 +4,11 @@ The stream contract: path ``p`` of master seed ``s`` draws standard normals
 from ``Generator(Philox(key=[s, p]))`` and scales them by sqrt(dt).  Draws
 are therefore bit-identical for the same key regardless of worker count,
 generation order or how many draws are taken per call, and streams for
-different paths never overlap.  Every Philox here is built from a
-``_StreamKey``, which gives it that key directly.  ``_increment_block`` draws
-a block of paths at once, ``_increment_chunks`` the same block time-major
-and a chunk at a time.  A coarse grid is coupled to the fine path that
-drives it by block sums of its increments, all from one pairwise tree:
-``_block_sums`` climbs it inside an array, ``_dyadic_sums`` inside each
-chunk and then across them.
+different paths never overlap.  ``_increment_block`` draws a block of paths
+at once, ``_increment_chunks`` the same block time-major and a chunk at a
+time.  A coarse grid is coupled to the fine path that drives it by block
+sums of its increments, all from one pairwise tree: ``_block_sums`` climbs
+it inside an array, ``_dyadic_sums`` inside each chunk and then across them.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import math
 from typing import Iterator
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import CouplingError
 from .model import _require_u64
@@ -34,30 +31,6 @@ def _require_keys(master_seed: int, start: int, stop: int) -> None:
     if stop > start:
         _require_u64("first path index", start)
         _require_u64("last path index", stop - 1)
-
-
-class _StreamKey(ISeedSequence):
-    """The seed of the stream keyed by (master_seed, path):
-    ``Philox(_StreamKey(s, p))`` draws what ``Philox(key=[s, p])`` draws.
-
-    Philox takes its key from ``generate_state(2, np.uint64)`` and starts
-    its counter at 0, as with ``key=``.  Given ``key=`` instead, numpy also
-    builds a ``SeedSequence`` from OS entropy and drops it: about 10 of the
-    24 us a keyed stream takes to build (numpy 2.4).  Keys are validated by
-    the callers, before any stream is built.
-    """
-
-    __slots__ = ("master_seed", "path")
-
-    def __init__(self, master_seed: int, path: int) -> None:
-        self.master_seed, self.path = master_seed, path
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise ValueError(
-                f"a stream key is two uint64 words, not {n_words} of {np.dtype(dtype)}"
-            )
-        return np.array([self.master_seed, self.path], dtype=np.uint64)
 
 
 def _increment_block(
@@ -84,7 +57,7 @@ def _increment_block(
     """
     _require_keys(master_seed, start, stop)
     key = [master_seed, 0]
-    bitgen = np.random.Philox(_StreamKey(master_seed, 0))
+    bitgen = np.random.Philox(key=np.array(key, dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     fresh = {
         "bit_generator": "Philox",
@@ -127,10 +100,10 @@ def _increment_chunks(
     last; stacked, they are the transpose of the block, bit for bit.  A run
     of at most ``chunk`` steps is one chunk, drawn by re-keyed
     ``_increment_block`` calls.  A longer run keeps one live
-    ``Philox(_StreamKey(master_seed, path))`` per path and resumes it chunk
-    after chunk: Philox offsets cannot be computed from the draw count,
-    because ``standard_normal`` rejects samples, and a generator caches no
-    normals between calls, so the chunked draws equal one long draw.
+    ``Philox(key=[master_seed, path])`` per path and resumes it chunk after
+    chunk: Philox offsets cannot be computed from the draw count, because
+    ``standard_normal`` rejects samples, and a generator caches no normals
+    between calls, so the chunked draws equal one long draw.
 
     Each chunk is drawn path-major into ``tile``, a (tile paths, at least
     min(chunk, n)) array, and each tile is transposed into ``time_major``, a
@@ -151,7 +124,9 @@ def _increment_chunks(
         yield time_major[:n, :width]
         return
     gens = [
-        np.random.Generator(np.random.Philox(_StreamKey(master_seed, path)))
+        np.random.Generator(
+            np.random.Philox(key=np.array([master_seed, path], dtype=np.uint64))
+        )
         for path in range(start, stop)
     ]
     scale = math.sqrt(dt)
@@ -166,15 +141,16 @@ def _increment_chunks(
         yield time_major[:m, :width]
 
 
-def _block_sums(values: np.ndarray, factor: int, overwrite: bool = False) -> np.ndarray:
+def _block_sums(values: np.ndarray, factor: int) -> np.ndarray:
     """Sum adjacent blocks of ``factor`` entries along the leading (time) axis.
 
     ``factor`` must be a power of two dividing the length, or ValueError.
     Adjacent pairs are summed repeatedly (factor 1 returns ``values``), so
     block_sums(block_sums(x, p), q) is bit-identical to block_sums(x, p*q).
     Further axes (paths of a time-major chunk) are summed independently.
-    With ``overwrite``, each pair's sum is written over its left entry and
-    the result is the view ``values[::factor]``, so no array is allocated.
+    Each pair's sum is written over its left entry, so no array is allocated:
+    the result is the view ``values[::factor]`` and ``values`` is consumed.
+    A caller that still needs the summands passes a copy.
     """
     if factor < 1 or factor & (factor - 1) or len(values) % factor:
         raise ValueError(
@@ -183,7 +159,7 @@ def _block_sums(values: np.ndarray, factor: int, overwrite: bool = False) -> np.
         )
     while factor > 1:
         left = values[0::2]
-        values = np.add(left, values[1::2], out=left if overwrite else None)
+        values = np.add(left, values[1::2], out=left)
         factor //= 2
     return values
 
@@ -213,8 +189,7 @@ def _dyadic_sums(
     for i, h in enumerate(heights):
         inner = min(h, k)
         if height < inner:
-            sums = _block_sums(sums, 2 ** (inner - height), overwrite=True)
-            height = inner
+            sums, height = _block_sums(sums, 2 ** (inner - height)), inner
             dev = np.abs(sums.sum(axis=0) - total)
             if np.any(dev > bound):
                 raise CouplingError(

@@ -72,10 +72,7 @@ def _step_block(walk: _Walk, y, dw):
     t, z, out = walk.a_buf, walk.b_buf, walk.out
     if walk.scheme is SchemeId.SEMI_DISCRETE:
         # inner(y) = y (1 - k dt) + dt (k l - a sigma^2 y^(2a-1) / 2)
-        if walk.inner_exp == 0.5:  # a = 0.75: sqrt is pow(y, 0.5) bit for bit
-            np.sqrt(y, out=t)
-        else:
-            np.power(y, walk.inner_exp, out=t)
+        np.power(y, walk.inner_exp, out=t)
         np.multiply(t, walk.half_a_sigma2, out=t)
         np.subtract(walk.kl, t, out=t)
         np.multiply(t, walk.dt, out=t)

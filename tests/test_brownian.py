@@ -1,5 +1,6 @@
 """Keyed increment streams and dyadic coarsening."""
 
+import itertools
 import math
 import sys
 import threading
@@ -17,7 +18,6 @@ from cevlab.brownian import (
     _increment_block,
     _increment_chunks,
     _require_u64,
-    _StreamKey,
 )
 
 
@@ -141,9 +141,9 @@ class TestIncrementChunks:
         assert stacked.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
-class TestKeyOnlyStreams:
-    """Every Philox is built from a ``_StreamKey``: the streams are those of
-    ``Philox(key=[s, p])``, without a ``SeedSequence`` behind them."""
+class TestKeyedStreams:
+    """Live chunked streams and re-keyed block rows are the streams of
+    ``Philox(key=[s, p])``, at both ends of the key range."""
 
     KEYS = [(0, 0, 3), (2**64 - 1, 2**64 - 3, 2**64), (0, 2**64 - 2, 2**64),
             (2**64 - 1, 0, 2)]
@@ -168,26 +168,6 @@ class TestKeyOnlyStreams:
         for row, path in zip(block, range(start, stop)):
             assert row.tobytes() == _fresh_stream_row(seed, path, 33, 0.37).tobytes()
 
-    def test_live_streams_hold_no_seed_sequence(self):
-        seed, start, stop = 11, 2**64 - 4, 2**64
-        draws = _increment_chunks(
-            seed, start, stop, 12, 0.5, 4, np.empty((4, 4)), np.empty((4, 4))
-        )
-        next(draws)
-        gens = draws.gi_frame.f_locals["gens"]
-        assert len(gens) == stop - start
-        for gen, path in zip(gens, range(start, stop)):
-            seed_seq = gen.bit_generator.seed_seq
-            assert not isinstance(seed_seq, np.random.SeedSequence)
-            assert isinstance(seed_seq, _StreamKey)
-            assert (seed_seq.master_seed, seed_seq.path) == (seed, path)
-        draws.close()
-
-    @pytest.mark.parametrize("n_words, dtype", [(2, np.uint32), (4, np.uint64)])
-    def test_key_gives_only_two_u64_words(self, n_words, dtype):
-        with pytest.raises(ValueError, match="two uint64 words"):
-            _StreamKey(1, 2).generate_state(n_words, dtype)
-
 
 class TestDyadicSums:
     """``_dyadic_sums`` writes its within-chunk sums over the chunk and
@@ -204,7 +184,7 @@ class TestDyadicSums:
                 got[i].append(sums.copy())
         assert not carry
         for i, h in enumerate(heights):
-            want = _block_sums(whole, 2**h)
+            want = _block_sums(whole.copy(), 2**h)
             assert np.concatenate(got[i]).tobytes() == want.tobytes()
 
     def test_sums_are_written_over_the_chunk(self):
@@ -214,33 +194,30 @@ class TestDyadicSums:
         assert np.shares_memory(sums, chunk)
         assert sums.tobytes() == _block_sums(values, 4).tobytes()
 
-    @pytest.mark.parametrize("factor", [1, 2, 8])
-    def test_overwriting_block_sums_equal_fresh_ones(self, factor):
-        values = _increment_block(5, 0, 3, 16, 1 / 16).T
-        fresh = _block_sums(values, factor)
-        scratch = values.copy()
-        got = _block_sums(scratch, factor, overwrite=True)
-        assert np.shares_memory(got, scratch)
-        assert got.tobytes() == fresh.tobytes()
-
     def test_chunked_walk_noise_memory_is_streams_and_buffers(self):
         """The noise side of one chunked 2500-path ladder block: 2^12 steps
         in 256-step chunks, coarsened to the ladder's six heights.  Past the
         two reused buffers it holds one small stream per path and no
-        chunk-sized temporary (one level-1 sum alone would be 2.56 MB)."""
+        chunk-sized temporary: the height-3 sums alone are an eighth of the
+        chunk, and the first pairwise sum half of it."""
         paths, n, chunk, heights = 2500, 2**12, 256, (3, 4, 5, 6, 7, 8)
         time_major, tile = np.empty((chunk, paths)), np.empty((256, chunk))
         carry: dict = {}
         tracemalloc.start()
         try:
-            for dw in _increment_chunks(1, 0, paths, n, 1.0 / n, chunk, time_major, tile):
+            draws = _increment_chunks(1, 0, paths, n, 1.0 / n, chunk, time_major, tile)
+            first = next(draws)
+            streams = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for dw in itertools.chain([first], draws):
                 for _ in _dyadic_sums(dw, heights, carry):
                     pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert not carry
-        assert peak < paths * 1024
+        assert streams < paths * 2048
+        assert peak - streams < time_major.nbytes // 8
 
 
 class TestCoarsen:
@@ -272,7 +249,7 @@ class TestCoarsen:
 
     def test_full_collapse_matches_sequential_total(self):
         values = np.array([0.1, -0.2, 0.3, 0.05])
-        out = _block_sums(values, 4)
+        out = _block_sums(values.copy(), 4)
         assert out.shape == (1,)
         total = 0.0
         for v in values:
@@ -292,7 +269,7 @@ class TestCoarsen:
         p, q = 2**log_p, 2**log_q
         n = p * q * m
         [inc] = _increment_block(seed, 0, 1, n, 1.0 / n)
-        lhs = _block_sums(_block_sums(inc, p), q)
+        lhs = _block_sums(_block_sums(inc.copy(), p), q)
         rhs = _block_sums(inc, p * q)
         assert lhs.tobytes() == rhs.tobytes()
 

@@ -73,7 +73,7 @@ def _whole_matrix_strong_error(params, scheme, ref, exps, n_paths, seed):
         ref_terminal = _walk_terminal(scheme, params, dt, fine, start)
         for i, e in enumerate(exps):
             factor = 2 ** (ref - e)
-            coarse = _block_sums(fine.T, factor).T
+            coarse = _block_sums(fine.T.copy(), factor).T
             test = _walk_terminal(scheme, params, dt * factor, coarse, start)
             sq_diff[i, start:stop] = (test - ref_terminal) ** 2
     levels = []
