@@ -3,7 +3,8 @@
 ``cells`` turns every cell of a numeric array into its text, NUL-padded to
 a common width; ``join`` lays cells and literal pieces out as the rows of
 one byte matrix and drops the padding with one ``bytes.translate``.  A
-float's text equals ``format_float(x)``, and an integer's equals ``str(x)``.
+float's text equals ``model.format_float(x)``, and an integer's equals
+``str(x)``.
 
 Floats with 1e-4 <= |x| < 1e17, and zeros, are the cells that ``%.17g``
 writes without an exponent.  They are formatted with integer arithmetic:
@@ -31,9 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import format_float
-
-__all__ = ["cells", "concat", "format_float", "join", "literals"]
+__all__ = ["cells", "concat", "join", "literals"]
 
 
 _ZEROS = 0x3030303030303030  # "00000000"

@@ -5,12 +5,15 @@
 Experiments: check, simulate, convergence, moments, negativity, price.
 Values come from the flat key=value config file; ``--section.key=value``
 flags override file entries (e.g. ``--model.k=2 --grid.n_steps=128``,
-``--out=report.json``).  Exit codes: 0 success, 1 usage/parse error,
-2 validation error, 3 runtime numerical or I/O error.
+``--out=report.json``), under the file's rules (``config``).  Exit codes:
+0 success, 1 usage/parse error, 2 validation error, 3 runtime numerical or
+I/O error.
 
-Artifacts are written piece by piece, never held whole.  Numeric arrays
-(the trajectory CSV, and ``times``, ``paths`` and ``z_negative`` in JSON)
-are formatted ``_BLOCK_CELLS`` cells at a time by ``_text``, in this
+``_run_<experiment>``, one per experiment, runs it and returns its whole
+artifact: the JSON ``results``, the CSV header and rows, and the summary
+line.  Artifacts are written piece by piece, never held whole.  Numeric
+arrays (the trajectory CSV, and ``times``, ``paths`` and ``z_negative`` in
+JSON) are formatted ``_BLOCK_CELLS`` cells at a time by ``_text``, in this
 process.  An artifact whose write fails is removed if it is a regular file.
 
 This module imports no numpy.  Parsing, validation, ``check``, ``--dry-run``
@@ -31,7 +34,7 @@ from typing import (
 )
 
 from . import __version__
-from .config import EXPERIMENTS, RunConfig, parse_config
+from .config import EXPERIMENTS, FLAG_TO_KEY, RunConfig, parse_config
 from .errors import CevlabError, ParseError, ValidationError
 from .model import format_float as _format_float, validate_assumption_a
 
@@ -44,9 +47,7 @@ _USAGE = (
     "usage: cevlab <experiment> [--config FILE] [--dry-run] "
     "[--section.key=value ...]\n"
     f"experiments: {', '.join(EXPERIMENTS)}\n"
-    "flag sections: model.{k,l,sigma,a,x0}  grid.{t_end,n_steps}  "
-    "run.{scheme,n_paths,seed,levels,ref_exponent,payoff,strike}  "
-    "output.{format,path}  (--out is short for --output.path)"
+    f"flags: {' '.join(f'--{flag}' for flag in FLAG_TO_KEY)}"
 )
 
 
@@ -238,68 +239,7 @@ def _csv_text(
             )
 
 
-# The adapters that simulate import the engine when called, and call it by
-# module attribute, so a wrapper bound over an experiment sees the call.
-def _run_check(config: RunConfig):
-    return validate_assumption_a(config.params, config.grid.dt)
-
-
-def _run_simulate(config: RunConfig):
-    from . import experiments
-
-    values, events, stats = experiments.simulate_paths_batch(
-        config.scheme, config.params, config.grid, config.n_paths, config.seed
-    )
-    return {
-        "n_paths": config.n_paths,
-        "n_steps": config.grid.n_steps,
-        "scheme": config.scheme.value,
-        "sign_flip_count": stats.sign_flip_count,
-        "clamp_count": stats.clamp_count,
-        "min_value": stats.min_value,
-        "times": config.grid.times(),
-        "paths": values,
-        "z_negative": events,
-    }
-
-
-def _run_convergence(config: RunConfig):
-    from . import experiments
-
-    return experiments.strong_error(
-        config.params, config.scheme, config.grid, config.levels, config.n_paths,
-        config.seed,
-    )
-
-
-def _run_moments(config: RunConfig):
-    from . import experiments
-
-    return experiments.moment_check(
-        config.params, config.scheme, config.grid, config.n_paths, config.seed
-    )
-
-
-def _run_negativity(config: RunConfig):
-    from . import experiments
-
-    return experiments.negativity_stats(
-        config.params, config.grid, config.n_paths, config.seed
-    )
-
-
-def _run_price(config: RunConfig):
-    from . import experiments
-
-    price, ci = experiments.price_payoff(
-        config.params, config.payoff, config.grid, config.n_paths, config.seed
-    )
-    return {
-        "payoff": config.payoff.kind.value,
-        "strike": config.payoff.strike,
-        "price": price,
-        "ci_halfwidth": ci,
-    }
+_METRIC_HEADER = ("metric", "value", "se")
 
 
 def _metric_rows(result: object, se: Mapping[str, str] = {}) -> list[tuple]:
@@ -310,40 +250,92 @@ def _metric_rows(result: object, se: Mapping[str, str] = {}) -> list[tuple]:
             for name, value in fields.items() if name not in se.values()]
 
 
-# What the result of ``_run_<experiment>`` becomes: the JSON ``results`` is
-# the result itself, the row rule makes the CSV rows under the header, and
-# the summary rule makes the stdout line.
-_METRIC_HEADER = ("metric", "value", "se")
-_ARTIFACTS = {  # experiment: (CSV header, row rule, summary rule)
-    "check": (
-        _METRIC_HEADER, _metric_rows,
-        lambda r: f"feasible={str(r.feasible).lower()} "
-        f"max_step={r.max_step:.6g} margin={r.margin:.6g}"),
-    "simulate": (
-        ("path", "step", "time", "value", "z_negative"),
-        lambda r: _Trajectories(r["times"], r["paths"], r["z_negative"]),
+# Each ``_run_<experiment>`` returns its artifact: the JSON ``results``, the
+# CSV header and rows, and the stdout summary line.  The adapters that
+# simulate import the engine when called, and call it by module attribute,
+# so a wrapper bound over an experiment sees the call.
+def _run_check(config: RunConfig):
+    r = validate_assumption_a(config.params, config.grid.dt)
+    return r, _METRIC_HEADER, _metric_rows(r), (
+        f"feasible={str(r.feasible).lower()} "
+        f"max_step={r.max_step:.6g} margin={r.margin:.6g}")
+
+
+def _run_simulate(config: RunConfig):
+    from . import experiments
+
+    values, events, stats = experiments.simulate_paths_batch(
+        config.scheme, config.params, config.grid, config.n_paths, config.seed
+    )
+    times = config.grid.times()
+    results = {
+        "n_paths": config.n_paths,
+        "n_steps": config.grid.n_steps,
+        "scheme": config.scheme.value,
+        "sign_flip_count": stats.sign_flip_count,
+        "clamp_count": stats.clamp_count,
+        "min_value": stats.min_value,
+        "times": times,
+        "paths": values,
+        "z_negative": events,
+    }
+    header = ("path", "step", "time", "value", "z_negative")
+    return results, header, _Trajectories(times, values, events), (
         "simulated {n_paths} paths x {n_steps} steps ({scheme}): min={min_value:.6g} "
-        "sign_flips={sign_flip_count} clamps={clamp_count}".format_map),
-    "convergence": (
-        ("level", "dt", "mse", "rmse", "ci95"),
-        lambda r: [tuple(_fields(rec).values()) for rec in r.levels],
-        lambda r: f"fitted_order={r.fitted_order:.4f} (r2={r.fit_r2:.4f}, "
-        f"theoretical>={r.theoretical_order:.4g}) over {len(r.levels)} levels"),
-    "moments": (
-        _METRIC_HEADER,
-        lambda r: _metric_rows(
-            r, {"sample_mean": "se_mean", "sample_second_moment": "se_second"}),
-        lambda r: f"sample_mean={r.sample_mean:.6g} (se={r.se_mean:.3g}) "
-        f"analytic={r.analytic_mean:.6g} |err|={r.abs_mean_error:.3g}"),
-    "negativity": (
-        _METRIC_HEADER, _metric_rows,
-        lambda r: f"events={r.z_negative_events}/{r.total_steps} "
-        f"clamps={r.clamp_events} max_prob={r.max_step_negativity_prob:.3g}"),
-    "price": (
-        _METRIC_HEADER,
-        lambda r: [("price", r["price"], r["ci_halfwidth"] / 1.96)],
-        "price={price:.6g} +/-{ci_halfwidth:.3g} (95% ci, {payoff})".format_map),
-}
+        "sign_flips={sign_flip_count} clamps={clamp_count}".format_map(results))
+
+
+def _run_convergence(config: RunConfig):
+    from . import experiments
+
+    r = experiments.strong_error(
+        config.params, config.scheme, config.grid, config.levels, config.n_paths,
+        config.seed,
+    )
+    rows = [tuple(_fields(rec).values()) for rec in r.levels]
+    return r, ("level", "dt", "mse", "rmse", "ci95"), rows, (
+        f"fitted_order={r.fitted_order:.4f} (r2={r.fit_r2:.4f}, "
+        f"theoretical>={r.theoretical_order:.4g}) over {len(r.levels)} levels")
+
+
+def _run_moments(config: RunConfig):
+    from . import experiments
+
+    r = experiments.moment_check(
+        config.params, config.scheme, config.grid, config.n_paths, config.seed
+    )
+    rows = _metric_rows(
+        r, {"sample_mean": "se_mean", "sample_second_moment": "se_second"})
+    return r, _METRIC_HEADER, rows, (
+        f"sample_mean={r.sample_mean:.6g} (se={r.se_mean:.3g}) "
+        f"analytic={r.analytic_mean:.6g} |err|={r.abs_mean_error:.3g}")
+
+
+def _run_negativity(config: RunConfig):
+    from . import experiments
+
+    r = experiments.negativity_stats(
+        config.params, config.grid, config.n_paths, config.seed
+    )
+    return r, _METRIC_HEADER, _metric_rows(r), (
+        f"events={r.z_negative_events}/{r.total_steps} "
+        f"clamps={r.clamp_events} max_prob={r.max_step_negativity_prob:.3g}")
+
+
+def _run_price(config: RunConfig):
+    from . import experiments
+
+    price, ci = experiments.price_payoff(
+        config.params, config.payoff, config.grid, config.n_paths, config.seed
+    )
+    results = {
+        "payoff": config.payoff.kind.value,
+        "strike": config.payoff.strike,
+        "price": price,
+        "ci_halfwidth": ci,
+    }
+    return results, _METRIC_HEADER, [("price", price, ci / 1.96)], (
+        f"price={price:.6g} +/-{ci:.3g} (95% ci, {results['payoff']})")
 
 
 def _remove_partial(path: str) -> None:
@@ -361,9 +353,8 @@ def run(config: RunConfig) -> int:
     """Execute the configured experiment, write its artifact, print a one-line
     summary.  Returns the process exit code."""
     try:
-        header, rows, summary = _ARTIFACTS[config.experiment]
         # by name when called, so a wrapper bound over ``_run_*`` sees the run
-        result = globals()[f"_run_{config.experiment}"](config)
+        results, header, rows, summary = globals()[f"_run_{config.experiment}"](config)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -374,14 +365,6 @@ def run(config: RunConfig) -> int:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
 
-    if config.out_format == "csv":
-        table = rows(result)
-    else:
-        document = {
-            "experiment": config.experiment,
-            "provenance": _provenance(config),
-            "results": result,
-        }
     # serialized straight into the file: each piece is encoded as it is
     # written, so no copy of the whole document is ever held
     opened = False
@@ -389,8 +372,13 @@ def run(config: RunConfig) -> int:
         with open(config.out_path, "w", encoding="utf-8", newline="") as fh:
             opened = True
             if config.out_format == "csv":
-                _csv_text(header, table, fh)
+                _csv_text(header, rows, fh)
             else:
+                document = {
+                    "experiment": config.experiment,
+                    "provenance": _provenance(config),
+                    "results": results,
+                }
                 _json_dumps(document, fh.write)
                 fh.write("\n")
     except OSError as exc:
@@ -398,7 +386,7 @@ def run(config: RunConfig) -> int:
             _remove_partial(config.out_path)
         print(f"error: cannot write output file: {exc}", file=sys.stderr)
         return 3
-    print(f"{summary(result)} -> {config.out_path}")
+    print(f"{summary} -> {config.out_path}")
     return 0
 
 

@@ -2,7 +2,10 @@
 
 A config document is UTF-8 text, one ``key = value`` pair per line, ``#``
 comments allowed.  CLI flags use ``--section.key=value`` and override file
-values.  Section names exist only on the flag side; the file is flat.
+values.  Section names exist only on the flag side; the file is flat.  A
+flag obeys the rules of the file key it names (``FLAG_TO_KEY``): a known
+key and a value that is not blank.  ``_EXPERIMENTS`` is the one table of
+what each experiment reads; any other key is rejected, never ignored.
 
 Every rule this module applies comes from ``model``, so parsing and
 validating a run loads no numpy.
@@ -30,21 +33,6 @@ from .model import (
 
 __all__ = ["RunConfig", "parse_config", "EXPERIMENTS", "FLAG_TO_KEY"]
 
-EXPERIMENTS = ("check", "simulate", "convergence", "moments", "negativity", "price")
-
-# CI-bearing reports get a path floor; raw path dumps and event counts do not.
-_MIN_REPORT_PATHS = 1000
-_REPORT_EXPERIMENTS = ("convergence", "moments", "price")
-# Experiments that have no scheme choice: a scheme key naming another scheme
-# would be recorded in the provenance of a run that never used it.
-_SEMI_DISCRETE_ONLY = ("negativity", "price")
-# Keys read by one experiment only: it requires them, and any other
-# experiment rejects them rather than ignore them.
-_EXPERIMENT_KEYS = {"levels": "convergence", "ref_exponent": "convergence",
-                    "payoff": "price", "strike": "price"}
-
-_REQUIRED_KEYS = ("k", "l", "sigma", "a", "x0", "t_end", "n_steps", "experiment")
-
 # Dotted flag name -> flat config key; its values are every key a config
 # document may set.
 FLAG_TO_KEY = {
@@ -64,9 +52,23 @@ FLAG_TO_KEY = {
     "run.payoff": "payoff",
     "run.strike": "strike",
     "output.format": "format",
-    "output.path": "out",
     "out": "out",
 }
+
+_REQUIRED_KEYS = ("k", "l", "sigma", "a", "x0", "t_end", "n_steps", "experiment")
+_RUN_KEYS = ("scheme", "n_paths", "seed")  # read by the experiments that draw paths
+# What each experiment reads besides _REQUIRED_KEYS, format and out:
+# experiment: (keys it reads if given, keys it requires, path floor of its
+# report, the one scheme it steps if it has no scheme choice).
+_EXPERIMENTS = {
+    "check": ((), (), 0, None),
+    "simulate": (_RUN_KEYS, (), 0, None),
+    "convergence": (_RUN_KEYS, ("levels", "ref_exponent"), 1000, None),
+    "moments": (_RUN_KEYS, (), 1000, None),
+    "negativity": (_RUN_KEYS, (), 0, SchemeId.SEMI_DISCRETE),
+    "price": (_RUN_KEYS, ("payoff", "strike"), 1000, SchemeId.SEMI_DISCRETE),
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 @dataclass(frozen=True)
@@ -76,18 +78,19 @@ class RunConfig:
     params: CevParams
     grid: TimeGrid
     experiment: str
-    scheme: SchemeId
-    n_paths: int
-    seed: int
+    scheme: SchemeId | None  # None, with n_paths and seed, where no path is drawn
+    n_paths: int | None
+    seed: int | None
     levels: tuple[int, ...] | None  # convergence's test exponents under grid
     payoff: PayoffSpec | None
     out_format: str
     out_path: str
 
     def flat_items(self) -> dict[str, object]:
-        """Canonical flat key=value view; feeding it back through
-        parse_config reproduces this config exactly."""
-        items: dict[str, object] = {
+        """Canonical flat key=value view of every key that has a value;
+        feeding it back through parse_config reproduces this config exactly."""
+        scheme, levels, payoff = self.scheme, self.levels, self.payoff
+        items = {
             "k": self.params.k,
             "l": self.params.l,
             "sigma": self.params.sigma,
@@ -96,19 +99,28 @@ class RunConfig:
             "t_end": self.grid.t_end,
             "n_steps": self.grid.n_steps,
             "experiment": self.experiment,
-            "scheme": self.scheme.value,
+            "scheme": scheme and scheme.value,
             "n_paths": self.n_paths,
             "seed": self.seed,
             "format": self.out_format,
             "out": self.out_path,
+            "levels": levels and ",".join(str(e) for e in levels),
+            "ref_exponent": levels and self.grid.n_steps.bit_length() - 1,
+            "payoff": payoff and payoff.kind.value,
+            "strike": payoff and payoff.strike,
         }
-        if self.levels is not None:
-            items["levels"] = ",".join(str(e) for e in self.levels)
-            items["ref_exponent"] = self.grid.n_steps.bit_length() - 1
-        if self.payoff is not None:
-            items["payoff"] = self.payoff.kind.value
-            items["strike"] = self.payoff.strike
-        return items
+        return {key: value for key, value in items.items() if value is not None}
+
+
+def _entry(key: str | None, value: str, where: str, name: str) -> str:
+    """The stripped ``value`` of a file line or flag setting ``key``, under
+    the rules both obey: the key is known and the value is not empty."""
+    if key not in FLAG_TO_KEY.values():
+        raise ParseError(f"{where}unknown {name}")
+    value = value.strip()
+    if not value:
+        raise ParseError(f"{where}empty value for {name}")
+    return value
 
 
 def _parse_document(text: str) -> dict[str, str]:
@@ -121,24 +133,11 @@ def _parse_document(text: str) -> dict[str, str]:
             raise ParseError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in FLAG_TO_KEY.values():
-            raise ParseError(f"line {lineno}: unknown key: {key}")
+        value = _entry(key, value, f"line {lineno}: ", f"key: {key}")
         if key in values:
             raise ParseError(f"line {lineno}: duplicate key: {key}")
-        if not value:
-            raise ParseError(f"line {lineno}: empty value for key: {key}")
         values[key] = value
     return values
-
-
-def _apply_overrides(values: dict[str, str], overrides: Mapping[str, str]) -> None:
-    for flag, value in overrides.items():
-        key = FLAG_TO_KEY.get(flag)
-        if key is None:
-            known = ", ".join(sorted(FLAG_TO_KEY))
-            raise ParseError(f"unknown flag: --{flag} (known: {known})")
-        values[key] = value
 
 
 def _float(values: Mapping[str, str], key: str) -> float:
@@ -163,27 +162,32 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
 
     Raises ParseError for malformed or incomplete input and ValidationError
     when values violate a model invariant or the stability precondition of
-    the requested experiment, or set a key that the experiment ignores.
+    the requested experiment, or set a key that the experiment does not read.
     """
     values = _parse_document(text)
-    if overrides:
-        _apply_overrides(values, overrides)
+    for flag, value in (overrides or {}).items():
+        key = FLAG_TO_KEY.get(flag)
+        values[key] = _entry(key, value, "", f"flag: --{flag}")
 
     for key in _REQUIRED_KEYS:
         if key not in values:
             raise ParseError(f"missing key: {key}")
 
-    experiment = values["experiment"].strip().lower()
+    experiment = values["experiment"].lower()
     if experiment not in EXPERIMENTS:
         raise ParseError(
             f"unknown experiment {values['experiment']!r}; "
             f"expected one of: {', '.join(EXPERIMENTS)}"
         )
-    for key, owner in _EXPERIMENT_KEYS.items():
-        if experiment == owner and key not in values:
+    optional, required, min_paths, fixed = _EXPERIMENTS[experiment]
+    for key in FLAG_TO_KEY.values():
+        readers = [e for e, (o, r, *_) in _EXPERIMENTS.items() if key in o + r]
+        if key in required and key not in values:
             raise ParseError(f"missing key: {key}")
-        if experiment != owner and key in values:
-            raise ValidationError(f"{key} applies only to {owner}, not to {experiment}")
+        if key in values and readers and experiment not in readers:
+            raise ValidationError(
+                f"{key} applies only to {'/'.join(readers)}, not to {experiment}"
+            )
 
     params = CevParams(
         k=_float(values, "k"),
@@ -194,23 +198,23 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
     )
     grid = TimeGrid(t_end=_float(values, "t_end"), n_steps=_int(values, "n_steps"))
 
-    scheme = SchemeId.parse(values.get("scheme", SchemeId.SEMI_DISCRETE.value))
-    if experiment in _SEMI_DISCRETE_ONLY and scheme is not SchemeId.SEMI_DISCRETE:
-        raise ValidationError(
-            f"{experiment} always steps {SchemeId.SEMI_DISCRETE.value}; "
-            f"scheme {scheme.value} is not supported"
-        )
-    n_paths = _int(values, "n_paths") if "n_paths" in values else 1000
-    seed = _int(values, "seed") if "seed" in values else 0
-    _require_u64("seed", seed)
-    _require_paths(n_paths, 1)
-    if experiment in _REPORT_EXPERIMENTS and n_paths < _MIN_REPORT_PATHS:
-        raise ValidationError(
-            f"{experiment} reports require n_paths >= {_MIN_REPORT_PATHS}"
-        )
+    scheme = n_paths = seed = None
+    if optional:  # the run keys: the experiment draws paths
+        scheme = SchemeId.parse(values.get("scheme", SchemeId.SEMI_DISCRETE.value))
+        if fixed not in (None, scheme):
+            raise ValidationError(
+                f"{experiment} always steps {fixed.value}; "
+                f"scheme {scheme.value} is not supported"
+            )
+        n_paths = _int(values, "n_paths") if "n_paths" in values else 1000
+        seed = _int(values, "seed") if "seed" in values else 0
+        _require_u64("seed", seed)
+        _require_paths(n_paths, 1)
+        if n_paths < min_paths:
+            raise ValidationError(f"{experiment} reports require n_paths >= {min_paths}")
 
     levels: tuple[int, ...] | None = None
-    if experiment == "convergence":
+    if "levels" in required:
         try:
             levels = tuple(int(tok) for tok in values["levels"].split(","))
         except ValueError:
@@ -228,20 +232,20 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
         _ladder_heights(grid, levels)  # raises unless the ladder is valid
 
     payoff: PayoffSpec | None = None
-    if experiment == "price":
+    if "payoff" in required:
         payoff = PayoffSpec(
             kind=PayoffKind.parse(values["payoff"]),
             strike=_float(values, "strike"),
         )
 
-    out_format = values.get("format", "csv").strip().lower()
+    out_format = values.get("format", "csv").lower()
     if out_format not in ("csv", "json"):
         raise ParseError(f"unknown format {values.get('format')!r}; expected csv or json")
     out_path = values.get("out", f"cevlab_{experiment}.{out_format}")
 
-    # stability pre-checks: 'check' reports infeasibility as data, everything
-    # else that steps the semi-discrete scheme must start from a feasible grid
-    if scheme is SchemeId.SEMI_DISCRETE and experiment != "check":
+    # stability pre-checks: every run that steps the semi-discrete scheme
+    # starts from a feasible grid ('check' reports infeasibility as data)
+    if scheme is SchemeId.SEMI_DISCRETE:
         if levels is not None:
             _require_feasible_ladder(params, grid, levels)
         else:

@@ -47,8 +47,6 @@ from .errors import (
     ValidationError,
     _shown,
 )
-# PayoffKind, PayoffSpec and the run rules are defined with the other input
-# rules in ``model`` (importable without numpy) and kept importable from here
 from .model import (
     CevParams,
     PayoffKind,
@@ -72,8 +70,6 @@ __all__ = [
     "LevelRecord",
     "ConvergenceReport",
     "MomentReport",
-    "PayoffKind",
-    "PayoffSpec",
     "NegativityStats",
     "strong_error",
     "fit_order",
@@ -496,7 +492,6 @@ def strong_error(
             )
         )
         pts.append((dt_level, math.sqrt(mse)))
-    levels.sort(key=lambda rec: -rec.dt)
     slope, intercept, r2 = fit_order(pts)
     return ConvergenceReport(
         levels=tuple(levels),

@@ -264,10 +264,6 @@ class SchemeId(enum.Enum):
     def parse(cls, token: str) -> "SchemeId":
         return _parse_member(cls, token, "scheme")
 
-    @property
-    def is_euler(self) -> bool:
-        return self is not SchemeId.SEMI_DISCRETE
-
 
 class PayoffKind(enum.Enum):
     EUROPEAN_CALL = "EuropeanCall"

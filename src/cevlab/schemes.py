@@ -25,11 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeInner
-# SchemeId is defined with the other input rules in ``model`` (importable
-# without numpy) and kept importable from here
 from .model import CevParams, SchemeId, _inner_clamped
 
-__all__ = ["SchemeId", "BatchStats"]
+__all__ = ["BatchStats"]
 
 
 @dataclass(frozen=True)

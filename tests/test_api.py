@@ -214,6 +214,7 @@ def test_dry_run_loads_no_numpy(experiment):
     (["--help"], 0),
     (["check", "--model.k"], 1),  # usage error
     (["check", *_STD, "--model.q=1"], 1),  # parse error: unknown flag
+    (["moments", *_STD, "--run.n_paths=1000", "--out="], 1),  # parse error: empty value
     (["convergence", *_STD, *_EXTRA["convergence"], "--run.levels=0,4",
       "--run.n_paths=1000"], 2),  # infeasible test level dt = 1
 ])
@@ -248,6 +249,16 @@ def test_installed_command_runs_the_module_entry_point():
     module, _, attr = entry.partition(":")
     assert module == "cevlab.__main__"
     assert getattr(importlib.import_module(module), attr) is cevlab.cli.main
+
+
+def test_one_adapter_per_experiment_and_every_flag_in_the_usage():
+    """``cli.run`` finds ``_run_<experiment>`` by name and the layer trace
+    wraps every ``_run_*``, so a missing or extra adapter would go unseen."""
+    adapters = [name.removeprefix("_run_") for name in dir(cevlab.cli)
+                if name.startswith("_run_") and callable(getattr(cevlab.cli, name))]
+    assert sorted(adapters) == sorted(cevlab.config.EXPERIMENTS)
+    usage = cevlab.cli._USAGE.split()
+    assert [f for f in cevlab.config.FLAG_TO_KEY if f"--{f}" not in usage] == []
 
 
 def _load_tracing():

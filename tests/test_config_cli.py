@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cevlab import ParseError, SchemeId, ValidationError, cli, parse_config
+from cevlab import ParseError, PayoffKind, SchemeId, ValidationError, cli, parse_config
 from cevlab.config import EXPERIMENTS
 from cevlab.cli import (
     _csv_text,
@@ -30,7 +30,6 @@ from cevlab.cli import (
     _Trajectories,
     main,
 )
-from cevlab.experiments import PayoffKind
 
 # Reference SHA-256 of every benchmark artifact (perfbench/README.md).
 REFERENCE_HASHES = Path(__file__).resolve().parents[1] / "perfbench" / "hashes.json"
@@ -101,13 +100,17 @@ experiment = check
 """
 
 
+# STANDARD as a run that draws paths, and so reads the run keys.
+SIMULATE = STANDARD.replace("experiment = check", "experiment = simulate")
+
+
 class TestParseConfig:
     def test_round_trip(self):
-        cfg = parse_config(STANDARD)
+        cfg = parse_config(SIMULATE)
         assert cfg.params.k == 1.0 and cfg.params.sigma == 1.0
         assert cfg.params.a == 0.75 and cfg.params.x0 == 1.0
         assert cfg.grid.t_end == 1.0 and cfg.grid.n_steps == 64
-        assert cfg.experiment == "check"
+        assert cfg.experiment == "simulate"
         assert cfg.scheme is SchemeId.SEMI_DISCRETE
         assert cfg.n_paths == 1000 and cfg.seed == 0
         assert cfg.out_format == "csv"
@@ -144,7 +147,7 @@ class TestParseConfig:
 
     def test_overrides_win_over_file(self):
         cfg = parse_config(
-            STANDARD,
+            SIMULATE,
             {"model.k": "2", "grid.n_steps": "128", "run.seed": "77", "out": "x.csv"},
         )
         assert cfg.params.k == 2.0
@@ -157,10 +160,10 @@ class TestParseConfig:
             parse_config(STANDARD, {"model.kappa": "2"})
 
     def test_scheme_parsing(self):
-        cfg = parse_config(STANDARD + "scheme = EulerReflected\n")
+        cfg = parse_config(SIMULATE + "scheme = EulerReflected\n")
         assert cfg.scheme is SchemeId.EULER_REFLECTED
         with pytest.raises(ValidationError, match="unknown scheme"):
-            parse_config(STANDARD + "scheme = Heun\n")
+            parse_config(SIMULATE + "scheme = Heun\n")
 
     def test_price_requires_payoff_and_strike(self):
         base = STANDARD.replace("experiment = check", "experiment = price")
@@ -249,13 +252,24 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match=f"{key} applies only to {owner}"):
             parse_config(base + f"{key} = {value}\n")
 
-    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "check"])
     def test_provenance_keys_accepted_by_every_experiment(self, experiment):
         base = STANDARD.replace("experiment = check", f"experiment = {experiment}")
         base += _EXPERIMENT_EXTRA.get(experiment, "")
         cfg = parse_config(base + "scheme = SemiDiscrete\nn_paths = 1000\nseed = 3\n")
         text = "\n".join(f"{k} = {v}" for k, v in cfg.flat_items().items())
         assert parse_config(text) == cfg
+
+    @pytest.mark.parametrize("key, value", [
+        ("scheme", "SemiDiscrete"), ("n_paths", "1000"), ("seed", "3")])
+    def test_check_rejects_the_run_keys(self, key, value):
+        # check draws no paths, so a seed or scheme would be recorded in the
+        # provenance of a run that never used it
+        with pytest.raises(ValidationError, match=f"{key} applies only to simulate/"):
+            parse_config(STANDARD + f"{key} = {value}\n")
+        cfg = parse_config(STANDARD)
+        assert (cfg.scheme, cfg.n_paths, cfg.seed) == (None, None, None)
+        assert not {"scheme", "n_paths", "seed"} & set(cfg.flat_items())
 
 
 # The keys that convergence and price require on top of STANDARD
@@ -339,6 +353,38 @@ class TestCliExitCodes:
         # the same experiment twice is no conflict, up to case and blanks
         assert main([*args, "--run.experiment= Check"]) == 0
         assert "feasible=true" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args, message", [
+        (["check", "--model.k=abc"], "invalid number for k: 'abc'"),
+        (["check", "--grid.n_steps=1.5"], "invalid integer for n_steps: '1.5'"),
+        (["walk"], "unknown experiment 'walk'"),
+        (["convergence", "--run.levels=4,x", "--run.ref_exponent=6"],
+         "invalid levels list: '4,x'"),
+        (["check", "--output.format=xml"], "unknown format 'xml'; expected csv or json"),
+        (["moments", "--out="], "empty value for flag: --out"),
+        (["check", "--model.k= "], "empty value for flag: --model.k"),
+        (["check", "--output.path=x"], "unknown flag: --output.path"),
+        (["check", "moments"], "unexpected positional argument 'moments'"),
+    ])
+    def test_rejected_input_is_exit_1(self, config_file, tmp_path, monkeypatch,
+                                      capsys, args, message):
+        monkeypatch.chdir(tmp_path)
+        assert main([*args, "--config", str(config_file)]) == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("cevlab_*"))
+
+    @pytest.mark.parametrize("args, message", [
+        (["--config=std.cfg"], "line 3: empty value for key: l"),
+        (["--config="], "--config requires a file path"),
+        (["--config=missing.cfg"], "cannot read config file"),
+    ])
+    def test_unusable_config_file_is_exit_1(self, tmp_path, monkeypatch, capsys,
+                                            args, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "std.cfg").write_text(STANDARD.replace("l = 1", "l ="))
+        assert main(["check", *args]) == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("cevlab_*"))
 
     def test_parse_error_is_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -723,11 +769,13 @@ class TestArtifacts:
     def test_smoke_artifacts_match_reference_hashes(
         self, workload, artifact, args, tmp_path, monkeypatch, capsys
     ):
-        # every experiment x format at seed 7, artifact and stdout byte for
-        # byte; the benchmark's smoke commands are pinned by its hash list
+        # every experiment x format, at seed 7 where it draws paths, artifact
+        # and stdout byte for byte; the benchmark's smoke commands are pinned
+        # by its hash list
         monkeypatch.chdir(tmp_path)
         fmt = artifact.rpartition(".")[2]
-        args = [*args, "--run.seed=7", f"--output.format={fmt}", f"--out={artifact}"]
+        seed = [] if args[0] == "check" else ["--run.seed=7"]
+        args = [*args, *seed, f"--output.format={fmt}", f"--out={artifact}"]
         assert main(args) == 0
         expected = json.loads(CLI_REFERENCE.read_text(encoding="utf-8"))[artifact]
         if workload is not None:

@@ -6,7 +6,8 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from cevlab._text import cells, format_float, join, literals
+from cevlab._text import cells, join, literals
+from cevlab.model import format_float
 
 
 def _texts(a: np.ndarray) -> list[str]:
