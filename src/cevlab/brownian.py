@@ -90,8 +90,6 @@ def _increment_chunks(
     n: int,
     dt: float,
     chunk: int,
-    time_major: np.ndarray,
-    tile: np.ndarray,
 ) -> Iterator[np.ndarray]:
     """The increments of ``_increment_block(master_seed, start, stop, n, dt)``,
     time-major and ``chunk`` steps at a time.
@@ -105,23 +103,25 @@ def _increment_chunks(
     ``standard_normal`` rejects samples, and a generator caches no normals
     between calls, so the chunked draws equal one long draw.
 
-    Each chunk is drawn path-major into ``tile``, a (tile paths, at least
-    min(chunk, n)) array, and each tile is transposed into ``time_major``, a
-    (at least min(chunk, n), at least stop-start) array of which the chunk
-    is a view.  A chunk is overwritten when the next is drawn, so a caller
-    that keeps one past that must copy it.  Reusing the two arrays keeps a
-    worker's memory fixed instead of mapping and faulting in fresh arrays
-    per chunk.
+    Each call allocates two buffers at its first draw and reuses them for
+    every chunk: each chunk is drawn path-major into a tile of at most
+    ``_TILE_PATHS`` paths, and each tile is transposed into the time-major
+    (min(chunk, n), stop-start) buffer of which the chunk is a view.  A
+    chunk is overwritten when the next is drawn, so a caller that keeps one
+    past that must copy it.  The buffers live until the draws end and the
+    caller drops the last chunk.
     """
     _require_keys(master_seed, start, stop)
-    width = stop - start
-    tiles = [(lo, min(lo + len(tile), width)) for lo in range(0, width, len(tile))]
+    width, steps = stop - start, min(chunk, n)
+    time_major = np.empty((steps, width))
+    tile = np.empty((min(_TILE_PATHS, width), steps))
+    tiles = [(lo, min(lo + _TILE_PATHS, width)) for lo in range(0, width, _TILE_PATHS)]
     if n <= chunk:
         for lo, hi in tiles:
             rows = _increment_block(master_seed, start + lo, start + hi, n, dt,
-                                    tile[: hi - lo, :n])
-            np.copyto(time_major[:n, lo:hi], rows.T)
-        yield time_major[:n, :width]
+                                    tile[: hi - lo])
+            np.copyto(time_major[:, lo:hi], rows.T)
+        yield time_major
         return
     gens = [
         np.random.Generator(
@@ -138,7 +138,7 @@ def _increment_chunks(
                 gen.standard_normal(out=row)
             # scaled and transposed in one pass: the same product per draw
             np.multiply(rows.T, scale, out=time_major[:m, lo:hi])
-        yield time_major[:m, :width]
+        yield time_major[:m]
 
 
 def _block_sums(values: np.ndarray, factor: int) -> np.ndarray:

@@ -93,20 +93,6 @@ def _json_rows(
         write(_text.join(row_parts, [seps, _text.cells(arr[r0:r1, c0:c1])]))
 
 
-def _json_dumps(
-    obj: object, write: Callable[[str], object] | None = None
-) -> str | None:
-    """Minimal JSON writer; floats carry 17 significant digits so every value
-    round-trips bit-for-bit through json.loads.  Returns the text, or passes
-    it to ``write`` piece by piece and returns None."""
-    if write is not None:
-        _json_pieces(obj, 0, write)
-        return None
-    pieces: list[str] = []
-    _json_pieces(obj, 0, pieces.append)
-    return "".join(pieces)
-
-
 def _fields(obj: object) -> Mapping[str, object]:
     """A dataclass instance as the mapping of its fields in declaration
     order, values uncopied; anything else as itself."""
@@ -115,8 +101,10 @@ def _fields(obj: object) -> Mapping[str, object]:
     return obj
 
 
-def _json_pieces(obj: object, indent: int, write: Callable[[str], object]) -> None:
-    """Pass the text of ``obj`` to ``write`` piece by piece.
+def _json_dumps(obj: object, write: Callable[[str], object], indent: int = 0) -> None:
+    """Minimal JSON writer: pass the text of ``obj``, nested ``indent`` levels
+    deep, to ``write`` piece by piece.  Floats carry 17 significant digits,
+    so every value round-trips bit-for-bit through json.loads.
 
     A dataclass instance is written as the mapping of its fields.  A numeric
     array is written ``_BLOCK_CELLS`` cells at a time, never as one string
@@ -133,7 +121,7 @@ def _json_pieces(obj: object, indent: int, write: Callable[[str], object]) -> No
         sep = "{\n"
         for key, val in obj.items():
             write(f'{sep}{inner}"{key}": ')
-            _json_pieces(val, indent + 1, write)
+            _json_dumps(val, write, indent + 1)
             sep = ",\n"
         write("\n" + pad + "}")
         return
@@ -147,7 +135,7 @@ def _json_pieces(obj: object, indent: int, write: Callable[[str], object]) -> No
             first, sep, last = "[\n" + inner, ",\n" + inner, "\n" + pad + "]"
         for val in obj:
             write(first)
-            _json_pieces(val, indent + 1, write)
+            _json_dumps(val, write, indent + 1)
             first = sep
         write(last)
         return
@@ -481,6 +469,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if dry_run:
         document = {"resolved_config": config.flat_items(), "version": __version__}
-        print(_json_dumps(document))
+        _json_dumps(document, sys.stdout.write)
+        print()
         return 0
     return run(config)

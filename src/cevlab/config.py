@@ -114,12 +114,15 @@ class RunConfig:
 
 def _entry(key: str | None, value: str, where: str, name: str) -> str:
     """The stripped ``value`` of a file line or flag setting ``key``, under
-    the rules both obey: the key is known and the value is not empty."""
+    the rules both obey: the key is known and the value is one line, not
+    empty, so a provenance config written as a file reads back the same."""
     if key not in FLAG_TO_KEY.values():
         raise ParseError(f"{where}unknown {name}")
     value = value.strip()
     if not value:
         raise ParseError(f"{where}empty value for {name}")
+    if value.splitlines() != [value]:
+        raise ParseError(f"{where}line break in value for {name}")
     return value
 
 

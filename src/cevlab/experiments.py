@@ -34,12 +34,7 @@ from typing import Callable, Iterable, NoReturn, TypeVar
 
 import numpy as np
 
-from .brownian import (
-    _dyadic_sums,
-    _increment_block,
-    _TILE_PATHS,
-    _increment_chunks,
-)
+from .brownian import _dyadic_sums, _increment_block, _increment_chunks
 from .errors import (
     InsufficientPoints,
     NonFiniteResult,
@@ -88,15 +83,13 @@ __all__ = [
 # buffer as two 5000 x 128 blocks, half the live streams at a time and half
 # the draw calls per path.
 _BLOCK_PATHS = 4096
-# Doubles a worker's noise buffer may hold: block paths x chunk steps.
+# Doubles a block's noise buffer may hold: block paths x chunk steps.
 _NOISE_BUDGET = 2**20
 # Fine steps per time-major chunk at most: a power of two, so every dyadic
 # level factor either divides it or is a multiple of it.  A run of at most
 # this many steps is drawn whole, by re-keyed block draws, which are much
 # faster than the per-path generators that a chunked run resumes.
 _CHUNK_STEPS = 512
-# The shortest chunk the noise budget may choose for a longer run.
-_MIN_CHUNK_STEPS = 128
 
 
 def _resolve_workers() -> int:
@@ -120,20 +113,19 @@ def _layout(n_paths: int, n_steps: int) -> tuple[list[tuple[int, int]], int]:
     The n_paths paths are cut into w x m contiguous blocks whose sizes
     differ by at most 1, w being the worker count (at most one per path), so
     every worker gets the same share.  m is the fewest rounds that keep each
-    block at most ``_BLOCK_PATHS`` paths and its noise buffer, block paths x
-    chunk steps, at most ``_NOISE_BUDGET`` doubles.  A run of at most
-    ``_CHUNK_STEPS`` steps is one chunk; a longer one takes the largest
-    power of two from ``_MIN_CHUNK_STEPS`` to ``_CHUNK_STEPS`` whose buffer
-    fits.
+    block at most ``_BLOCK_PATHS`` paths.  A run of at most ``_CHUNK_STEPS``
+    steps is one chunk, and its blocks also keep their noise buffer, block
+    paths x steps, within ``_NOISE_BUDGET`` doubles.  A longer run's chunk
+    halves from ``_CHUNK_STEPS`` while the widest block's buffer exceeds the
+    budget: 4096 x 256 = 2^20, so it never falls below 256 steps.
     """
     whole = n_steps <= _CHUNK_STEPS
-    least = n_steps if whole else min(_MIN_CHUNK_STEPS, _CHUNK_STEPS)
-    cap = max(1, min(_BLOCK_PATHS, _NOISE_BUDGET // least))
+    cap = max(1, min(_BLOCK_PATHS, _NOISE_BUDGET // (n_steps if whole else 1)))
     workers = min(_resolve_workers(), n_paths)
     blocks = _split(n_paths, workers * -(-n_paths // (workers * cap)))
-    chunk = n_steps if whole else _CHUNK_STEPS
+    chunk = min(n_steps, _CHUNK_STEPS)
     widest = blocks[0][1]
-    while chunk > _MIN_CHUNK_STEPS and widest * chunk > _NOISE_BUDGET:
+    while widest * chunk > _NOISE_BUDGET:
         chunk //= 2
     return blocks, chunk
 
@@ -288,10 +280,9 @@ def _walk_paths(
     Each block walks time once, one chunk of noise at a time, stepping the
     fine level at every fine step and the coarse levels on the pairwise sums
     that ``brownian._dyadic_sums`` forms from the chunk and one carry per
-    block.  Every worker draws all its blocks' noise into the same two
-    arrays, allocated once per run before the fork and freed once the map
-    is done; a page is resident only once written, so each worker faults
-    in its own copy at its first draw.  Whichever worker runs it, a block
+    block.  Each block draws its noise into buffers of its own, which
+    ``_increment_chunks`` allocates at the block's first draw; they are
+    freed once the block is walked.  Whichever worker runs it, a block
     writes its rows of the ``_shared`` terminal and path-mean arrays, and
     of the optional ``_shared`` (n_paths, n_steps+1) fine-level
     ``trajectory`` and ``event_matrix``, and returns only its per-level
@@ -305,9 +296,6 @@ def _walk_paths(
     # first, so a path count too large to hold fails before any layout work
     terminal, path_mean = _shared((len(dts), n_paths)), _shared((len(dts), n_paths))
     blocks, chunk = _layout(n_paths, n_steps)
-    widest, steps = max(stop - start for start, stop in blocks), min(chunk, n_steps)
-    time_major = np.empty((steps, widest))
-    tile = np.empty((min(_TILE_PATHS, widest), steps))
 
     def work(block: tuple[int, int]) -> list[BatchStats]:
         start, stop = block
@@ -318,9 +306,7 @@ def _walk_paths(
         # the fine level steps on dw before _dyadic_sums writes the coarse
         # sums over it, and the next chunk overwrites it: walks and the carry
         # keep only copies of it
-        for dw in _increment_chunks(
-            seed, start, stop, n_steps, dt, chunk, time_major, tile
-        ):
+        for dw in _increment_chunks(seed, start, stop, n_steps, dt, chunk):
             fine.advance(dw)
             if heights:
                 for level, sums in _dyadic_sums(dw, heights, carry):
@@ -331,7 +317,6 @@ def _walk_paths(
         return [stats for _, _, stats in levels]
 
     block_stats = _map_blocks(work, blocks)
-    del time_major, tile
     return [
         (terminal[level], path_mean[level], functools.reduce(BatchStats.merge, stats))
         for level, stats in enumerate(zip(*block_stats))

@@ -8,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,16 @@ MODULES = ["cevlab"] + [
 
 def test_package_exports_exactly_the_listed_api():
     assert cevlab.__all__ == PUBLIC_API
+
+
+def test_project_version_is_the_package_version():
+    """pyproject.toml reads its version from ``cevlab.__version__``."""
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools' [tool.setuptools] beta notice
+        project = pyprojecttoml.read_configuration(pyproject)["project"]
+    assert project["version"] == cevlab.__version__
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -215,6 +226,7 @@ def test_dry_run_loads_no_numpy(experiment):
     (["check", "--model.k"], 1),  # usage error
     (["check", *_STD, "--model.q=1"], 1),  # parse error: unknown flag
     (["moments", *_STD, "--run.n_paths=1000", "--out="], 1),  # parse error: empty value
+    (["check", *_STD, "--out=no\ndir/check.csv"], 1),  # parse error: line break
     (["convergence", *_STD, *_EXTRA["convergence"], "--run.levels=0,4",
       "--run.n_paths=1000"], 2),  # infeasible test level dt = 1
 ])

@@ -128,12 +128,10 @@ class TestIncrementChunks:
         """Copied as they arrive, the time-major chunks stack to the block's
         transpose bit for bit, a short last chunk included."""
         seed, start, stop, dt = 20240601, 4095, 4101, 0.37
-        steps, chunks = min(chunk, n), []
-        time_major = np.empty((steps, stop - start))
-        tile = np.empty((stop - start, steps))
-        for c in _increment_chunks(seed, start, stop, n, dt, chunk, time_major, tile):
+        chunks = []
+        for c in _increment_chunks(seed, start, stop, n, dt, chunk):
             assert c.shape == (min(chunk, n - chunk * len(chunks)), stop - start)
-            assert c.flags.c_contiguous or n <= chunk
+            assert c.flags.c_contiguous
             chunks.append(c.copy())
         assert sum(map(len, chunks)) == n
         stacked = np.concatenate(chunks)
@@ -151,12 +149,7 @@ class TestKeyedStreams:
     @pytest.mark.parametrize("seed, start, stop", KEYS)
     def test_chunked_draws_equal_keyed_philox(self, seed, start, stop):
         n, chunk, dt = 40, 8, 0.37  # five chunks of live streams
-        time_major = np.empty((chunk, stop - start))
-        tile = np.empty((stop - start, chunk))
-        chunks = [
-            c.copy()
-            for c in _increment_chunks(seed, start, stop, n, dt, chunk, time_major, tile)
-        ]
+        chunks = [c.copy() for c in _increment_chunks(seed, start, stop, n, dt, chunk)]
         assert len(chunks) == 5
         stacked = np.concatenate(chunks).T
         for row, path in zip(stacked, range(start, stop)):
@@ -196,16 +189,17 @@ class TestDyadicSums:
 
     def test_chunked_walk_noise_memory_is_streams_and_buffers(self):
         """The noise side of one chunked 2500-path ladder block: 2^12 steps
-        in 256-step chunks, coarsened to the ladder's six heights.  Past the
-        two reused buffers it holds one small stream per path and no
-        chunk-sized temporary: the height-3 sums alone are an eighth of the
-        chunk, and the first pairwise sum half of it."""
+        in 256-step chunks, coarsened to the ladder's six heights.  The first
+        draw allocates the two buffers that every chunk reuses; past them it
+        holds one small stream per path and no chunk-sized temporary: the
+        height-3 sums alone are an eighth of the chunk, and the first
+        pairwise sum half of it.  Once the draws end, the buffers are freed."""
         paths, n, chunk, heights = 2500, 2**12, 256, (3, 4, 5, 6, 7, 8)
-        time_major, tile = np.empty((chunk, paths)), np.empty((256, chunk))
+        time_major, tile = chunk * paths * 8, 256 * chunk * 8  # bytes
         carry: dict = {}
         tracemalloc.start()
         try:
-            draws = _increment_chunks(1, 0, paths, n, 1.0 / n, chunk, time_major, tile)
+            draws = _increment_chunks(1, 0, paths, n, 1.0 / n, chunk)
             first = next(draws)
             streams = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
@@ -213,11 +207,14 @@ class TestDyadicSums:
                 for _ in _dyadic_sums(dw, heights, carry):
                     pass
             peak = tracemalloc.get_traced_memory()[1]
+            del first, dw, _  # the last chunk and the last level's sums
+            after = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert not carry
-        assert streams < paths * 2048
-        assert peak - streams < time_major.nbytes // 8
+        assert streams - time_major - tile < paths * 2048
+        assert peak - streams < time_major // 8
+        assert streams - after >= time_major + tile
 
 
 class TestCoarsen:

@@ -365,6 +365,10 @@ class TestCliExitCodes:
         (["check", "--model.k= "], "empty value for flag: --model.k"),
         (["check", "--output.path=x"], "unknown flag: --output.path"),
         (["check", "moments"], "unexpected positional argument 'moments'"),
+        (["check\nmoments"], "line break in value for flag: --run.experiment"),
+        # every line boundary of str.splitlines
+        *[(["check", f"--out=a{sep}b.csv"], "line break in value for flag: --out")
+          for sep in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"],
     ])
     def test_rejected_input_is_exit_1(self, config_file, tmp_path, monkeypatch,
                                       capsys, args, message):
@@ -836,6 +840,13 @@ def _trajectory(n_paths: int, n_steps: int) -> _Trajectories:
 _TRAJECTORY = _trajectory(3 * (cli._BLOCK_CELLS // 65) + 11, 64)
 
 
+def _json_text(obj: object) -> str:
+    """The whole text that ``_json_dumps`` writes for ``obj``."""
+    pieces: list[str] = []
+    _json_dumps(obj, pieces.append)
+    return "".join(pieces)
+
+
 @dataclasses.dataclass(frozen=True)
 class _Record:
     n: int
@@ -850,13 +861,13 @@ class TestArrayFormatting:
     @settings(max_examples=300)
     def test_float_row_matches_per_cell_format(self, row):
         expected = ", ".join(_format_float(x) for x in row.tolist())
-        assert _json_dumps(row) == f"[{expected}]"
+        assert _json_text(row) == f"[{expected}]"
 
     @given(data=st.data(), dtype=_INT_DTYPES, size=st.integers(0, 12))
     @settings(max_examples=100)
     def test_int_row_matches_str(self, data, dtype, size):
         row = data.draw(hnp.arrays(dtype, size))
-        assert _json_dumps(row) == "[" + ", ".join(str(x) for x in row.tolist()) + "]"
+        assert _json_text(row) == "[" + ", ".join(str(x) for x in row.tolist()) + "]"
 
     @given(arr=_ARRAYS, block=_BLOCKS)
     @example(arr=_TRAJECTORY.values, block=None)
@@ -866,8 +877,8 @@ class TestArrayFormatting:
         doc = {"times": arr, "nested": {"paths": arr}}
         listed = {"times": arr.tolist(), "nested": {"paths": arr.tolist()}}
         with _block_cells(block):
-            text = _json_dumps(doc)
-        _assert_same_text(text, _json_dumps(listed))
+            text = _json_text(doc)
+        _assert_same_text(text, _json_text(listed))
 
     @given(traj=_trajectories(), block=_BLOCKS)
     @example(traj=_TRAJECTORY, block=None)
@@ -919,8 +930,8 @@ class TestArrayFormatting:
             '    },\n    {\n      "n": 3,\n      "x": 1e-300,\n'
             '      "values": []\n    }\n  ]\n}'
         )
-        assert _json_dumps(doc) == expected
-        assert _json_dumps(as_dicts) == expected
+        assert _json_text(doc) == expected
+        assert _json_text(as_dicts) == expected
         # a record's fields are walked shallowly: its arrays are not copied
         assert _fields(doc["record"])["values"] is doc["record"].values
 
@@ -947,6 +958,6 @@ class TestArrayFormatting:
 
     def test_unsupported_arrays_rejected(self):
         with pytest.raises(TypeError):
-            _json_dumps(np.zeros((2, 2, 2)))
+            _json_text(np.zeros((2, 2, 2)))
         with pytest.raises(TypeError):
-            _json_dumps(np.array(["a"]))
+            _json_text(np.array(["a"]))

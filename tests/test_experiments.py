@@ -773,6 +773,14 @@ class TestBlockLayout:
             (2, 8192, 64, [4096] * 2, 64),
             # more workers than paths: one path each
             (4, 3, 8, [1] * 3, 8),
+            # drawn whole at 400 steps: 2^20 // 400 = 2621 paths per block
+            (1, 10_000, 400, [2500] * 4, 400),
+            # 2048 x 512 = 2^20: the widest block that keeps a 512-step chunk
+            (2, 8192, 512, [2048] * 4, 512),
+            # chunked, and 1500 x 512 fits the budget
+            (2, 3000, 4096, [1500] * 2, 512),
+            # chunked, and 3334 x 512 does not: the chunk halves once
+            (2, 20_000, 1024, [3334] * 2 + [3333] * 4, 256),
         ],
     )
     def test_layout_of_benchmark_shapes(
@@ -801,12 +809,11 @@ class TestBlockLayout:
         self, standard_params, monkeypatch, chunk
     ):
         """A budget of 6 x chunk doubles forces chunks of ``chunk`` steps on
-        two 6-path blocks, once the 128-step floor is lifted."""
+        two 6-path blocks."""
         monkeypatch.setenv("CEVLAB_THREADS", "2")
         n_steps, n_paths = 2 * _CHUNK_STEPS, 12
         assert _layout(n_paths, n_steps) == ([(0, 6), (6, 12)], _CHUNK_STEPS)
         want = _every_report(standard_params, n_steps, n_paths)
-        monkeypatch.setattr("cevlab.experiments._MIN_CHUNK_STEPS", 1)
         monkeypatch.setattr("cevlab.experiments._NOISE_BUDGET", 6 * chunk)
         assert _layout(n_paths, n_steps) == ([(0, 6), (6, 12)], chunk)
         assert _every_report(standard_params, n_steps, n_paths) == want
