@@ -451,7 +451,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read config file: {exc}", file=sys.stderr)
             return 1
     if experiment is not None:

@@ -114,8 +114,9 @@ class RunConfig:
 
 def _entry(key: str | None, value: str, where: str, name: str) -> str:
     """The stripped ``value`` of a file line or flag setting ``key``, under
-    the rules both obey: the key is known and the value is one line, not
-    empty, so a provenance config written as a file reads back the same."""
+    the rules both obey: the key is known and the value is one line of UTF-8
+    text, not empty, so a provenance config written as a file reads back the
+    same."""
     if key not in FLAG_TO_KEY.values():
         raise ParseError(f"{where}unknown {name}")
     value = value.strip()
@@ -123,6 +124,10 @@ def _entry(key: str | None, value: str, where: str, name: str) -> str:
         raise ParseError(f"{where}empty value for {name}")
     if value.splitlines() != [value]:
         raise ParseError(f"{where}line break in value for {name}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:  # a flag's undecodable bytes, kept as surrogates
+        raise ParseError(f"{where}invalid UTF-8 in value for {name}") from None
     return value
 
 

@@ -14,8 +14,8 @@ This module also holds every input rule a run is validated by (schemes,
 payoffs, seeds, path counts, the dyadic ladder, stability) and the text of
 a float in an artifact, so that ``config`` and the CLI can validate a run,
 and print its resolved config, without the numpy engine.  Importing it
-loads no numpy; the array helpers (``TimeGrid.times``, ``_inner_raw``,
-``_inner_clamped``) import it when called.
+loads no numpy; ``TimeGrid.times``, ``_inner_raw``, ``_inner_clamped``,
+``inner_value`` and ``step_negativity_prob`` import it when called.
 """
 
 from __future__ import annotations
@@ -300,42 +300,51 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _inner_raw(y, dt: float, params: CevParams):
-    """Inner deterministic expression y(1 - k dt) + dt (k l - a sigma^2 y^(2a-1) / 2).
+def _inner_raw(y, dt: float, params: CevParams, out=None, scratch=None):
+    """Inner deterministic expression y(1 - k dt) + dt (k l - a sigma^2 y^(2a-1) / 2)
+    at the states ``y``, an array: the one evaluation of it, which the kernel
+    runs in its own buffers ``out`` and ``scratch`` (both allocated if None).
 
-    Array-capable; the y = 0 case yields dt*k*l since 0^(2a-1) = 0 for
-    a > 1/2 (np.power handles the zero base without evaluating a log).
+    The y = 0 case yields dt*k*l since 0^(2a-1) = 0 for a > 1/2 (np.power
+    handles the zero base without evaluating a log).
     """
     import numpy as np
 
-    pow_term = np.power(y, 2.0 * params.a - 1.0)
-    return y * (1.0 - params.k * dt) + dt * (
-        params.k * params.l - 0.5 * params.a * params.sigma**2 * pow_term
-    )
+    k, sigma, a = params.k, params.sigma, params.a
+    t = np.power(y, 2.0 * a - 1.0, out=scratch)
+    np.multiply(t, 0.5 * a * sigma**2, out=t)
+    np.subtract(k * params.l, t, out=t)
+    np.multiply(t, dt, out=t)
+    inner = np.multiply(y, 1.0 - k * dt, out=out)
+    return np.add(inner, t, out=inner)
 
 
-def _inner_clamped(y, dt: float, params: CevParams):
-    """Array-capable inner expression with the rounding clamp applied.
+def _inner_clamped(y, dt: float, params: CevParams, out=None, scratch=None):
+    """(inner, clamp count): :func:`_inner_raw` at the states ``y`` with the
+    rounding clamp applied in place, which runs only when some value is
+    negative or NaN.  A negative is set to 0 and counted; a NaN is kept.
 
-    Returns ``(inner, clamp_mask)``.  Raises NegativeInner if any value falls
-    below -INNER_CLAMP_REL * max(1, y), which signals a genuine violation of
-    the step condition rather than rounding noise.
+    Raises NegativeInner if any value falls below -INNER_CLAMP_REL * max(1, y),
+    which signals a genuine violation of the step condition rather than
+    rounding noise.
     """
     import numpy as np
 
-    raw = _inner_raw(y, dt, params)
-    tol = INNER_CLAMP_REL * np.maximum(1.0, y)
-    below = raw < -tol
+    inner = _inner_raw(y, dt, params, out, scratch)
+    if np.minimum.reduce(inner) >= 0.0:
+        return inner, 0
+    below = inner < -INNER_CLAMP_REL * np.maximum(1.0, y)
     if np.any(below):
         first = int(np.argmax(below))
         raise NegativeInner(
-            f"inner expression reached {float(np.ravel(raw)[first]):.6e}, below the "
+            f"inner expression reached {float(inner[first]):.6e}, below the "
             f"clamp threshold; step condition violated for dt={dt!r} (max stable "
             f"step {max_stable_step(params):.6g})",
             path=first,
         )
-    clamp = raw < 0.0
-    return np.where(clamp, 0.0, raw), clamp
+    clamp = inner < 0.0
+    inner[clamp] = 0.0
+    return inner, int(np.count_nonzero(clamp))
 
 
 def inner_value(y: float, dt: float, params: CevParams) -> float:
@@ -345,8 +354,10 @@ def inner_value(y: float, dt: float, params: CevParams) -> float:
     floating-point rounding can produce a tiny negative, which is clamped.
     Larger negatives raise :class:`NegativeInner`.
     """
+    import numpy as np
+
     _require(y >= 0.0, "y must be >= 0")
-    return float(_inner_clamped(float(y), dt, params)[0])
+    return float(_inner_clamped(np.array([float(y)]), dt, params)[0][0])
 
 
 def analytic_mean(params: CevParams, t: float) -> float:
@@ -380,6 +391,8 @@ def step_negativity_prob(y: float, dt: float, params: CevParams) -> float:
     This is Phi(-inner^(1-a) / (sigma (1-a) sqrt(dt))) with Phi the standard
     normal CDF.  Returns 0 by convention for a noiseless model (sigma = 0).
     """
-    inner = inner_value(y, dt, params)
-    ipow = 0.0 if inner == 0.0 else inner ** (1.0 - params.a)
-    return _sign_flip_prob(ipow, dt, params)
+    import numpy as np
+
+    # the kernel's np.power, not libm's pow, so the result has the kernel's bits
+    ipow = np.power(inner_value(y, dt, params), 1.0 - params.a)
+    return _sign_flip_prob(float(ipow), dt, params)

@@ -12,9 +12,10 @@ positive half-line.
 One stepping layer does the work.  ``_Walk`` holds a block of paths at one
 step size: the per-run scalars, the buffers and each path's state, which it
 carries from chunk to chunk of time-major increments.  ``_step_block`` is
-its step under any scheme, a fixed sequence of in-place array passes.  They
-are the only way to step: every experiment reaches them through
-``experiments._walk_paths``.
+its step under any scheme, a fixed sequence of in-place array passes; the
+semi-discrete step evaluates inner(y_k) through ``model._inner_clamped``, in
+the walk's buffers.  They are the only way to step: every experiment reaches
+them through ``experiments._walk_paths``.
 """
 
 from __future__ import annotations
@@ -62,24 +63,14 @@ def _step_block(walk: _Walk, y, dw):
     into ``walk.out``.  ``events`` marks a negative noise term z
     (semi-discrete) or a negative proposed iterate (Euler variants); it is
     None when the min shows there is none, so a mask is built only on a step
-    that has an event.  Likewise the rounding clamp (``model._inner_clamped``)
-    runs only when some inner value is negative or NaN.  ``inner_pow_min`` is
+    that has an event; likewise ``model._inner_clamped`` clamps only when
+    some inner value is negative or NaN.  ``inner_pow_min`` is
     the smallest inner^(1-a) at the pre-step states; it is +inf for Euler
     variants, which have no inner expression and never clamp.
     """
     t, z, out = walk.a_buf, walk.b_buf, walk.out
     if walk.scheme is SchemeId.SEMI_DISCRETE:
-        # inner(y) = y (1 - k dt) + dt (k l - a sigma^2 y^(2a-1) / 2)
-        np.power(y, walk.inner_exp, out=t)
-        np.multiply(t, walk.half_a_sigma2, out=t)
-        np.subtract(walk.kl, t, out=t)
-        np.multiply(t, walk.dt, out=t)
-        inner = np.multiply(y, walk.keep, out=z)
-        np.add(inner, t, out=inner)
-        clamps = 0
-        if not np.minimum.reduce(inner) >= 0.0:
-            inner, mask = _inner_clamped(y, walk.dt, walk.params)
-            clamps = int(np.count_nonzero(mask))
+        inner, clamps = _inner_clamped(y, walk.dt, walk.params, z, t)
         ipow = np.power(inner, walk.one_minus_a, out=t)
         ipow_min = float(np.minimum.reduce(ipow))
         np.multiply(dw, walk.noise, out=z)
@@ -121,11 +112,10 @@ class _Walk:
     """One grid level of a block of paths, stepped a time-major chunk at a time.
 
     The walk is the step's state: it hoists the per-run scalars of its
-    scheme at step ``dt``, each with the association of the plain formulas
-    (``model._inner_raw`` and the Euler updates), so each is the same double
-    and every value ``_step_block`` computes is bit-identical to theirs.  It
-    owns two scratch buffers and two state buffers: each step writes the
-    next state into ``out``, and the state it left becomes the next ``out``.
+    scheme at step ``dt``, but not the inner expression's, which ``model``
+    evaluates in the walk's buffers.  It owns two scratch buffers and two
+    state buffers: each step writes the next state into ``out``, and the
+    state it left becomes the next ``out``.
 
     Carries the state, the running sum behind ``path_mean`` (the mean of the
     post-step values, the initial state excluded) and the diagnostics across
@@ -147,13 +137,9 @@ class _Walk:
         event_matrix: np.ndarray | None = None,
     ) -> None:
         self.scheme, self.params, self.dt = scheme, params, dt
-        k, l, sigma, a = params.k, params.l, params.sigma, params.a
-        self.kl = k * l
-        self.keep = 1.0 - k * dt
-        self.half_a_sigma2 = 0.5 * a * sigma**2
-        self.inner_exp = 2.0 * a - 1.0
-        self.one_minus_a = 1.0 - a
-        self.noise = sigma * self.one_minus_a
+        self.kl = params.k * params.l
+        self.one_minus_a = 1.0 - params.a
+        self.noise = params.sigma * self.one_minus_a
         self.out_exp = 1.0 / self.one_minus_a
         self.a_buf, self.b_buf, self.out = (np.empty(n_block) for _ in range(3))
         self.first_path = first_path

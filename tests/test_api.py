@@ -227,6 +227,7 @@ def test_dry_run_loads_no_numpy(experiment):
     (["check", *_STD, "--model.q=1"], 1),  # parse error: unknown flag
     (["moments", *_STD, "--run.n_paths=1000", "--out="], 1),  # parse error: empty value
     (["check", *_STD, "--out=no\ndir/check.csv"], 1),  # parse error: line break
+    (["simulate", *_STD, "--run.n_paths=1", "--out=r\udcff.json"], 1),  # not UTF-8
     (["convergence", *_STD, *_EXTRA["convergence"], "--run.levels=0,4",
       "--run.n_paths=1000"], 2),  # infeasible test level dt = 1
 ])

@@ -381,14 +381,27 @@ class TestCliExitCodes:
         (["--config=std.cfg"], "line 3: empty value for key: l"),
         (["--config="], "--config requires a file path"),
         (["--config=missing.cfg"], "cannot read config file"),
+        (["--config=latin1.cfg"], "error: cannot read config file: 'utf-8' codec"),
     ])
     def test_unusable_config_file_is_exit_1(self, tmp_path, monkeypatch, capsys,
                                             args, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "std.cfg").write_text(STANDARD.replace("l = 1", "l ="))
+        (tmp_path / "latin1.cfg").write_bytes(b"k = 1\nl = \xff\n")
         assert main(["check", *args]) == 1
         assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("cevlab_*"))
+
+    def test_flag_value_not_utf8_is_exit_1_and_writes_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        # undecodable argv bytes arrive as lone surrogates, which no
+        # provenance file could record
+        monkeypatch.chdir(tmp_path)
+        args = ["simulate", *STD_FLAGS, "--grid.n_steps=4", "--run.n_paths=1",
+                "--output.format=json"]
+        assert main([*args, "--out=r\udcff.json"]) == 1
+        assert "invalid UTF-8 in value for flag: --out" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_parse_error_is_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -550,16 +550,18 @@ class TestNegativityStats:
         assert stats.max_step_negativity_prob == 0.0
         assert stats.total_steps == 3200
 
-    def test_standard_config_no_events_and_prob_matches_rescan(self, standard_params):
+    @pytest.mark.parametrize("seed", [11, 19, 24, 30])
+    def test_standard_config_no_events_and_prob_matches_rescan(
+            self, standard_params, seed):
         grid = TimeGrid(1.0, 16)
         n_paths = 500
-        stats = negativity_stats(standard_params, grid, n_paths, seed=11)
+        stats = negativity_stats(standard_params, grid, n_paths, seed=seed)
         assert stats.z_negative_events == 0
         assert stats.clamp_events == 0
         # independent rescan: evaluate the one-step probability at every
         # pre-step state of the same trajectories and take the max
         values, _, _ = simulate_paths_batch(
-            SchemeId.SEMI_DISCRETE, standard_params, grid, n_paths, seed=11
+            SchemeId.SEMI_DISCRETE, standard_params, grid, n_paths, seed=seed
         )
         rescan = max(
             step_negativity_prob(float(y), grid.dt, standard_params)

@@ -183,8 +183,8 @@ class TestInnerValue:
 
     def test_no_clamp_on_clean_input(self):
         p = CevParams(k=1, l=1, sigma=1, a=0.75, x0=1)
-        value, clamped = _inner_clamped(np.array([0.3]), 0.25, p)
-        assert value[0] > 0.0 and not clamped.any()
+        value, clamps = _inner_clamped(np.array([0.3]), 0.25, p)
+        assert value[0] > 0.0 and clamps == 0
 
     def test_matches_50_digit_arithmetic(self):
         """Double-precision evaluation stays within 1e-14 relative of exact."""

@@ -20,9 +20,10 @@ from cevlab import (
     inner_value,
     max_stable_step,
     simulate_paths_batch,
+    step_negativity_prob,
 )
+from cevlab import model, schemes
 from cevlab.brownian import _increment_block
-from cevlab.model import _inner_clamped, _inner_raw
 from cevlab.schemes import _step_block, _Walk
 
 
@@ -209,23 +210,34 @@ CLAMP_PARAMS = CevParams(k=1.0, l=0.0, sigma=1.0, a=0.75, x0=1.0)
 CLAMP_DT = 0.1
 
 
+def _plain_inner(y, dt, params):
+    """The inner expression y(1 - k dt) + dt (k l - a sigma^2 y^(2a-1) / 2) by
+    its plain formula, unclamped."""
+    k, l, sigma, a = params.k, params.l, params.sigma, params.a
+    return y * (1.0 - k * dt) + dt * (
+        k * l - 0.5 * a * sigma**2 * np.power(y, 2.0 * a - 1.0))
+
+
 def _state_in_clamp_range():
     """A state just below y* whose inner value rounds into [-tol, 0)."""
     root = 1.0 / 576.0
     for y in root * (1.0 - np.arange(1, 64) * 2.0**-52):
-        raw = float(_inner_raw(y, CLAMP_DT, CLAMP_PARAMS))
+        raw = float(_plain_inner(y, CLAMP_DT, CLAMP_PARAMS))
         if -1e-12 <= raw < 0.0:
             return float(y)
     raise AssertionError("no state rounds into the clamp range")
 
 
 def _unfused_step(scheme, y, dt, dw, params):
-    """The step by the plain formulas, the clamp by ``model._inner_clamped``:
+    """The step and the rounding clamp by the plain formulas:
     (next, event mask, clamp mask, min inner^(1-a))."""
     k, l, sigma, a = params.k, params.l, params.sigma, params.a
     if scheme is SchemeId.SEMI_DISCRETE:
-        inner, clamps = _inner_clamped(y, dt, params)
-        ipow = np.power(inner, 1.0 - a)
+        raw = _plain_inner(y, dt, params)
+        # within -1e-12 max(1, y) of zero a negative is rounding, clamped to 0
+        assert np.all(raw >= -1e-12 * np.maximum(1.0, y))
+        clamps = raw < 0.0
+        ipow = np.power(np.where(clamps, 0.0, raw), 1.0 - a)
         z = sigma * (1.0 - a) * dw + ipow
         return np.power(np.abs(z), 1.0 / (1.0 - a)), z < 0.0, clamps, float(ipow.min())
     if scheme is SchemeId.EULER_NAIVE:
@@ -326,6 +338,42 @@ class TestFusedKernel:
         assert (stats.sign_flip_count, stats.clamp_count) == (1, 1)
         assert stats.min_value == min(CLAMP_PARAMS.x0, float(want_next.min()))
         assert stats.min_inner_pow == want_min
+
+    def test_scalar_helpers_return_the_kernels_bits(self, monkeypatch):
+        """``inner_value`` and ``step_negativity_prob`` equal, bit for bit, the
+        inner value and the flip probability of a one-row walk step, on 10^4
+        random feasible states and on a state in the clamp range."""
+        seen = []
+
+        def recording(*args):
+            inner, clamps = model._inner_clamped(*args)
+            seen.append(float(inner[0]))
+            return inner, clamps
+
+        monkeypatch.setattr(schemes, "_inner_clamped", recording)
+        rng = np.random.default_rng(20261020)
+        cases = [(CLAMP_PARAMS, CLAMP_DT, [_state_in_clamp_range()])]
+        for _ in range(100):
+            a, sigma = rng.uniform(0.51, 0.99), rng.uniform(0.05, 3.0)
+            k = rng.uniform(0.01, 5.0)
+            l = (a * sigma**2 / 2 + rng.uniform(0.0, 1.0)) / k
+            params = CevParams(k=k, l=l, sigma=sigma, a=a, x0=1.0)
+            dt = rng.uniform(0.01, 1.0) * max_stable_step(params)
+            cases.append((params, dt, [0.0, *10 ** rng.uniform(-12, 2, size=100)]))
+        kernel, scalar = [], []
+        for params, dt, ys in cases:
+            walk = _Walk(SchemeId.SEMI_DISCRETE, params, dt, 1)
+            for y in ys:
+                seen.clear()
+                _, _, _, ipow_min = _step_block(walk, np.array([y]), np.zeros(1))
+                assert len(seen) == 1  # the step evaluates inner once, in model
+                kernel.append((seen[0], model._sign_flip_prob(ipow_min, dt, params)))
+                scalar.append(
+                    (inner_value(y, dt, params), step_negativity_prob(y, dt, params)))
+        assert len(kernel) >= 10_000 and kernel[0] == (0.0, 0.5)
+        assert [(i.hex(), p.hex()) for i, p in scalar] == [
+            (i.hex(), p.hex()) for i, p in kernel]
+        assert sum(p > 0.0 for _, p in kernel) > 1000  # the flip tail is exercised
 
     def test_negative_inner_names_global_path_and_step(self):
         # far below y* the inner expression is a genuine negative, not rounding
