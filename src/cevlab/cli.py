@@ -10,11 +10,17 @@ flags override file entries (e.g. ``--model.k=2 --grid.n_steps=128``,
 I/O error.
 
 ``_run_<experiment>``, one per experiment, runs it and returns its whole
-artifact: the JSON ``results``, the CSV header and rows, and the summary
-line.  Artifacts are written piece by piece, never held whole.  Numeric
-arrays (the trajectory CSV, and ``times``, ``paths`` and ``z_negative`` in
-JSON) are formatted ``_BLOCK_CELLS`` cells at a time by ``_text``, in this
-process.  An artifact whose write fails is removed if it is a regular file.
+artifact: the JSON ``results``, the CSV header and body lines, and the
+summary line.  Artifacts are written piece by piece, never held whole.
+Numeric arrays (the trajectory CSV, and ``times``, ``paths`` and
+``z_negative`` in JSON) are formatted ``_BLOCK_CELLS`` cells at a time by
+``_text``, in this process.  An artifact whose write fails or is
+interrupted is removed if it is a regular file.
+
+Every CSV line follows one rule, ``_csv_line``'s: cells joined by ``,``, a
+float as ``format_float`` writes it, anything else as ``str``, and a CRLF
+ending.  No cell is ever quoted: names and numbers hold no comma, quote or
+line break, so each line is the one ``csv.writer`` would write.
 
 This module imports no numpy.  Parsing, validation, ``check``, ``--dry-run``
 and ``--help`` run on scalar ``math`` alone; the numpy engine
@@ -24,13 +30,12 @@ adapters that simulate, and by the writers when they meet an array.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import os
 import sys
 from typing import (
-    TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence, TextIO,
+    TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, TextIO,
 )
 
 from . import __version__
@@ -166,80 +171,62 @@ def _json_dumps(obj: object, write: Callable[[str], object], indent: int = 0) ->
             write("]\n" + pad + "]")
 
 
-def _provenance(config: RunConfig) -> dict[str, object]:
-    return {
-        "config": config.flat_items(),
-        "master_seed": config.seed,
-        "version": __version__,
-    }
-
-
 # ---------------------------------------------------------------------------
 # experiment dispatch
 # ---------------------------------------------------------------------------
 
 
-class _Trajectories(NamedTuple):
-    """Simulated paths as arrays: ``times`` (n+1,), ``values`` and ``events``
-    (n_paths, n+1); one CSV row per (path, step)."""
-
-    times: np.ndarray
-    values: np.ndarray
-    events: np.ndarray
+def _csv_line(cells: Iterable[object]) -> str:
+    """The CSV line of ``cells``: the one rule of every line (module docs)."""
+    return ",".join(
+        _format_float(c) if isinstance(c, float) else str(c) for c in cells) + "\r\n"
 
 
-def _trajectory_csv(buf: TextIO, traj: _Trajectories) -> None:
-    """Write ``path,step,time,value,z_negative`` rows, ``_BLOCK_CELLS`` at a
-    time.  The cells never need quoting, so the lines equal ``csv.writer``'s.
-    """
+def _trajectory_lines(
+    times: np.ndarray, values: np.ndarray, events: np.ndarray
+) -> Iterator[str]:
+    """``path,step,time,value,z_negative`` lines of the paths ``values`` and
+    ``events`` (n_paths, n+1) at ``times`` (n+1,), one per (path, step),
+    yielded ``_BLOCK_CELLS`` cells at a time."""
     import numpy as np
 
     from . import _text
 
     comma, crlf = _text.literals([","]), _text.literals(["\r\n"])
     steps: dict[int, np.ndarray] = {}  # ",step,time," cells by column tile
-    for r0, r1, c0, c1 in _tiles(*traj.values.shape):
+    for r0, r1, c0, c1 in _tiles(*values.shape):
         if c0 not in steps:  # the same for every path: formatted once
             steps[c0] = _text.concat([
                 comma, _text.cells(np.arange(c0, c1)), comma,
-                _text.cells(traj.times[c0:c1]), comma])
-        buf.write(_text.join([], [
+                _text.cells(times[c0:c1]), comma])
+        yield _text.join([], [
             _text.cells(np.arange(r0, r1))[:, None], steps[c0],
-            _text.cells(traj.values[r0:r1, c0:c1]), comma,
-            _text.cells(traj.events[r0:r1, c0:c1]), crlf]))
+            _text.cells(values[r0:r1, c0:c1]), comma,
+            _text.cells(events[r0:r1, c0:c1]), crlf])
 
 
-def _csv_text(
-    header: Sequence[str],
-    rows: Sequence[Sequence[object]] | _Trajectories,
-    buf: TextIO,
-) -> None:
-    """Write the CSV text of ``rows`` under ``header`` into ``buf``, a text
+def _csv_text(header: Sequence[str], lines: Iterable[str], buf: TextIO) -> None:
+    """Write the CSV line of ``header``, then ``lines``, into ``buf``, a text
     file or ``io.StringIO``, piece by piece."""
-    writer = csv.writer(buf)  # RFC-4180 CRLF line endings by default
-    writer.writerow(header)
-    if isinstance(rows, _Trajectories):
-        _trajectory_csv(buf, rows)
-    else:
-        for row in rows:
-            writer.writerow(
-                [_format_float(c) if isinstance(c, float) else c for c in row]
-            )
+    buf.write(_csv_line(header))
+    for line in lines:
+        buf.write(line)
+        del line  # a block's text is freed before the next one is formatted
 
 
 _METRIC_HEADER = ("metric", "value", "se")
 
 
-def _metric_rows(result: object, se: Mapping[str, str] = {}) -> list[tuple]:
-    """One ``(metric, value, se)`` row per field of ``result``; ``se`` maps a
-    metric to the field holding its standard error, which gets no row."""
+def _metric_rows(result: object, se: Mapping[str, str] = {}) -> list[str]:
+    """One ``metric,value,se`` line per field of ``result``; ``se`` maps a
+    metric to the field holding its standard error, which gets no line."""
     fields = _fields(result)
-    return [(name, float(value), fields[se[name]] if name in se else 0.0)
+    return [_csv_line((name, float(value), fields[se[name]] if name in se else 0.0))
             for name, value in fields.items() if name not in se.values()]
 
 
 # Each ``_run_<experiment>`` returns its artifact: the JSON ``results``, the
-# CSV header and rows, and the stdout summary line.  The adapters that
+# CSV header and body lines, and the stdout summary line.  The adapters that
 # simulate import the engine when called, and call it by module attribute,
 # so a wrapper bound over an experiment sees the call.
 def _run_check(config: RunConfig):
@@ -268,7 +255,7 @@ def _run_simulate(config: RunConfig):
         "z_negative": events,
     }
     header = ("path", "step", "time", "value", "z_negative")
-    return results, header, _Trajectories(times, values, events), (
+    return results, header, _trajectory_lines(times, values, events), (
         "simulated {n_paths} paths x {n_steps} steps ({scheme}): min={min_value:.6g} "
         "sign_flips={sign_flip_count} clamps={clamp_count}".format_map(results))
 
@@ -280,7 +267,7 @@ def _run_convergence(config: RunConfig):
         config.params, config.scheme, config.grid, config.levels, config.n_paths,
         config.seed,
     )
-    rows = [tuple(_fields(rec).values()) for rec in r.levels]
+    rows = [_csv_line(_fields(rec).values()) for rec in r.levels]
     return r, ("level", "dt", "mse", "rmse", "ci95"), rows, (
         f"fitted_order={r.fitted_order:.4f} (r2={r.fit_r2:.4f}, "
         f"theoretical>={r.theoretical_order:.4g}) over {len(r.levels)} levels")
@@ -322,13 +309,13 @@ def _run_price(config: RunConfig):
         "price": price,
         "ci_halfwidth": ci,
     }
-    return results, _METRIC_HEADER, [("price", price, ci / 1.96)], (
+    return results, _METRIC_HEADER, [_csv_line(("price", price, ci / 1.96))], (
         f"price={price:.6g} +/-{ci:.3g} (95% ci, {results['payoff']})")
 
 
 def _remove_partial(path: str) -> None:
-    """Remove the regular file at ``path``, an artifact whose write failed,
-    so that no provenance block is left for an incomplete run."""
+    """Remove the regular file at ``path``, an artifact whose write failed or
+    was cut short, so that no provenance block is left for an incomplete run."""
     path = os.path.realpath(path)  # through a link, the file it points to
     try:
         if os.path.isfile(path):
@@ -342,13 +329,10 @@ def run(config: RunConfig) -> int:
     summary.  Returns the process exit code."""
     try:
         # by name when called, so a wrapper bound over ``_run_*`` sees the run
-        results, header, rows, summary = globals()[f"_run_{config.experiment}"](config)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        results, header, lines, summary = globals()[f"_run_{config.experiment}"](config)
     except CevlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ValidationError) else 3
     except Exception as exc:  # never panic on user input
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
@@ -360,19 +344,25 @@ def run(config: RunConfig) -> int:
         with open(config.out_path, "w", encoding="utf-8", newline="") as fh:
             opened = True
             if config.out_format == "csv":
-                _csv_text(header, rows, fh)
+                _csv_text(header, lines, fh)
             else:
                 document = {
                     "experiment": config.experiment,
-                    "provenance": _provenance(config),
+                    "provenance": {"config": config.flat_items(),
+                                   "master_seed": config.seed, "version": __version__},
                     "results": results,
                 }
                 _json_dumps(document, fh.write)
                 fh.write("\n")
-    except OSError as exc:
+    except BaseException as exc:  # an interrupt too: no partial artifact is left
         if opened:
             _remove_partial(config.out_path)
-        print(f"error: cannot write output file: {exc}", file=sys.stderr)
+        if isinstance(exc, OSError):
+            print(f"error: cannot write output file: {exc}", file=sys.stderr)
+        elif isinstance(exc, Exception):
+            print(f"internal error: {exc!r}", file=sys.stderr)
+        else:
+            raise
         return 3
     print(f"{summary} -> {config.out_path}")
     return 0
@@ -449,7 +439,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     text = ""
     if config_path is not None:
         try:
-            with open(config_path, "r", encoding="utf-8") as fh:
+            with open(config_path, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read config file: {exc}", file=sys.stderr)

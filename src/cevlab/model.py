@@ -8,14 +8,18 @@ The model is
 with mean-reversion speed ``k >= 0``, long-run level ``l >= 0``, diffusion
 coefficient ``sigma >= 0`` and elasticity exponent ``a`` strictly inside
 (1/2, 1).  Everything in this module is a pure function of immutable value
-types and is safe to call from any number of threads.
+types and is safe to call from any number of threads, except that
+``_inner_raw`` and ``_inner_clamped`` write into the ``out`` and
+``scratch`` buffers their caller passes: a thread that passes buffers of
+its own shares nothing.
 
 This module also holds every input rule a run is validated by (schemes,
 payoffs, seeds, path counts, the dyadic ladder, stability) and the text of
 a float in an artifact, so that ``config`` and the CLI can validate a run,
 and print its resolved config, without the numpy engine.  Importing it
 loads no numpy; ``TimeGrid.times``, ``_inner_raw``, ``_inner_clamped``,
-``inner_value`` and ``step_negativity_prob`` import it when called.
+``inner_value``, ``step_negativity_prob`` and ``max_step_negativity_bound``
+import it when called.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ __all__ = [
     "inner_value",
     "analytic_mean",
     "step_negativity_prob",
+    "max_step_negativity_bound",
     "normal_cdf",
 ]
 
@@ -396,3 +401,22 @@ def step_negativity_prob(y: float, dt: float, params: CevParams) -> float:
     # the kernel's np.power, not libm's pow, so the result has the kernel's bits
     ipow = np.power(inner_value(y, dt, params), 1.0 - params.a)
     return _sign_flip_prob(float(ipow), dt, params)
+
+
+def max_step_negativity_bound(params: CevParams, dt: float) -> float:
+    """Largest :func:`step_negativity_prob` over all states y >= 0 at a step
+    ``dt`` within the step condition.
+
+    inner is convex in y (it subtracts a multiple of y^(2a-1), which is
+    concave), so its minimum, and with it the largest flip probability, lies
+    where its derivative vanishes:
+    y* = (dt a sigma^2 (2a-1) / (2 (1 - k dt)))^(1/(2-2a)).  No run's
+    ``max_step_negativity_prob`` can exceed this bound.
+    """
+    _require(0.0 < dt <= max_stable_step(params), "dt must be in (0, max stable step]")
+    if params.sigma == 0.0:  # no noise, no flip; and y* would be 0/0 at dt = 1/k
+        return 0.0
+    a = params.a
+    y_star = (dt * a * params.sigma**2 * (2.0 * a - 1.0)
+              / (2.0 * (1.0 - params.k * dt))) ** (1.0 / (2.0 - 2.0 * a))
+    return step_negativity_prob(y_star, dt, params)

@@ -9,7 +9,9 @@ the starting state (probability ~3e-57) but not along the chain: paths
 routinely visit states below y ~ 0.76 where the one-step probability climbs
 to ~1e-17, so the assertion fails by construction of the chain, not through
 an implementation defect.  The observed-event and monotone-sweep clauses of
-criterion 6 both hold.  See the test docstring for the numbers.
+criterion 6 both hold.  See the test docstring for the numbers.  Clause
+2' beside it bounds the same maximum by the largest flip probability over
+all states, which holds.
 """
 
 import math
@@ -27,7 +29,7 @@ from cevlab import (
     simulate_paths_batch,
     strong_error,
 )
-from cevlab.model import _inner_raw
+from cevlab.model import _inner_raw, max_step_negativity_bound
 
 STANDARD = CevParams(k=1.0, l=1.0, sigma=1.0, a=0.75, x0=1.0)
 SHIFTED = CevParams(k=1.0, l=1.0, sigma=1.0, a=0.75, x0=2.0)
@@ -187,6 +189,29 @@ def test_c6_sign_flip_rarity():
         f"{stats.max_step_negativity_prob:.3e}, not below 1e-50; the ceiling "
         "only holds at the starting state, see docstring"
     )
+
+
+def test_c6_clause2_prime_bound_at_the_convex_minimum():
+    """Clause 2', beside the red clause 2 at dt=1/16 on the standard
+    configuration: the observed max one-step flip probability (~7.5e-18) is
+    at most the flip probability at the minimum of inner over all states
+    (~6.5e-16); that bound falls strictly as dt halves over 2^-4 .. 2^-8,
+    and is below 1e-50 at 2^-8 (~6.4e-58)."""
+    stats = negativity_stats(STANDARD, TimeGrid(1.0, 16), 62_500, seed=MASTER_SEED)
+    bounds = [max_step_negativity_bound(STANDARD, 2.0**-e) for e in range(4, 9)]
+    holds = stats.max_step_negativity_prob <= bounds[0]
+    falls = all(b < a for a, b in zip(bounds, bounds[1:]))
+    tiny = bounds[-1] < 1e-50
+    _line(
+        "C6 clause 2' convex-minimum bound",
+        holds and falls and tiny,
+        f"max_prob={stats.max_step_negativity_prob:.3e} <= {bounds[0]:.3e}: {holds}, "
+        f"bounds {', '.join(f'{b:.3g}' for b in bounds)} falling: {falls}, "
+        f"< 1e-50 at 2^-8: {tiny}",
+    )
+    assert holds, "a visited state's flip probability exceeds the bound"
+    assert falls, "halving dt did not lower the bound"
+    assert tiny, f"the bound at dt=2^-8 is {bounds[-1]:.3e}, not below 1e-50"
 
 
 def test_c7_second_moment_stays_bounded():

@@ -8,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -126,14 +127,16 @@ def test_experiments_take_grid_paths_and_seed_by_name(name):
 def _fresh_python(code: str, **env: str) -> str:
     """Stripped stdout of ``code`` run in a fresh interpreter that imports
     cevlab from this checkout, with ``env`` set and OPENBLAS_NUM_THREADS
-    unset unless ``env`` sets it."""
+    unset unless ``env`` sets it.  It runs in a temporary directory, so a
+    command that writes a relative path leaves nothing in the checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env={**base, **env},
-        capture_output=True, text=True, check=True,
-    )
+    with tempfile.TemporaryDirectory() as cwd:
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**base, **env}, cwd=cwd,
+            capture_output=True, text=True, check=True,
+        )
     return out.stdout.strip()
 
 
@@ -145,6 +148,11 @@ def test_cli_import_loads_no_pool_machinery():
         "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
     )
     assert _fresh_python(code) == "[]"
+
+
+def test_cli_import_loads_no_csv():
+    """CSV lines are joined by one rule in ``cli``, not by the csv module."""
+    assert _fresh_python("import sys, cevlab.cli; print('csv' in sys.modules)") == "False"
 
 
 def test_package_import_loads_no_numpy_and_sets_no_blas_threads():

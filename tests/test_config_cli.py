@@ -1,6 +1,7 @@
 """Config parsing, flag overrides, CSV/JSON artifacts, and CLI exit codes."""
 
 import contextlib
+import csv
 import dataclasses
 import errno
 import hashlib
@@ -23,11 +24,12 @@ from hypothesis.extra import numpy as hnp
 from cevlab import ParseError, PayoffKind, SchemeId, ValidationError, cli, parse_config
 from cevlab.config import EXPERIMENTS
 from cevlab.cli import (
+    _csv_line,
     _csv_text,
     _fields,
     _format_float,
     _json_dumps,
-    _Trajectories,
+    _trajectory_lines,
     main,
 )
 
@@ -287,9 +289,10 @@ def config_file(tmp_path):
     return path
 
 
-def _fill_disk(monkeypatch, space: int) -> list[str]:
-    """Make the files that ``cli`` opens fail with ENOSPC once ``space``
-    characters are written; returns the list of the writes that passed."""
+def _fill_disk(monkeypatch, space: int, error: BaseException | None = None) -> list[str]:
+    """Make the files that ``cli`` opens fail with ENOSPC, or raise
+    ``error``, once ``space`` characters are written; returns the list of
+    the writes that passed."""
     written = []
 
     class FullDisk:
@@ -298,7 +301,7 @@ def _fill_disk(monkeypatch, space: int) -> list[str]:
 
         def write(self, text):
             if sum(map(len, written)) + len(text) > space:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                raise error or OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
             written.append(text)
             return self._fh.write(text)
 
@@ -391,6 +394,14 @@ class TestCliExitCodes:
         assert main(["check", *args]) == 1
         assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("cevlab_*"))
+
+    def test_config_file_with_a_byte_order_mark_is_read(self, tmp_path, capsys):
+        # a leading UTF-8 BOM is not part of the first key
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + STANDARD.partition("\n")[2].encode())
+        out = tmp_path / "report.csv"
+        assert main(["check", "--config", str(bom), f"--out={out}"]) == 0
+        assert "feasible=true" in capsys.readouterr().out
 
     def test_flag_value_not_utf8_is_exit_1_and_writes_nothing(
             self, tmp_path, monkeypatch, capsys):
@@ -569,6 +580,28 @@ class TestCliExitCodes:
         # the last write that went through was a block of rows: one path
         last = written[-1]
         assert last.count("\r\n") == 9 if fmt == "csv" else last.count(", ") == 8
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("error", [
+        KeyboardInterrupt(), SystemExit(7), RuntimeError("boom")], ids=repr)
+    def test_interrupted_artifact_write_leaves_nothing(
+            self, tmp_path, monkeypatch, capsys, fmt, error):
+        # an interrupt or a fault of the program halfway through the write
+        # leaves no partial artifact either: an interrupt is raised again,
+        # any other exception is an internal error, exit 3
+        monkeypatch.chdir(tmp_path)
+        _fill_disk(monkeypatch, 300, error)
+        args = ["simulate", *STD_FLAGS, "--grid.n_steps=8", "--run.n_paths=7",
+                f"--output.format={fmt}", f"--out=part.{fmt}"]
+        before = len(os.listdir("/proc/self/fd"))
+        if isinstance(error, Exception):
+            assert main(args) == 3
+            assert "internal error: RuntimeError('boom')" in capsys.readouterr().err
+        else:
+            with pytest.raises(type(error)):
+                main(args)
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_failed_write_to_a_device_leaves_it(self, config_file, tmp_path, capsys):
@@ -833,20 +866,33 @@ def _block_cells(n):
 
 @st.composite
 def _trajectories(draw):
+    """``(times, values, events)``, the arguments of ``_trajectory_lines``."""
     n_paths, n_cols = draw(st.integers(0, 4)), draw(st.integers(1, 6))
-    return _Trajectories(
+    return (
         draw(hnp.arrays(np.float64, n_cols, elements=_FLOATS)),
         draw(hnp.arrays(np.float64, (n_paths, n_cols), elements=_FLOATS)),
         draw(hnp.arrays(np.uint8, (n_paths, n_cols))),
     )
 
 
-def _trajectory(n_paths: int, n_steps: int) -> _Trajectories:
-    """Positive paths with rare events, like ``simulate``'s."""
+def _trajectory(n_paths: int, n_steps: int) -> tuple[np.ndarray, ...]:
+    """``(times, values, events)`` of positive paths with rare events, like
+    ``simulate``'s."""
     rng = np.random.default_rng(20240601)
     values = rng.lognormal(0.0, 0.5, (n_paths, n_steps + 1))
     events = (rng.random(values.shape) < 0.01).astype(np.uint8)
-    return _Trajectories(np.linspace(0.0, 1.0, n_steps + 1), values, events)
+    return np.linspace(0.0, 1.0, n_steps + 1), values, events
+
+
+def _csv_writer_text(header, rows) -> str:
+    """The text ``csv.writer`` writes for ``header`` and ``rows``, floats
+    formatted as in an artifact: the oracle of the CSV line rule."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(
+        [_format_float(c) if isinstance(c, float) else c for c in row] for row in rows)
+    return buf.getvalue()
 
 
 # Three full emission blocks of 64-step paths and a ragged fourth one
@@ -883,8 +929,8 @@ class TestArrayFormatting:
         assert _json_text(row) == "[" + ", ".join(str(x) for x in row.tolist()) + "]"
 
     @given(arr=_ARRAYS, block=_BLOCKS)
-    @example(arr=_TRAJECTORY.values, block=None)
-    @example(arr=_TRAJECTORY.events, block=None)
+    @example(arr=_TRAJECTORY[1], block=None)
+    @example(arr=_TRAJECTORY[2], block=None)
     @settings(max_examples=150, deadline=None)  # the reference takes ~0.2 s on the example
     def test_json_array_layout_matches_nested_lists(self, arr, block):
         doc = {"times": arr, "nested": {"paths": arr}}
@@ -897,18 +943,31 @@ class TestArrayFormatting:
     @example(traj=_TRAJECTORY, block=None)
     @settings(max_examples=100, deadline=None)
     def test_trajectory_csv_matches_csv_writer(self, traj, block):
-        (n_paths, n_cols), times = traj.values.shape, traj.times
+        times, values, events = traj
+        n_paths, n_cols = values.shape
         header = ("path", "step", "time", "value", "z_negative")
         rows = [
-            (p, k, float(times[k]), float(traj.values[p, k]), int(traj.events[p, k]))
+            (p, k, float(times[k]), float(values[p, k]), int(events[p, k]))
             for p in range(n_paths)
             for k in range(n_cols)
         ]
-        by_path, by_row = io.StringIO(), io.StringIO()
+        by_path = io.StringIO()
         with _block_cells(block):
-            _csv_text(header, traj, by_path)
-        _csv_text(header, rows, by_row)
-        _assert_same_text(by_path.getvalue(), by_row.getvalue())
+            _csv_text(header, _trajectory_lines(*traj), by_path)
+        _assert_same_text(by_path.getvalue(), _csv_writer_text(header, rows))
+
+    def test_csv_lines_match_csv_writer(self):
+        header = ("metric", "value", "se")
+        rows = [
+            ("nan", math.nan, 0.0), ("inf", math.inf, -math.inf),
+            ("negative_zero", -0.0, 5e-324), ("huge", 1e308, -1e308),
+            ("ints", 0, 2**64), ("mixed", -7, 0.1),
+        ]
+        buf = io.StringIO()
+        _csv_text(header, [_csv_line(row) for row in rows], buf)
+        assert buf.getvalue() == _csv_writer_text(header, rows)
+        assert buf.getvalue().splitlines()[1:4] == [
+            "nan,NaN,0", "inf,Infinity,-Infinity", "negative_zero,-0,4.9406564584124654e-324"]
 
     def test_json_layout_of_every_value_kind(self):
         doc = {
@@ -961,9 +1020,10 @@ class TestArrayFormatting:
         tracemalloc.start()
         try:
             if fmt == "csv":
-                _csv_text(("path", "step", "time", "value", "z_negative"), traj, null)
+                header = ("path", "step", "time", "value", "z_negative")
+                _csv_text(header, _trajectory_lines(*traj), null)
             else:
-                _json_dumps(traj.values, null.write)
+                _json_dumps(traj[1], null.write)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

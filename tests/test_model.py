@@ -21,7 +21,7 @@ from cevlab import (
     step_negativity_prob,
     validate_assumption_a,
 )
-from cevlab.model import _inner_clamped
+from cevlab.model import _inner_clamped, max_step_negativity_bound
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +313,38 @@ class TestStepNegativityProb:
         assert step_negativity_prob(y, dt / 4, params) <= step_negativity_prob(
             y, dt, params
         )
+
+    @given(
+        a=st.floats(0.51, 0.99),
+        sigma=st.floats(0.01, 3.0),
+        k=st.floats(0.01, 5.0),
+        extra=st.floats(0.0, 2.0),
+        frac=st.floats(0.01, 1.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bound_caps_every_state(self, a, sigma, k, extra, frac):
+        """The flip probability at the convex minimum of inner caps the one
+        from every state.  The y-grid is log-spaced: on the standard model
+        at dt = 1/128 the minimum lies near y = 2e-6, between the points of
+        any linear grid."""
+        l = (a * sigma**2 / 2 + extra) / k
+        params = CevParams(k=k, l=l, sigma=sigma, a=a, x0=1.0)
+        dt = frac * max_stable_step(params)
+        bound = max_step_negativity_bound(params, dt)
+        for y in np.geomspace(1e-30, 1e4, 1000).tolist():
+            assert step_negativity_prob(y, dt, params) <= bound
+
+    def test_bound_at_the_standard_minimum(self, standard_params, noiseless_params):
+        dt = 1 / 128
+        y_star = (dt * 0.75 * 0.5 / (2 * (1 - dt))) ** 2.0  # exponent 1/(2-2a)
+        assert y_star == pytest.approx(2.18e-6, rel=1e-3)
+        bound = max_step_negativity_bound(standard_params, dt)
+        assert bound == step_negativity_prob(y_star, dt, standard_params)
+        assert bound > step_negativity_prob(y_star * 1.01, dt, standard_params)
+        assert bound > step_negativity_prob(y_star / 1.01, dt, standard_params)
+        assert max_step_negativity_bound(noiseless_params, 1.0) == 0.0  # dt = 1/k
+        with pytest.raises(ValidationError):
+            max_step_negativity_bound(standard_params, 0.8)  # max stable 0.727
 
     def test_increasing_in_dt_at_fixed_inner(self):
         # at fixed inner the scale sigma(1-a)sqrt(dt) grows with dt; check via
