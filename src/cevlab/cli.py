@@ -14,8 +14,13 @@ artifact: the JSON ``results``, the CSV header and body lines, and the
 summary line.  Artifacts are written piece by piece, never held whole.
 Numeric arrays (the trajectory CSV, and ``times``, ``paths`` and
 ``z_negative`` in JSON) are formatted ``_BLOCK_CELLS`` cells at a time by
-``_text``, in this process.  An artifact whose write fails or is
-interrupted is removed if it is a regular file.
+``_text``.  An array written to a regular file is cut into one contiguous
+block of rows per worker (``_write_rows``): this process formats the first
+block straight into the artifact, and each forked worker formats its own
+into an unnamed temporary file in the artifact's directory, which this
+process appends in block order.  An artifact whose write fails or is
+interrupted is removed if it is a regular file; the temporary files of a
+run are closed, and so gone, whether it succeeds or fails.
 
 Every CSV line follows one rule, ``_csv_line``'s: cells joined by ``,``, a
 float as ``format_float`` writes it, anything else as ``str``, and a CRLF
@@ -30,9 +35,12 @@ adapters that simulate, and by the writers when they meet an array.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import errno
 import json
 import os
+import stat
 import sys
 from typing import (
     TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, TextIO,
@@ -66,36 +74,123 @@ _BLOCK_CELLS = 4096
 
 
 # ---------------------------------------------------------------------------
-# JSON emission with fixed 17-significant-digit floats
+# rows of numeric arrays, formatted by every worker
 # ---------------------------------------------------------------------------
 
 
-def _tiles(n_rows: int, n_cols: int) -> Iterator[tuple[int, int, int, int]]:
-    """``(r0, r1, c0, c1)`` tiles of an n_rows x n_cols array in row-major
-    order, at most ``_BLOCK_CELLS`` cells each: whole rows where a row fits,
-    else pieces of one row."""
+def _tiles(start: int, stop: int, n_cols: int) -> Iterator[tuple[int, int, int, int]]:
+    """``(r0, r1, c0, c1)`` tiles of rows [start, stop) of an array of
+    ``n_cols`` columns in row-major order, at most ``_BLOCK_CELLS`` cells
+    each: whole rows where a row fits, else pieces of one row."""
     width = max(1, min(n_cols, _BLOCK_CELLS))
     height = max(1, _BLOCK_CELLS // width)
-    for r0 in range(0, n_rows, height):
+    for r0 in range(start, stop, height):
         for c0 in range(0, max(n_cols, 1), width):
-            yield r0, min(r0 + height, n_rows), c0, min(c0 + width, n_cols)
+            yield r0, min(r0 + height, stop), c0, min(c0 + width, n_cols)
+
+
+class _Rows:
+    """The text of a numeric array's ``n_rows`` rows: ``text(r0, r1)``
+    yields that of rows [r0, r1), ``_BLOCK_CELLS`` cells at a time."""
+
+    def __init__(self, n_rows: int, text: Callable[[int, int], Iterator[str]]) -> None:
+        self.n_rows, self.text = n_rows, text
+
+
+def _write_all(pieces: Iterable[str], write: Callable[[str], object]) -> None:
+    """Pass ``pieces`` to ``write`` one by one."""
+    for piece in pieces:
+        write(piece)
+        del piece  # a block's text is freed before the next one is formatted
+
+
+def _append(src: int, dst: int) -> None:
+    """Write the whole file ``src`` to ``dst`` at its offset: by
+    ``os.sendfile``, or by a plain copy where the kernel refuses ``dst``
+    (macOS takes only a socket)."""
+    size, done = os.fstat(src).st_size, 0
+    try:
+        while done < size:
+            done += os.sendfile(dst, src, done, size - done)
+    except OSError as exc:
+        if exc.errno not in (errno.EINVAL, errno.ENOSYS, errno.ENOTSOCK):
+            raise
+        while done < size:
+            done += os.write(dst, os.pread(src, min(size - done, 1 << 20), done))
+
+
+def _write_rows(rows: _Rows, write: Callable[[str], object]) -> None:
+    """Pass the text of ``rows`` to ``write``, in row order.
+
+    Where ``write`` is the ``write`` of an open regular file, the rows are
+    cut into one contiguous block per worker (``experiments._split``) and
+    run by ``experiments._map_blocks``: this process formats block 0
+    straight into the file, and each forked worker formats its block into
+    an unnamed temporary file in the file's directory, which this process
+    then appends in block order.  The temporary files are closed, and so
+    gone, whether the run succeeds or fails.  Any other ``write`` (an
+    ``io.StringIO``'s, a list's ``append``), or a host without ``os.fork``,
+    gets all rows as one block.
+    """
+    target = getattr(write, "__self__", None)
+    try:
+        fd = target.fileno()
+        folder = os.path.dirname(os.path.realpath(target.name))
+        regular = stat.S_ISREG(os.fstat(fd).st_mode) and hasattr(os, "fork")
+    except (AttributeError, OSError, TypeError, ValueError):  # no file descriptor
+        regular = False
+    blocks = [(0, rows.n_rows)]
+    if regular:
+        from . import experiments
+
+        blocks = experiments._split(rows.n_rows, experiments._resolve_workers())
+    if len(blocks) == 1:
+        _write_all(rows.text(*blocks[0]), write)
+        return
+
+    import tempfile
+
+    with contextlib.ExitStack() as stack:
+        parts = [target] + [
+            stack.enter_context(tempfile.TemporaryFile(
+                "w+", encoding="utf-8", newline="", dir=folder))
+            for _ in blocks[1:]]
+
+        def work(block: tuple[int, int]) -> None:
+            part = parts[blocks.index(block)]
+            _write_all(rows.text(*block), part.write)
+            part.flush()
+
+        experiments._map_blocks(work, blocks)
+        for part in parts[1:]:
+            _append(part.fileno(), fd)
+
+
+# ---------------------------------------------------------------------------
+# JSON emission with fixed 17-significant-digit floats
+# ---------------------------------------------------------------------------
 
 
 def _json_rows(
     arr: np.ndarray, first: str, sep: str, write: Callable[[str], object]
 ) -> None:
-    """Pass the rows of a 2-D array to ``write``: row 0 led by ``first``, the
-    others by ``sep``, each followed by its cells joined by ``", "``."""
+    """Pass the rows of a 2-D array to ``write`` (``_write_rows``): row 0
+    led by ``first``, the others by ``sep``, each followed by its cells
+    joined by ``", "``."""
     import numpy as np
 
     from . import _text
 
     leads = _text.literals([first, sep])
     cell_sep = _text.literals(["", ", "])  # before a row's first cell, before the rest
-    for r0, r1, c0, c1 in _tiles(*arr.shape):
-        row_parts = [leads[np.minimum(np.arange(r0, r1), 1)]] if c0 == 0 else []
-        seps = cell_sep[np.minimum(np.arange(c0, c1), 1)]
-        write(_text.join(row_parts, [seps, _text.cells(arr[r0:r1, c0:c1])]))
+
+    def text(start: int, stop: int) -> Iterator[str]:
+        for r0, r1, c0, c1 in _tiles(start, stop, arr.shape[1]):
+            row_parts = [leads[np.minimum(np.arange(r0, r1), 1)]] if c0 == 0 else []
+            seps = cell_sep[np.minimum(np.arange(c0, c1), 1)]
+            yield _text.join(row_parts, [seps, _text.cells(arr[r0:r1, c0:c1])])
+
+    _write_rows(_Rows(len(arr), text), write)
 
 
 def _fields(obj: object) -> Mapping[str, object]:
@@ -184,34 +279,42 @@ def _csv_line(cells: Iterable[object]) -> str:
 
 def _trajectory_lines(
     times: np.ndarray, values: np.ndarray, events: np.ndarray
-) -> Iterator[str]:
+) -> _Rows:
     """``path,step,time,value,z_negative`` lines of the paths ``values`` and
-    ``events`` (n_paths, n+1) at ``times`` (n+1,), one per (path, step),
-    yielded ``_BLOCK_CELLS`` cells at a time."""
+    ``events`` (n_paths, n+1) at ``times`` (n+1,), one per (path, step), as
+    the ``_Rows`` of the paths."""
     import numpy as np
 
     from . import _text
 
     comma, crlf = _text.literals([","]), _text.literals(["\r\n"])
-    steps: dict[int, np.ndarray] = {}  # ",step,time," cells by column tile
-    for r0, r1, c0, c1 in _tiles(*values.shape):
-        if c0 not in steps:  # the same for every path: formatted once
-            steps[c0] = _text.concat([
-                comma, _text.cells(np.arange(c0, c1)), comma,
-                _text.cells(times[c0:c1]), comma])
-        yield _text.join([], [
-            _text.cells(np.arange(r0, r1))[:, None], steps[c0],
-            _text.cells(values[r0:r1, c0:c1]), comma,
-            _text.cells(events[r0:r1, c0:c1]), crlf])
+
+    def text(start: int, stop: int) -> Iterator[str]:
+        steps: dict[int, np.ndarray] = {}  # ",step,time," cells by column tile
+        for r0, r1, c0, c1 in _tiles(start, stop, values.shape[1]):
+            if c0 not in steps:  # the same for every path: formatted once
+                steps[c0] = _text.concat([
+                    comma, _text.cells(np.arange(c0, c1)), comma,
+                    _text.cells(times[c0:c1]), comma])
+            yield _text.join([], [
+                _text.cells(np.arange(r0, r1))[:, None], steps[c0],
+                _text.cells(values[r0:r1, c0:c1]), comma,
+                _text.cells(events[r0:r1, c0:c1]), crlf])
+
+    return _Rows(len(values), text)
 
 
-def _csv_text(header: Sequence[str], lines: Iterable[str], buf: TextIO) -> None:
+def _csv_text(
+    header: Sequence[str], lines: Iterable[str] | _Rows, buf: TextIO
+) -> None:
     """Write the CSV line of ``header``, then ``lines``, into ``buf``, a text
-    file or ``io.StringIO``, piece by piece."""
+    file or ``io.StringIO``, piece by piece: the ``_Rows`` of an array
+    through ``_write_rows``."""
     buf.write(_csv_line(header))
-    for line in lines:
-        buf.write(line)
-        del line  # a block's text is freed before the next one is formatted
+    if isinstance(lines, _Rows):
+        _write_rows(lines, buf.write)
+    else:
+        _write_all(lines, buf.write)
 
 
 _METRIC_HEADER = ("metric", "value", "se")

@@ -187,9 +187,11 @@ def _map_blocks(
     ``os.fork()`` children, which share with this process only what was
     made before the fork to be shared, such as ``_shared`` arrays or an
     open file's descriptor: ``work`` writes nothing the caller reads except
-    its own rows of such shared storage, and returns a picklable value.  A
-    child never returns to the caller's code, so it never flushes a file
-    object it inherited.  A child runs its blocks in order, stops at its first
+    its own rows of such shared storage, or a file made for it before the
+    fork, and returns a picklable value.  A child never returns to the
+    caller's code, so it never flushes a file object it inherited: a child
+    that formats rows for ``cli`` inherits the open artifact and never
+    writes to it.  A child runs its blocks in order, stops at its first
     failing block and pipes back the pickled results.  Every child is read
     to EOF and reaped before this returns or raises.  If any block failed,
     the exception of the lowest-indexed failed block is raised (a child

@@ -124,18 +124,20 @@ def test_experiments_take_grid_paths_and_seed_by_name(name):
     assert {"grid", "n_paths", "seed"} <= set(parameters)
 
 
-def _fresh_python(code: str, **env: str) -> str:
-    """Stripped stdout of ``code`` run in a fresh interpreter that imports
-    cevlab from this checkout, with ``env`` set and OPENBLAS_NUM_THREADS
-    unset unless ``env`` sets it.  It runs in a temporary directory, so a
-    command that writes a relative path leaves nothing in the checkout."""
+def _fresh_python(code: str, *flags: str, **env: str) -> str:
+    """Stripped stdout of ``code`` run in a fresh interpreter, started with
+    ``flags``, that imports cevlab from this checkout, with ``env`` set and
+    OPENBLAS_NUM_THREADS unset unless ``env`` sets it.  It runs in a
+    temporary directory, so a command that writes a relative path leaves
+    nothing in the checkout.  A byte of stdout that is not UTF-8 comes back
+    escaped, so the caller's own assertion still runs."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory() as cwd:
         out = subprocess.run(
-            [sys.executable, "-c", code], env={**base, **env}, cwd=cwd,
-            capture_output=True, text=True, check=True,
+            [sys.executable, *flags, "-c", code], env={**base, **env}, cwd=cwd,
+            capture_output=True, encoding="utf-8", errors="backslashreplace", check=True,
         )
     return out.stdout.strip()
 
@@ -153,6 +155,21 @@ def test_cli_import_loads_no_pool_machinery():
 def test_cli_import_loads_no_csv():
     """CSV lines are joined by one rule in ``cli``, not by the csv module."""
     assert _fresh_python("import sys, cevlab.cli; print('csv' in sys.modules)") == "False"
+
+
+def test_cli_import_loads_no_temporary_file_machinery():
+    """Temporary files are made only where an array is emitted by more than
+    one worker, so no start pays for ``tempfile``.  The interpreter runs
+    without ``site`` (``-S``), whose ``.pth`` files may load it at start-up."""
+    code = (
+        "import sys, cevlab.cli; "
+        "print([m for m in ('tempfile', 'shutil') if m in sys.modules])"
+    )
+    assert _fresh_python(code, "-S") == "[]"
+
+
+def test_fresh_python_escapes_bytes_that_are_not_utf8():
+    assert _fresh_python("import sys; sys.stdout.buffer.write(b'\\xff\\n')") == "\\xff"
 
 
 def test_package_import_loads_no_numpy_and_sets_no_blas_threads():

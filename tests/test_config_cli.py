@@ -603,6 +603,37 @@ class TestCliExitCodes:
         assert len(os.listdir("/proc/self/fd")) == before
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("error, message", [
+        (RuntimeError("boom"), "internal error: RuntimeError('boom')"),
+        (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+         f"error: cannot write output file: [Errno {errno.ENOSPC}]"),
+    ], ids=["RuntimeError", "ENOSPC"])
+    def test_failure_in_a_formatting_worker_leaves_nothing(
+            self, tmp_path, monkeypatch, capsys, fmt, error, message):
+        # a fault raised only where a forked worker formats its rows into
+        # its temporary file: the run fails as if it were raised here, and
+        # neither the artifact nor a temporary file is left
+        from cevlab import _text
+
+        parent, cells = os.getpid(), _text.cells
+
+        def failing_in_workers(a):
+            if os.getpid() != parent:
+                raise error
+            return cells(a)
+
+        monkeypatch.setattr(_text, "cells", failing_in_workers)
+        monkeypatch.setenv("CEVLAB_THREADS", "2")
+        monkeypatch.chdir(tmp_path)
+        args = ["simulate", *STD_FLAGS, "--grid.n_steps=8", "--run.n_paths=7",
+                f"--output.format={fmt}", f"--out=paths.{fmt}"]
+        before = len(os.listdir("/proc/self/fd"))
+        assert main(args) == 3
+        assert message in capsys.readouterr().err
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_failed_write_to_a_device_leaves_it(self, config_file, tmp_path, capsys):
         # only a regular file is removed; through a link, so that a fault
@@ -768,14 +799,16 @@ class TestArtifacts:
         self, config_file, tmp_path, monkeypatch
     ):
         # Trajectory rows are formatted by the workers too: 7 paths give
-        # uneven row blocks for 2 and 3 workers, and Euler with k*dt ~ 1e99
-        # fills rows with NaN and Infinity cells.
+        # uneven row blocks for 2, 3 and 5 workers (2, 2, 1, 1, 1 rows for
+        # 5), and Euler with k*dt ~ 1e99 fills rows with NaN and Infinity
+        # cells.
         convergence = ["convergence", "--grid.n_steps=512", "--run.levels=3,4,5",
                        "--run.ref_exponent=9", "--run.n_paths=5000", "--run.seed=7"]
         simulate = ["simulate", "--grid.n_steps=8", "--run.n_paths=7", "--run.seed=7"]
         diverging = [*simulate, "--run.scheme=EulerNaive", "--model.k=1e100"]
         runs = [(convergence, "json", ("4",))] + [
-            (args, fmt, ("2", "3")) for args in (simulate, diverging) for fmt in ("csv", "json")
+            (args, fmt, ("2", "3", "5"))
+            for args in (simulate, diverging) for fmt in ("csv", "json")
         ]
         for (experiment, *flags), fmt, caps in runs:
             outs = {}
@@ -788,6 +821,60 @@ class TestArtifacts:
             assert all(out == outs["1"] for out in outs.values()), (flags, fmt)
             if "--model.k=1e100" in flags:
                 assert b"NaN" in outs["1"] and b"Infinity" in outs["1"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_calling_process_formats_only_its_own_rows(self, tmp_path, monkeypatch, fmt):
+        # two workers cut 7 paths into rows [0, 4), formatted here, and
+        # [4, 7), formatted by the forked worker: this process never reads
+        # the worker's rows of the shared trajectory
+        from cevlab import _text, experiments
+
+        parent, seen, matrices = os.getpid(), [], []
+        cells, simulate = _text.cells, experiments.simulate_paths_batch
+
+        def recording_cells(a):
+            if os.getpid() == parent:
+                seen.append(a)
+            return cells(a)
+
+        def recording_simulate(*args):
+            result = simulate(*args)
+            matrices.extend(result[:2])
+            return result
+
+        monkeypatch.setattr(_text, "cells", recording_cells)
+        monkeypatch.setattr(experiments, "simulate_paths_batch", recording_simulate)
+        monkeypatch.setenv("CEVLAB_THREADS", "2")
+        monkeypatch.chdir(tmp_path)
+        args = ["simulate", *STD_FLAGS, "--grid.n_steps=8", "--run.n_paths=7"]
+        assert main([*args, f"--output.format={fmt}", f"--out=paths.{fmt}"]) == 0
+        values, events = matrices
+        assert any(np.shares_memory(a, values[:4]) for a in seen)
+        assert any(np.shares_memory(a, events[:4]) for a in seen)
+        assert not any(np.shares_memory(a, m[4:]) for a in seen for m in matrices)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_copy_fallback_writes_the_same_bytes(self, tmp_path, monkeypatch, fmt):
+        # where the kernel refuses to sendfile into the artifact, the
+        # workers' rows are copied by plain reads and writes
+        monkeypatch.setenv("CEVLAB_THREADS", "3")
+        args = ["simulate", *STD_FLAGS, "--grid.n_steps=64", "--run.n_paths=64",
+                f"--output.format={fmt}"]
+        refused = []
+
+        def refuse(*args):
+            refused.append(args)
+            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+
+        outs = []
+        for name in ("sent", "copied"):
+            if name == "copied":
+                monkeypatch.setattr(os, "sendfile", refuse)
+            out = tmp_path / f"{name}.{fmt}"
+            assert main([*args, f"--out={out}"]) == 0
+            outs.append(out.read_bytes().replace(str(out).encode(), b"X"))
+        assert refused
+        assert outs[0] == outs[1]
 
     def test_json_floats_round_trip(self, config_file, tmp_path):
         out = tmp_path / "m.json"
