@@ -17,10 +17,11 @@ Numeric arrays (the trajectory CSV, and ``times``, ``paths`` and
 ``_text``.  An array written to a regular file is cut into one contiguous
 block of rows per worker (``_write_rows``): this process formats the first
 block straight into the artifact, and each forked worker formats its own
-into an unnamed temporary file in the artifact's directory, which this
-process appends in block order.  An artifact whose write fails or is
-interrupted is removed if it is a regular file; the temporary files of a
-run are closed, and so gone, whether it succeeds or fails.
+into an unnamed temporary file in the system temporary directory, whose
+bytes this process copies into the artifact in block order.  An artifact
+whose write fails or is interrupted is removed if it is a regular file, or
+emptied where it cannot be; the temporary files of a run are closed, and
+so gone, whether it succeeds or fails.
 
 Every CSV line follows one rule, ``_csv_line``'s: cells joined by ``,``, a
 float as ``format_float`` writes it, anything else as ``str``, and a CRLF
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import errno
 import json
 import os
 import stat
@@ -97,47 +97,22 @@ class _Rows:
         self.n_rows, self.text = n_rows, text
 
 
-def _write_all(pieces: Iterable[str], write: Callable[[str], object]) -> None:
-    """Pass ``pieces`` to ``write`` one by one."""
-    for piece in pieces:
-        write(piece)
-        del piece  # a block's text is freed before the next one is formatted
+def _write_rows(rows: _Rows, out: TextIO) -> None:
+    """Write the text of ``rows`` into ``out``, in row order.
 
-
-def _append(src: int, dst: int) -> None:
-    """Write the whole file ``src`` to ``dst`` at its offset: by
-    ``os.sendfile``, or by a plain copy where the kernel refuses ``dst``
-    (macOS takes only a socket)."""
-    size, done = os.fstat(src).st_size, 0
-    try:
-        while done < size:
-            done += os.sendfile(dst, src, done, size - done)
-    except OSError as exc:
-        if exc.errno not in (errno.EINVAL, errno.ENOSYS, errno.ENOTSOCK):
-            raise
-        while done < size:
-            done += os.write(dst, os.pread(src, min(size - done, 1 << 20), done))
-
-
-def _write_rows(rows: _Rows, write: Callable[[str], object]) -> None:
-    """Pass the text of ``rows`` to ``write``, in row order.
-
-    Where ``write`` is the ``write`` of an open regular file, the rows are
-    cut into one contiguous block per worker (``experiments._split``) and
-    run by ``experiments._map_blocks``: this process formats block 0
-    straight into the file, and each forked worker formats its block into
-    an unnamed temporary file in the file's directory, which this process
-    then appends in block order.  The temporary files are closed, and so
-    gone, whether the run succeeds or fails.  Any other ``write`` (an
-    ``io.StringIO``'s, a list's ``append``), or a host without ``os.fork``,
-    gets all rows as one block.
+    Where ``out`` is an open regular file, the rows are cut into one
+    contiguous block per worker (``experiments._split``) and run by
+    ``experiments._map_blocks``: this process formats block 0 straight into
+    ``out``, and each forked worker formats its block into an unnamed
+    temporary file in the system temporary directory (which needs room for
+    the workers' rows), whose bytes this process copies into ``out`` in
+    block order.  The temporary files are closed, and so gone, whether the
+    run succeeds or fails.  Any other ``out`` (an ``io.StringIO``), or a
+    host without ``os.fork``, gets all rows as one block.
     """
-    target = getattr(write, "__self__", None)
     try:
-        fd = target.fileno()
-        folder = os.path.dirname(os.path.realpath(target.name))
-        regular = stat.S_ISREG(os.fstat(fd).st_mode) and hasattr(os, "fork")
-    except (AttributeError, OSError, TypeError, ValueError):  # no file descriptor
+        regular = stat.S_ISREG(os.fstat(out.fileno()).st_mode) and hasattr(os, "fork")
+    except (AttributeError, OSError, ValueError):  # no file descriptor
         regular = False
     blocks = [(0, rows.n_rows)]
     if regular:
@@ -145,25 +120,26 @@ def _write_rows(rows: _Rows, write: Callable[[str], object]) -> None:
 
         blocks = experiments._split(rows.n_rows, experiments._resolve_workers())
     if len(blocks) == 1:
-        _write_all(rows.text(*blocks[0]), write)
+        out.writelines(rows.text(*blocks[0]))
         return
 
+    import shutil
     import tempfile
 
     with contextlib.ExitStack() as stack:
-        parts = [target] + [
-            stack.enter_context(tempfile.TemporaryFile(
-                "w+", encoding="utf-8", newline="", dir=folder))
+        parts = [out] + [
+            stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
             for _ in blocks[1:]]
 
         def work(block: tuple[int, int]) -> None:
             part = parts[blocks.index(block)]
-            _write_all(rows.text(*block), part.write)
+            part.writelines(rows.text(*block))
             part.flush()
 
         experiments._map_blocks(work, blocks)
-        for part in parts[1:]:
-            _append(part.fileno(), fd)
+        for part in parts[1:]:  # block 0 is flushed: the bytes follow it
+            part.seek(0)
+            shutil.copyfileobj(part.buffer, out.buffer)
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +147,8 @@ def _write_rows(rows: _Rows, write: Callable[[str], object]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _json_rows(
-    arr: np.ndarray, first: str, sep: str, write: Callable[[str], object]
-) -> None:
-    """Pass the rows of a 2-D array to ``write`` (``_write_rows``): row 0
+def _json_rows(arr: np.ndarray, first: str, sep: str, out: TextIO) -> None:
+    """Write the rows of a 2-D array into ``out`` (``_write_rows``): row 0
     led by ``first``, the others by ``sep``, each followed by its cells
     joined by ``", "``."""
     import numpy as np
@@ -190,7 +164,7 @@ def _json_rows(
             seps = cell_sep[np.minimum(np.arange(c0, c1), 1)]
             yield _text.join(row_parts, [seps, _text.cells(arr[r0:r1, c0:c1])])
 
-    _write_rows(_Rows(len(arr), text), write)
+    _write_rows(_Rows(len(arr), text), out)
 
 
 def _fields(obj: object) -> Mapping[str, object]:
@@ -201,9 +175,9 @@ def _fields(obj: object) -> Mapping[str, object]:
     return obj
 
 
-def _json_dumps(obj: object, write: Callable[[str], object], indent: int = 0) -> None:
-    """Minimal JSON writer: pass the text of ``obj``, nested ``indent`` levels
-    deep, to ``write`` piece by piece.  Floats carry 17 significant digits,
+def _json_dumps(obj: object, out: TextIO, indent: int = 0) -> None:
+    """Minimal JSON writer: write the text of ``obj``, nested ``indent`` levels
+    deep, into ``out`` piece by piece.  Floats carry 17 significant digits,
     so every value round-trips bit-for-bit through json.loads.
 
     A dataclass instance is written as the mapping of its fields.  A numeric
@@ -211,6 +185,7 @@ def _json_dumps(obj: object, write: Callable[[str], object], indent: int = 0) ->
     per enclosing container; numpy is imported only for a value that is no
     scalar, mapping or sequence.
     """
+    write = out.write
     pad = "  " * indent
     inner = "  " * (indent + 1)
     obj = _fields(obj)
@@ -221,7 +196,7 @@ def _json_dumps(obj: object, write: Callable[[str], object], indent: int = 0) ->
         sep = "{\n"
         for key, val in obj.items():
             write(f'{sep}{inner}"{key}": ')
-            _json_dumps(val, write, indent + 1)
+            _json_dumps(val, out, indent + 1)
             sep = ",\n"
         write("\n" + pad + "}")
         return
@@ -235,7 +210,7 @@ def _json_dumps(obj: object, write: Callable[[str], object], indent: int = 0) ->
             first, sep, last = "[\n" + inner, ",\n" + inner, "\n" + pad + "]"
         for val in obj:
             write(first)
-            _json_dumps(val, write, indent + 1)
+            _json_dumps(val, out, indent + 1)
             first = sep
         write(last)
         return
@@ -257,12 +232,12 @@ def _json_dumps(obj: object, write: Callable[[str], object], indent: int = 0) ->
         if obj.dtype.kind not in "fiu" or obj.ndim not in (1, 2):
             raise TypeError(f"cannot serialize {obj.ndim}-D {obj.dtype} array")
         if obj.ndim == 1:
-            _json_rows(obj[None], "[", "", write)
+            _json_rows(obj[None], "[", "", out)
             write("]")
         elif len(obj) == 0:
             write("[]")
         else:
-            _json_rows(obj, "[\n" + inner + "[", "],\n" + inner + "[", write)
+            _json_rows(obj, "[\n" + inner + "[", "],\n" + inner + "[", out)
             write("]\n" + pad + "]")
 
 
@@ -305,16 +280,16 @@ def _trajectory_lines(
 
 
 def _csv_text(
-    header: Sequence[str], lines: Iterable[str] | _Rows, buf: TextIO
+    header: Sequence[str], lines: Iterable[str] | _Rows, out: TextIO
 ) -> None:
-    """Write the CSV line of ``header``, then ``lines``, into ``buf``, a text
+    """Write the CSV line of ``header``, then ``lines``, into ``out``, a text
     file or ``io.StringIO``, piece by piece: the ``_Rows`` of an array
     through ``_write_rows``."""
-    buf.write(_csv_line(header))
+    out.write(_csv_line(header))
     if isinstance(lines, _Rows):
-        _write_rows(lines, buf.write)
+        _write_rows(lines, out)
     else:
-        _write_all(lines, buf.write)
+        out.writelines(lines)
 
 
 _METRIC_HEADER = ("metric", "value", "se")
@@ -418,13 +393,18 @@ def _run_price(config: RunConfig):
 
 def _remove_partial(path: str) -> None:
     """Remove the regular file at ``path``, an artifact whose write failed or
-    was cut short, so that no provenance block is left for an incomplete run."""
+    was cut short, so that no provenance block is left for an incomplete run.
+    A file that cannot be removed is emptied instead, and named on stderr."""
     path = os.path.realpath(path)  # through a link, the file it points to
     try:
         if os.path.isfile(path):
             os.unlink(path)
-    except OSError:
-        pass
+    except OSError as exc:
+        try:
+            os.truncate(path, 0)
+            print(f"error: left partial output file {path} empty: {exc}", file=sys.stderr)
+        except OSError as err:
+            print(f"error: cannot remove or empty {path}: {err}", file=sys.stderr)
 
 
 def run(config: RunConfig) -> int:
@@ -455,16 +435,16 @@ def run(config: RunConfig) -> int:
                                    "master_seed": config.seed, "version": __version__},
                     "results": results,
                 }
-                _json_dumps(document, fh.write)
+                _json_dumps(document, fh)
                 fh.write("\n")
     except BaseException as exc:  # an interrupt too: no partial artifact is left
-        if opened:
-            _remove_partial(config.out_path)
         if isinstance(exc, OSError):
             print(f"error: cannot write output file: {exc}", file=sys.stderr)
         elif isinstance(exc, Exception):
             print(f"internal error: {exc!r}", file=sys.stderr)
-        else:
+        if opened:
+            _remove_partial(config.out_path)
+        if not isinstance(exc, Exception):
             raise
         return 3
     print(f"{summary} -> {config.out_path}")
@@ -562,7 +542,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if dry_run:
         document = {"resolved_config": config.flat_items(), "version": __version__}
-        _json_dumps(document, sys.stdout.write)
+        _json_dumps(document, sys.stdout)
         print()
         return 0
     return run(config)

@@ -10,8 +10,9 @@ import itertools
 import json
 import math
 import os
+import shutil
+import subprocess
 import tracemalloc
-import types
 from pathlib import Path
 from unittest import mock
 
@@ -305,6 +306,10 @@ def _fill_disk(monkeypatch, space: int, error: BaseException | None = None) -> l
             written.append(text)
             return self._fh.write(text)
 
+        def writelines(self, pieces):
+            for piece in pieces:
+                self.write(piece)
+
         def __enter__(self):
             return self
 
@@ -314,6 +319,36 @@ def _fill_disk(monkeypatch, space: int, error: BaseException | None = None) -> l
     monkeypatch.setattr(
         "cevlab.cli.open", lambda *a, **k: FullDisk(open(*a, **k)), raising=False)
     return written
+
+
+@contextlib.contextmanager
+def _no_new_entries(folder: Path):
+    """Make ``folder`` refuse new entries for the duration: by its mode, or,
+    for root, whom modes do not stop, by the immutable attribute.  Skips
+    the test where the host refuses both; always undone."""
+    root = hasattr(os, "geteuid") and os.geteuid() == 0
+    if root and not shutil.which("chattr"):
+        pytest.skip("needs chattr to lock a directory as root")
+    try:
+        if root:
+            done = subprocess.run(["chattr", "+i", str(folder)], capture_output=True)
+            if done.returncode:
+                pytest.skip(f"chattr +i refused: {done.stderr.decode(errors='replace')}")
+        else:
+            folder.chmod(0o555)
+        try:
+            (folder / "probe").touch()
+        except OSError:
+            pass
+        else:
+            pytest.skip(f"{folder} still takes new entries")
+        yield
+    finally:
+        if root:
+            subprocess.run(["chattr", "-i", str(folder)], capture_output=True)
+        folder.chmod(0o755)
+        with contextlib.suppress(FileNotFoundError):
+            (folder / "probe").unlink()
 
 
 class TestCliExitCodes:
@@ -634,6 +669,30 @@ class TestCliExitCodes:
         assert len(os.listdir("/proc/self/fd")) == before
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_partial_artifact_that_cannot_be_removed_is_emptied(
+            self, tmp_path, monkeypatch, capsys, fmt):
+        # the disk fills up halfway, and the artifact cannot be unlinked:
+        # it is left empty, so no provenance block or rows of the failed
+        # run are left, and stderr names it
+        monkeypatch.chdir(tmp_path)
+        unlink, out = os.unlink, tmp_path / f"paths.{fmt}"
+
+        def refuse(path, *args, **kwargs):
+            if Path(path) == out:
+                raise PermissionError(errno.EPERM, os.strerror(errno.EPERM), path)
+            return unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "unlink", refuse)
+        _fill_disk(monkeypatch, 300)
+        args = ["simulate", *STD_FLAGS, "--grid.n_steps=8", "--run.n_paths=7",
+                f"--output.format={fmt}", f"--out={out.name}"]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert f"error: cannot write output file: [Errno {errno.ENOSPC}]" in err
+        assert f"error: left partial output file {out} empty: [Errno {errno.EPERM}]" in err
+        assert out.read_bytes() == b""
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_failed_write_to_a_device_leaves_it(self, config_file, tmp_path, capsys):
         # only a regular file is removed; through a link, so that a fault
@@ -854,26 +913,38 @@ class TestArtifacts:
         assert not any(np.shares_memory(a, m[4:]) for a in seen for m in matrices)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_copy_fallback_writes_the_same_bytes(self, tmp_path, monkeypatch, fmt):
-        # where the kernel refuses to sendfile into the artifact, the
-        # workers' rows are copied by plain reads and writes
-        monkeypatch.setenv("CEVLAB_THREADS", "3")
+    def test_worker_rows_need_no_sendfile(self, tmp_path, monkeypatch, fmt):
+        # the workers' rows are copied by plain reads and writes: a host
+        # without os.sendfile gets the single-worker bytes
+        monkeypatch.delattr(os, "sendfile", raising=False)
         args = ["simulate", *STD_FLAGS, "--grid.n_steps=64", "--run.n_paths=64",
                 f"--output.format={fmt}"]
-        refused = []
-
-        def refuse(*args):
-            refused.append(args)
-            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
-
         outs = []
-        for name in ("sent", "copied"):
-            if name == "copied":
-                monkeypatch.setattr(os, "sendfile", refuse)
-            out = tmp_path / f"{name}.{fmt}"
+        for threads in ("1", "3"):
+            monkeypatch.setenv("CEVLAB_THREADS", threads)
+            out = tmp_path / f"t{threads}.{fmt}"
             assert main([*args, f"--out={out}"]) == 0
             outs.append(out.read_bytes().replace(str(out).encode(), b"X"))
-        assert refused
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_directory_that_takes_no_new_file(self, tmp_path, monkeypatch, fmt):
+        # the workers' rows go to the system temporary directory, so an
+        # artifact whose directory takes no new entry is written by two
+        # workers as by one, and nothing is added beside it
+        folder = tmp_path / "locked"
+        folder.mkdir()
+        out = folder / f"traj.{fmt}"
+        out.touch()
+        args = ["simulate", *STD_FLAGS, "--grid.n_steps=8", "--run.n_paths=7",
+                f"--output.format={fmt}", f"--out={out}"]
+        outs = []
+        with _no_new_entries(folder):
+            for threads in ("1", "2"):
+                monkeypatch.setenv("CEVLAB_THREADS", threads)
+                assert main(args) == 0
+                outs.append(out.read_bytes())
+            assert list(folder.iterdir()) == [out]
         assert outs[0] == outs[1]
 
     def test_json_floats_round_trip(self, config_file, tmp_path):
@@ -988,9 +1059,17 @@ _TRAJECTORY = _trajectory(3 * (cli._BLOCK_CELLS // 65) + 11, 64)
 
 def _json_text(obj: object) -> str:
     """The whole text that ``_json_dumps`` writes for ``obj``."""
-    pieces: list[str] = []
-    _json_dumps(obj, pieces.append)
-    return "".join(pieces)
+    buf = io.StringIO()
+    _json_dumps(obj, buf)
+    return buf.getvalue()
+
+
+class _Null(io.TextIOBase):
+    """A text stream that drops what is written; ``writelines`` is ``io``'s,
+    which passes each piece to ``write``."""
+
+    def write(self, text):
+        return len(text)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1103,14 +1182,14 @@ class TestArrayFormatting:
         # for all paths (29 bytes a column here); in blocks of 8320 (128
         # rows) the JSON of 8192 x 65 cells peaks at 2.05 MB
         traj = _trajectory(n_paths, n_steps)
-        null = types.SimpleNamespace(write=lambda text: None)
+        null = _Null()
         tracemalloc.start()
         try:
             if fmt == "csv":
                 header = ("path", "step", "time", "value", "z_negative")
                 _csv_text(header, _trajectory_lines(*traj), null)
             else:
-                _json_dumps(traj[1], null.write)
+                _json_dumps(traj[1], null)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
