@@ -108,10 +108,11 @@ def _write_rows(rows: _Rows, out: TextIO) -> None:
     the workers' rows), whose bytes this process copies into ``out`` in
     block order.  The temporary files are closed, and so gone, whether the
     run succeeds or fails.  Any other ``out`` (an ``io.StringIO``), or a
-    host without ``os.fork``, gets all rows as one block.
+    run of one worker (``experiments._resolve_workers``, 1 on a host
+    without ``os.fork``), gets all rows as one block, written in place.
     """
     try:
-        regular = stat.S_ISREG(os.fstat(out.fileno()).st_mode) and hasattr(os, "fork")
+        regular = stat.S_ISREG(os.fstat(out.fileno()).st_mode)
     except (AttributeError, OSError, ValueError):  # no file descriptor
         regular = False
     blocks = [(0, rows.n_rows)]
@@ -131,12 +132,12 @@ def _write_rows(rows: _Rows, out: TextIO) -> None:
             stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
             for _ in blocks[1:]]
 
-        def work(block: tuple[int, int]) -> None:
-            part = parts[blocks.index(block)]
-            part.writelines(rows.text(*block))
+        def work(item: tuple[tuple[int, int], TextIO]) -> None:
+            (start, stop), part = item
+            part.writelines(rows.text(start, stop))
             part.flush()
 
-        experiments._map_blocks(work, blocks)
+        experiments._map_blocks(work, list(zip(blocks, parts)))
         for part in parts[1:]:  # block 0 is flushed: the bytes follow it
             part.seek(0)
             shutil.copyfileobj(part.buffer, out.buffer)

@@ -30,7 +30,7 @@ import mmap
 import os
 import pickle
 from dataclasses import dataclass
-from typing import Callable, Iterable, NoReturn, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
@@ -93,17 +93,16 @@ _CHUNK_STEPS = 512
 
 
 def _resolve_workers() -> int:
-    """The worker cap: CEVLAB_THREADS, or the core count when it is unset."""
+    """The worker count: CEVLAB_THREADS, or the core count when it is unset;
+    1 where ``os.fork`` does not exist (the one place that decides to fork)."""
     env = os.environ.get("CEVLAB_THREADS")
-    if env is None:
-        return os.cpu_count() or 1
     try:
-        workers = int(env)
+        workers = (os.cpu_count() or 1) if env is None else int(env)
     except ValueError:
         workers = 0
     if workers < 1:
         raise ValidationError(f"CEVLAB_THREADS must be a positive integer, got {env!r}")
-    return workers
+    return workers if hasattr(os, "fork") else 1
 
 
 def _layout(n_paths: int, n_steps: int) -> tuple[list[tuple[int, int]], int]:
@@ -140,64 +139,30 @@ def _split(n: int, count: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
+_B = TypeVar("_B")
 _T = TypeVar("_T")
 
 
-def _run_share(
-    work: Callable[[tuple[int, int]], _T], blocks: list, first: int, stride: int
-) -> dict[int, _T | Exception]:
-    """Run blocks first, first + stride, ... in order, up to and including the
-    first that raises; map each block index to its result or exception."""
-    outcomes: dict[int, _T | Exception] = {}
-    for i in range(first, len(blocks), stride):
-        try:
-            outcomes[i] = work(blocks[i])
-        except Exception as exc:
-            outcomes[i] = exc
-            break
-    return outcomes
+def _map_blocks(work: Callable[[_B], _T], blocks: list[_B]) -> list[_T]:
+    """Run ``work`` over ``blocks``, each passed as given (here a [start,
+    stop) range of paths), possibly in parallel; return its results in order.
 
-
-def _child_share(
-    work: Callable[[tuple[int, int]], _T], blocks: list, first: int, stride: int, fd: int
-) -> NoReturn:
-    """In a forked worker: run its share, write the pickled outcomes to ``fd``
-    and end the process without returning to the caller's code, exit status
-    0 on success and 1 if the share could not be run or sent."""
-    status = 1
-    try:
-        payload = pickle.dumps(
-            _run_share(work, blocks, first, stride), pickle.HIGHEST_PROTOCOL
-        )
-        with open(fd, "wb") as pipe:
-            pipe.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _map_blocks(
-    work: Callable[[tuple[int, int]], _T], blocks: list[tuple[int, int]]
-) -> list[_T]:
-    """Run ``work`` over ``blocks``, [start, stop) ranges of paths, possibly
-    in parallel, and return its results in block order.
-
-    Block i runs in worker i mod w, with w the CEVLAB_THREADS cap (at most
-    one worker per block).  Worker 0 is this process; workers 1..w-1 are
-    ``os.fork()`` children, which share with this process only what was
-    made before the fork to be shared, such as ``_shared`` arrays or an
-    open file's descriptor: ``work`` writes nothing the caller reads except
-    its own rows of such shared storage, or a file made for it before the
-    fork, and returns a picklable value.  A child never returns to the
-    caller's code, so it never flushes a file object it inherited: a child
-    that formats rows for ``cli`` inherits the open artifact and never
-    writes to it.  A child runs its blocks in order, stops at its first
-    failing block and pipes back the pickled results.  Every child is read
-    to EOF and reaped before this returns or raises.  If any block failed,
-    the exception of the lowest-indexed failed block is raised (a child
-    that sent no result raises ChildProcessError naming its pid and wait
-    status) and no result is returned.  Without ``os.fork`` every block
-    runs here.
+    Block i runs in worker i mod w, with w the ``_resolve_workers`` count
+    (at most one worker per block).  Worker 0 is this process; workers
+    1..w-1 are ``os.fork()`` children, which share with this process only
+    what was made before the fork to be shared, such as ``_shared`` arrays
+    or an open file's descriptor: ``work`` writes nothing the caller reads
+    except its own rows of such shared storage, or a file made for it
+    before the fork, and returns a picklable value.  A child never returns
+    to the caller's code, so it never flushes a file object it inherited: a
+    child that formats rows for ``cli`` inherits the open artifact and
+    never writes to it.  Each worker runs its blocks in order and stops at
+    its first failing block; a child writes the pickled results of its
+    blocks to a pipe, which this function alone writes and reads, and ends.
+    Every child is read to EOF and reaped before this returns or raises.
+    If any block failed, the exception of the lowest-indexed failed block
+    is raised (a child that sent no result raises ChildProcessError naming
+    its pid and wait status) and no result is returned.
 
     cevlab itself starts no threads, and a CLI process runs no BLAS pool
     thread either (``cevlab.__main__`` asks for one BLAS thread before numpy
@@ -205,9 +170,19 @@ def _map_blocks(
     default BLAS pool; one that runs threads of its own should set
     CEVLAB_THREADS=1.
     """
-    workers = min(_resolve_workers(), len(blocks))
-    if workers <= 1 or not hasattr(os, "fork"):
-        workers = 1
+    workers = max(1, min(_resolve_workers(), len(blocks)))
+
+    def share(first: int) -> dict[int, _T | Exception]:
+        """Outcomes of blocks first, first + w, ... up to the first failure."""
+        outcomes: dict[int, _T | Exception] = {}
+        for i in range(first, len(blocks), workers):
+            try:
+                outcomes[i] = work(blocks[i])
+            except Exception as exc:
+                outcomes[i] = exc
+                break
+        return outcomes
+
     children = []  # (pid, pipe read end, index of the child's first block)
     outcomes: dict[int, _T | Exception] = {}
     try:
@@ -219,11 +194,18 @@ def _map_blocks(
                 os.close(read_fd)
                 os.close(write_fd)
                 raise
-            if pid == 0:
-                _child_share(work, blocks, first, workers, write_fd)
+            if pid == 0:  # the child: exit status 0 once its outcomes are sent
+                status = 1
+                try:
+                    payload = pickle.dumps(share(first), pickle.HIGHEST_PROTOCOL)
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(payload)
+                    status = 0
+                finally:
+                    os._exit(status)
             os.close(write_fd)
             children.append((pid, read_fd, first))
-        outcomes.update(_run_share(work, blocks, 0, workers))
+        outcomes.update(share(0))
     finally:
         for pid, read_fd, first in children:
             with open(read_fd, "rb") as pipe:
