@@ -7,7 +7,7 @@ Values come from the flat key=value config file; ``--section.key=value``
 flags override file entries (e.g. ``--model.k=2 --grid.n_steps=128``,
 ``--out=report.json``), under the file's rules (``config``).  Exit codes:
 0 success, 1 usage/parse error, 2 validation error, 3 runtime numerical or
-I/O error.
+I/O error, 143 a run ended by SIGTERM (``cevlab.__main__``).
 
 ``_run_<experiment>``, one per experiment, runs it and returns its whole
 artifact: the JSON ``results``, the CSV header and body lines, and the
@@ -15,13 +15,17 @@ summary line.  Artifacts are written piece by piece, never held whole.
 Numeric arrays (the trajectory CSV, and ``times``, ``paths`` and
 ``z_negative`` in JSON) are formatted ``_BLOCK_CELLS`` cells at a time by
 ``_text``.  An array written to a regular file is cut into one contiguous
-block of rows per worker (``_write_rows``): this process formats the first
-block straight into the artifact, and each forked worker formats its own
-into an unnamed temporary file in the system temporary directory, whose
-bytes this process copies into the artifact in block order.  An artifact
-whose write fails or is interrupted is removed if it is a regular file, or
-emptied where it cannot be; the temporary files of a run are closed, and
-so gone, whether it succeeds or fails.
+block of rows per worker (``_write_rows``), the worker count, and so
+whether anything is forked, being ``experiments._resolve_workers``'s: this
+process formats the first block straight into the artifact, and each
+forked worker formats its own into an unnamed temporary file in the system
+temporary directory, whose bytes this process copies into the artifact in
+block order.  An artifact whose write fails or is interrupted (Ctrl-C, or
+SIGTERM to the command) is removed if it is a regular file, or emptied
+where it cannot be, and the interrupt is raised again; the workers of an
+interrupted run are killed and reaped (``experiments._map_blocks``), and
+the temporary files of a run are closed, and so gone, whether it succeeds
+or fails.
 
 Every CSV line follows one rule, ``_csv_line``'s: cells joined by ``,``, a
 float as ``format_float`` writes it, anything else as ``str``, and a CRLF

@@ -5,11 +5,14 @@ Every experiment takes its grid, path count and seed by the names ``grid``,
 ``n_paths`` and ``seed``; ``strong_error``'s grid is the reference grid of
 its ladder.  Blocks of paths are independent work items, one equal share
 of them per worker.  The CEVLAB_THREADS environment variable caps the
-number of worker processes (by default the machine core count).  The
-calling process is one worker and the others are forked children; a block
-writes its per-path results into its rows of arrays all workers share, and
-returns only its stats.  Per-path noise comes from keyed streams, so every
-reported number is bit-identical regardless of the worker count and layout.
+number of worker processes (by default the machine core count);
+``_resolve_workers`` alone decides whether to fork, and gives 1 worker
+where ``os.fork`` does not exist.  The calling process is one worker and
+the others are children that ``_map_blocks`` forks, and stops and reaps
+if the caller is interrupted; a block writes its per-path results into its
+rows of arrays all workers share, and returns only its stats.  Per-path
+noise comes from keyed streams, so every reported number is bit-identical
+regardless of the worker count and layout.
 
 Every experiment runs through one driver, ``_walk_paths``: each block walks
 time once, in time-major chunks of at most ``_CHUNK_STEPS`` fine steps, and
@@ -23,14 +26,16 @@ number of steps.
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import functools
 import math
 import mmap
 import os
 import pickle
+import signal
 from dataclasses import dataclass
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -143,12 +148,25 @@ _B = TypeVar("_B")
 _T = TypeVar("_T")
 
 
+@contextlib.contextmanager
+def _held_signals() -> Iterator[object]:
+    """Hold SIGINT and SIGTERM back from this thread while the ``with`` body
+    runs, so that no interrupt lands between two steps that must both be
+    taken; yield the signal mask to restore, which the body may restore
+    early.  A signal sent meanwhile is taken when the body ends."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT, signal.SIGTERM))
+    try:
+        yield mask
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
 def _map_blocks(work: Callable[[_B], _T], blocks: list[_B]) -> list[_T]:
     """Run ``work`` over ``blocks``, each passed as given (here a [start,
     stop) range of paths), possibly in parallel; return its results in order.
 
     Block i runs in worker i mod w, with w the ``_resolve_workers`` count
-    (at most one worker per block).  Worker 0 is this process; workers
+    (at most one worker per block, and 1 where ``os.fork`` does not exist).  Worker 0 is this process; workers
     1..w-1 are ``os.fork()`` children, which share with this process only
     what was made before the fork to be shared, such as ``_shared`` arrays
     or an open file's descriptor: ``work`` writes nothing the caller reads
@@ -159,10 +177,20 @@ def _map_blocks(work: Callable[[_B], _T], blocks: list[_B]) -> list[_T]:
     never writes to it.  Each worker runs its blocks in order and stops at
     its first failing block; a child writes the pickled results of its
     blocks to a pipe, which this function alone writes and reads, and ends.
-    Every child is read to EOF and reaped before this returns or raises.
-    If any block failed, the exception of the lowest-indexed failed block
-    is raised (a child that sent no result raises ChildProcessError naming
-    its pid and wait status) and no result is returned.
+    Every child is read to EOF and reaped before this returns or raises a
+    block's exception.  If any block failed, the exception of the
+    lowest-indexed failed block is raised (a child that sent no result
+    raises ChildProcessError naming its pid and wait status) and no result
+    is returned.
+
+    What is raised here itself, rather than by a block, stops the children:
+    an interrupt in this process's own share or while it waits for them
+    (KeyboardInterrupt, or the SystemExit of the command's SIGTERM handler),
+    or a failed fork.  Every child not yet reaped is then killed by SIGKILL
+    and reaped, and the exception is raised again.  A child holds nothing
+    to clean up: its rows are in shared memory and its files are unnamed.
+    SIGINT and SIGTERM are held back while a child is forked and listed, and
+    while one is reaped and struck off the list, so none is left behind.
 
     cevlab itself starts no threads, and a CLI process runs no BLAS pool
     thread either (``cevlab.__main__`` asks for one BLAS thread before numpy
@@ -183,34 +211,38 @@ def _map_blocks(work: Callable[[_B], _T], blocks: list[_B]) -> list[_T]:
                 break
         return outcomes
 
-    children = []  # (pid, pipe read end, index of the child's first block)
+    children = []  # unreaped (pid, pipe read end, index of its first block)
     outcomes: dict[int, _T | Exception] = {}
     try:
         for first in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:  # the child: exit status 0 once its outcomes are sent
-                status = 1
+            with _held_signals() as mask:  # until the child is listed
+                read_fd, write_fd = os.pipe()
                 try:
-                    payload = pickle.dumps(share(first), pickle.HIGHEST_PROTOCOL)
-                    with open(write_fd, "wb") as pipe:
-                        pipe.write(payload)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            children.append((pid, read_fd, first))
+                    pid = os.fork()
+                except OSError:
+                    os.close(read_fd)
+                    os.close(write_fd)
+                    raise
+                if pid == 0:  # the child: exit status 0 once its outcomes are sent
+                    status = 1
+                    try:
+                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                        payload = pickle.dumps(share(first), pickle.HIGHEST_PROTOCOL)
+                        with open(write_fd, "wb") as pipe:
+                            pipe.write(payload)
+                        status = 0
+                    finally:
+                        os._exit(status)
+                os.close(write_fd)
+                children.append((pid, open(read_fd, "rb"), first))
         outcomes.update(share(0))
-    finally:
-        for pid, read_fd, first in children:
-            with open(read_fd, "rb") as pipe:
-                payload = pipe.read()
-            _, status = os.waitpid(pid, 0)
+        while children:
+            pid, pipe, first = children[0]
+            payload = pipe.read()
+            with _held_signals():  # until the reaped child is struck off
+                _, status = os.waitpid(pid, 0)
+                pipe.close()
+                del children[0]
             if status == 0 and payload:
                 outcomes.update(pickle.loads(payload))
             else:
@@ -219,6 +251,14 @@ def _map_blocks(work: Callable[[_B], _T], blocks: list[_B]) -> list[_T]:
                     f"(exit code {os.waitstatus_to_exitcode(status)}) "
                     f"and sent no result"
                 )
+    except BaseException:
+        with _held_signals():
+            for pid, _, _ in children:
+                os.kill(pid, signal.SIGKILL)
+            for pid, pipe, _ in children:
+                os.waitpid(pid, 0)
+                pipe.close()
+        raise
     for i in sorted(outcomes):
         if isinstance(outcomes[i], Exception):
             raise outcomes[i]

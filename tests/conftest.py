@@ -1,6 +1,34 @@
+import os
+import signal
+
 import pytest
 
 from cevlab import CevParams
+
+
+@pytest.fixture(autouse=True)
+def every_child_reaped():
+    """No test leaves a child process behind, running or unreaped: a worker
+    that outlives its run would go on using the machine unseen."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that would otherwise wait forever for a worker."""
+
+    def expire(signum, frame):
+        raise TimeoutError("no result within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -205,6 +205,21 @@ def test_command_asks_for_one_blas_thread_unless_the_user_chose(preset, expected
     assert _fresh_python(code, **env) == expected
 
 
+def test_only_the_command_takes_sigterm_as_an_interrupt():
+    """The command turns SIGTERM into SystemExit(143); a library caller that
+    imports the package, its CLI module included, keeps the default."""
+    code = "import signal, cevlab.cli; print(signal.getsignal(signal.SIGTERM) == signal.SIG_DFL)"
+    assert _fresh_python(code) == "True"
+    code = (
+        "import signal, cevlab.__main__\n"
+        "try:\n"
+        "    signal.raise_signal(signal.SIGTERM)\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, signal.getsignal(signal.SIGTERM) == signal.SIG_IGN)\n"
+    )
+    assert _fresh_python(code) == "143 True"
+
+
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
 def test_command_process_runs_one_thread():
     """A CLI process holds no idle BLAS pool thread, which would spin on the

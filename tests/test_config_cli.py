@@ -11,7 +11,11 @@ import json
 import math
 import os
 import shutil
+import signal
 import subprocess
+import sys
+import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -743,6 +747,109 @@ class TestCliExitCodes:
         assert document["provenance"]["config"]["out"] == str(out)
 
 
+# Runs the command as ``python -m cevlab`` does, with the attribute
+# ``module:path`` replaced: each process that calls it first leaves an empty
+# file named ``<role>-<pid>`` in ``folder``, its role being ``caller`` or
+# ``worker``, and a process whose role is listed in ``held`` then waits there
+# until it is killed.
+_HELD_COMMAND = """
+import functools, importlib, os, runpy, sys, time
+folder, target, held, *argv = sys.argv[1:]
+module, _, path = target.partition(":")
+*parents, name = path.split(".")
+owner = functools.reduce(getattr, parents, importlib.import_module(module))
+original, caller, marked = getattr(owner, name), os.getpid(), set()
+
+def held_here(*args, **kwargs):
+    role = "caller" if os.getpid() == caller else "worker"
+    if os.getpid() not in marked:
+        marked.add(os.getpid())
+        open(os.path.join(folder, f"{role}-{os.getpid()}"), "x").close()
+    while role in held.split(","):
+        time.sleep(1)
+    return original(*args, **kwargs)
+
+setattr(owner, name, held_here)
+sys.argv[1:] = argv
+runpy.run_module("cevlab", run_name="__main__")
+"""
+
+
+class TestSignalledRun:
+    """A run ended by SIGTERM, or by SIGINT sent to the command alone, stops
+    its worker at once and leaves no artifact.  Each run has two workers
+    and is signalled once both have reached ``target``."""
+
+    def _signal(self, tmp_path, target, held, argv, signum):
+        """(exit status, stderr, worker pid) of the command run with
+        ``argv`` and sent ``signum``: at most 5 s after the signal, or the
+        test fails.  Every process the run started is killed at the end."""
+        folder = tmp_path / "marks"
+        folder.mkdir()
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "CEVLAB_THREADS": "2", "OPENBLAS_NUM_THREADS": "1"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        command = subprocess.Popen(
+            [sys.executable, "-c", _HELD_COMMAND, str(folder), target, held, *argv],
+            cwd=tmp_path, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        marks: list[str] = []
+        try:
+            while len(marks) < 2:
+                assert command.poll() is None, command.stderr.read().decode()
+                time.sleep(0.01)
+                marks = sorted(p.name for p in folder.iterdir())
+            command.send_signal(signum)
+            _, err = command.communicate(timeout=5)
+            return command.returncode, err.decode(), int(marks[1].partition("-")[2])
+        finally:
+            for mark in marks:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(int(mark.partition("-")[2]), signal.SIGKILL)
+            command.kill()
+            command.communicate()
+
+    @staticmethod
+    def _gone(pid: int) -> bool:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        return False
+
+    def test_terminated_convergence_exits_143(self, tmp_path, deadline):
+        # both workers are stepping paths when the command is terminated
+        argv = ["convergence", *STD_FLAGS, "--grid.n_steps=256", "--run.ref_exponent=8",
+                "--run.levels=3,4", "--run.n_paths=1000", "--out=ladder.json"]
+        status, _, worker = self._signal(
+            tmp_path, "cevlab.schemes:_Walk.advance", "caller,worker", argv,
+            signal.SIGTERM)
+        assert status == 143
+        assert self._gone(worker)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["marks"]
+
+    def test_terminated_write_leaves_no_artifact(self, tmp_path, deadline):
+        # both workers are formatting trajectory rows, the artifact open
+        argv = ["simulate", *STD_FLAGS, "--grid.n_steps=8", "--run.n_paths=7",
+                "--output.format=csv", "--out=paths.csv"]
+        status, _, worker = self._signal(
+            tmp_path, "cevlab._text:cells", "caller,worker", argv, signal.SIGTERM)
+        assert status == 143
+        assert self._gone(worker)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["marks"]
+
+    def test_interrupt_does_not_wait_for_the_workers_share(self, tmp_path, deadline):
+        # the caller has walked its block and waits for the worker, which
+        # never finishes its own: Ctrl-C sent to the command alone ends it
+        argv = ["simulate", *STD_FLAGS, "--grid.n_steps=8", "--run.n_paths=7",
+                "--out=paths.csv"]
+        status, err, worker = self._signal(
+            tmp_path, "cevlab.schemes:_Walk.result", "worker", argv, signal.SIGINT)
+        assert status == -signal.SIGINT
+        assert "KeyboardInterrupt" in err
+        assert self._gone(worker)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["marks"]
+
+
 class TestArtifacts:
     def test_simulate_csv_schema_and_row_count(self, config_file, tmp_path, capsys):
         out = tmp_path / "sim.csv"
@@ -946,6 +1053,23 @@ class TestArtifacts:
                 outs.append(out.read_bytes())
             assert list(folder.iterdir()) == [out]
         assert outs[0] == outs[1]
+
+    def test_host_without_fork_writes_the_forked_bytes(self, tmp_path, monkeypatch):
+        # one worker where os.fork does not exist: every row is formatted
+        # here, straight into the artifact, and no temporary file is made
+        monkeypatch.setenv("CEVLAB_THREADS", "3")
+        args = ["simulate", *STD_FLAGS, "--grid.n_steps=8", "--run.n_paths=7"]
+        outs = {}
+        for forks in (True, False):
+            if not forks:
+                monkeypatch.delattr(os, "fork")
+                monkeypatch.setattr(tempfile, "TemporaryFile", None)
+            for fmt in ("csv", "json"):
+                out = tmp_path / f"{forks}.{fmt}"
+                assert main([*args, f"--output.format={fmt}", f"--out={out}"]) == 0
+                outs[forks, fmt] = out.read_bytes().replace(str(out).encode(), b"X")
+        for fmt in ("csv", "json"):
+            assert outs[False, fmt] == outs[True, fmt]
 
     def test_json_floats_round_trip(self, config_file, tmp_path):
         out = tmp_path / "m.json"

@@ -5,7 +5,6 @@ import math
 import os
 import pickle
 import re
-import signal
 import subprocess
 import sys
 import time
@@ -44,6 +43,7 @@ from cevlab.experiments import (
     LevelRecord,
     _layout,
     _map_blocks,
+    _resolve_workers,
     _standard_error,
 )
 from cevlab.schemes import BatchStats, _Walk
@@ -821,22 +821,6 @@ class TestBlockLayout:
         assert _every_report(standard_params, n_steps, n_paths) == want
 
 
-@pytest.fixture
-def deadline():
-    """Fail a test that would otherwise wait forever for a worker."""
-
-    def expire(signum, frame):
-        raise TimeoutError("no result within 60 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _assert_every_worker_reaped():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -920,3 +904,22 @@ class TestWorkerProcesses:
         with pytest.raises(ValueError, match=r"^block 1 in child$"):
             _map_blocks(work, self.THREE_BLOCKS)
         _assert_every_worker_reaped()
+
+
+class TestWithoutFork:
+    """Where ``os.fork`` does not exist, ``_resolve_workers`` gives one
+    worker, whatever the cap, so ``_map_blocks`` forks nothing."""
+
+    def test_one_worker_whatever_the_cap(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setenv("CEVLAB_THREADS", "4")
+        assert _resolve_workers() == 1
+        monkeypatch.setenv("CEVLAB_THREADS", "0")
+        with pytest.raises(ValidationError, match="CEVLAB_THREADS must be a positive"):
+            _resolve_workers()
+
+    def test_every_block_runs_in_the_caller(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setenv("CEVLAB_THREADS", "3")
+        pids = _map_blocks(lambda block: os.getpid(), TestWorkerProcesses.THREE_BLOCKS)
+        assert pids == [os.getpid()] * 3
