@@ -4,11 +4,14 @@ The stream contract: path ``p`` of master seed ``s`` draws standard normals
 from ``Generator(Philox(key=[s, p]))`` and scales them by sqrt(dt).  Draws
 are therefore bit-identical for the same key regardless of worker count,
 generation order or how many draws are taken per call, and streams for
-different paths never overlap.  ``_increment_block`` draws a block of paths
-at once, ``_increment_chunks`` the same block time-major and a chunk at a
-time.  A coarse grid is coupled to the fine path that drives it by block
-sums of its increments, all from one pairwise tree: ``_block_sums`` climbs
-it inside an array, ``_dyadic_sums`` inside each chunk and then across them.
+different paths never overlap.  ``_increment_block`` is the one function
+that keys, draws and scales a stream: it fills a block of paths at once,
+each row from counter 0 or resumed from a live stream.
+``_increment_chunks`` serves the same block time-major, a chunk at a time,
+by calling it for each tile of each chunk.  A coarse grid is coupled to
+the fine path that drives it by block sums of its increments, all from one
+pairwise tree: ``_block_sums`` climbs it inside an array, ``_dyadic_sums``
+inside each chunk and then across them.
 """
 
 from __future__ import annotations
@@ -26,13 +29,6 @@ __all__: list[str] = []
 _COUPLING_TOL = 1e-12
 
 
-def _require_keys(master_seed: int, start: int, stop: int) -> None:
-    _require_u64("master_seed", master_seed)
-    if stop > start:
-        _require_u64("first path index", start)
-        _require_u64("last path index", stop - 1)
-
-
 def _increment_block(
     master_seed: int,
     start: int,
@@ -40,6 +36,7 @@ def _increment_block(
     n: int,
     dt: float,
     out: np.ndarray | None = None,
+    streams: list | None = None,
 ) -> np.ndarray:
     """(stop-start, n) matrix of per-path N(0, dt) increments, written into
     ``out`` when one is given.
@@ -52,27 +49,50 @@ def _increment_block(
     no normals, so every row is bit-identical to a freshly keyed stream.
     The state holds Python lists, not arrays: the ``state`` setter reads it
     one element at a time, which costs less than half as much from lists.
-    The keys are validated once for the block, before any draw; each call
-    owns its generator, so concurrent calls share no state.
+
+    With ``streams``, a list the caller keeps for these paths, row i holds
+    instead the next n draws of the live ``Philox(key=[master_seed,
+    start+i])``: a call given an empty list builds one generator per path
+    into it, and every call resumes them.  Philox offsets cannot be computed
+    from the draw count, because ``standard_normal`` rejects samples, and a
+    generator caches no normals between calls, so successive calls equal
+    one long draw.
+
+    The keys are validated before any draw; each call owns its generators,
+    or the caller its ``streams``, so concurrent calls share no state.
     """
-    _require_keys(master_seed, start, stop)
-    key = [master_seed, 0]
-    bitgen = np.random.Philox(key=np.array(key, dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
-    fresh = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    _require_u64("master_seed", master_seed)
+    if stop > start:
+        _require_u64("first path index", start)
+        _require_u64("last path index", stop - 1)
     if out is None:
         out = np.empty((stop - start, n))
-    for path, row in zip(range(start, stop), out):
-        key[1] = path
-        bitgen.state = fresh
-        gen.standard_normal(out=row)
+    if streams is None:
+        key = [master_seed, 0]
+        bitgen = np.random.Philox(key=np.array(key, dtype=np.uint64))
+        gen = np.random.Generator(bitgen)
+        fresh = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        for path, row in zip(range(start, stop), out):
+            key[1] = path
+            bitgen.state = fresh
+            gen.standard_normal(out=row)
+    else:
+        if not streams:
+            streams.extend(
+                np.random.Generator(
+                    np.random.Philox(key=np.array([master_seed, path], dtype=np.uint64))
+                )
+                for path in range(start, stop)
+            )
+        for gen, row in zip(streams, out):
+            gen.standard_normal(out=row)
     out *= math.sqrt(dt)
     return out
 
@@ -95,49 +115,31 @@ def _increment_chunks(
     time-major and ``chunk`` steps at a time.
 
     Yields (c, stop-start) arrays with c = ``chunk`` except possibly for the
-    last; stacked, they are the transpose of the block, bit for bit.  A run
-    of at most ``chunk`` steps is one chunk, drawn by re-keyed
-    ``_increment_block`` calls.  A longer run keeps one live
-    ``Philox(key=[master_seed, path])`` per path and resumes it chunk after
-    chunk: Philox offsets cannot be computed from the draw count, because
-    ``standard_normal`` rejects samples, and a generator caches no normals
-    between calls, so the chunked draws equal one long draw.
+    last; stacked, they are the transpose of the block, bit for bit.  Each
+    chunk is drawn by one ``_increment_block`` call per tile of at most
+    ``_TILE_PATHS`` paths.  A run of at most ``chunk`` steps is one chunk of
+    re-keyed rows; a longer run keeps one list of live streams per tile and
+    resumes it chunk after chunk.
 
     Each call allocates two buffers at its first draw and reuses them for
-    every chunk: each chunk is drawn path-major into a tile of at most
-    ``_TILE_PATHS`` paths, and each tile is transposed into the time-major
-    (min(chunk, n), stop-start) buffer of which the chunk is a view.  A
-    chunk is overwritten when the next is drawn, so a caller that keeps one
-    past that must copy it.  The buffers live until the draws end and the
-    caller drops the last chunk.
+    every chunk: each tile is drawn path-major into the tile buffer and
+    transposed into the time-major (min(chunk, n), stop-start) buffer of
+    which the chunk is a view.  A chunk is overwritten when the next is
+    drawn, so a caller that keeps one past that must copy it.  The buffers
+    live until the draws end and the caller drops the last chunk.
     """
-    _require_keys(master_seed, start, stop)
     width, steps = stop - start, min(chunk, n)
     time_major = np.empty((steps, width))
     tile = np.empty((min(_TILE_PATHS, width), steps))
-    tiles = [(lo, min(lo + _TILE_PATHS, width)) for lo in range(0, width, _TILE_PATHS)]
-    if n <= chunk:
-        for lo, hi in tiles:
-            rows = _increment_block(master_seed, start + lo, start + hi, n, dt,
-                                    tile[: hi - lo])
-            np.copyto(time_major[:, lo:hi], rows.T)
-        yield time_major
-        return
-    gens = [
-        np.random.Generator(
-            np.random.Philox(key=np.array([master_seed, path], dtype=np.uint64))
-        )
-        for path in range(start, stop)
-    ]
-    scale = math.sqrt(dt)
+    # (lo, hi, live streams of the tile, or None to re-key a one-chunk run)
+    tiles = [(lo, min(lo + _TILE_PATHS, width), None if n <= chunk else [])
+             for lo in range(0, width, _TILE_PATHS)]
     for step in range(0, n, chunk):
         m = min(chunk, n - step)
-        for lo, hi in tiles:
-            rows = tile[: hi - lo, :m]
-            for gen, row in zip(gens[lo:hi], rows):
-                gen.standard_normal(out=row)
-            # scaled and transposed in one pass: the same product per draw
-            np.multiply(rows.T, scale, out=time_major[:m, lo:hi])
+        for lo, hi, streams in tiles:
+            rows = _increment_block(master_seed, start + lo, start + hi, m, dt,
+                                    tile[: hi - lo, :m], streams)
+            np.copyto(time_major[:m, lo:hi], rows.T)
         yield time_major[:m]
 
 
