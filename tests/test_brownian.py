@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cevlab import ValidationError
+from cevlab import ValidationError, brownian
 from cevlab.brownian import (
     _block_sums,
     _dyadic_sums,
@@ -138,6 +138,25 @@ class TestIncrementChunks:
         want = _increment_block(seed, start, stop, n, dt).T
         assert stacked.tobytes() == np.ascontiguousarray(want).tobytes()
 
+
+    @pytest.mark.parametrize("n", [40, 8])
+    def test_every_tile_of_every_chunk_is_one_block_draw(self, monkeypatch, n):
+        """300 paths are two tiles of at most 256; 40 steps in chunks of 8
+        are five chunks of live streams, 8 steps one chunk of re-keyed rows.
+        Each tile of each chunk is one ``_increment_block`` call, so every
+        draw goes through it."""
+        draws = []
+        block = brownian._increment_block
+
+        def counting(*args):
+            draws.append(args[1:4])
+            return block(*args)
+
+        monkeypatch.setattr(brownian, "_increment_block", counting)
+        chunks = [c.copy() for c in _increment_chunks(5, 100, 400, n, 0.37, 8)]
+        assert len(chunks) == n // 8
+        assert draws == [(start, stop, 8) for _ in chunks
+                         for start, stop in ((100, 356), (356, 400))]
 
 class TestKeyedStreams:
     """Live chunked streams and re-keyed block rows are the streams of
