@@ -14,13 +14,13 @@ artifact: the JSON ``results``, the CSV header and body lines, and the
 summary line.  Artifacts are written piece by piece, never held whole.
 Numeric arrays (the trajectory CSV, and ``times``, ``paths`` and
 ``z_negative`` in JSON) are formatted ``_BLOCK_CELLS`` cells at a time by
-``_text``.  An array written to a regular file is cut into one contiguous
-block of rows per worker (``_write_rows``), the worker count, and so
-whether anything is forked, being ``experiments._resolve_workers``'s: this
-process formats the first block straight into the artifact, and each
-forked worker formats its own into an unnamed temporary file in the system
-temporary directory, whose bytes this process copies into the artifact in
-block order.  An artifact whose write fails or is interrupted (Ctrl-C, or
+``_text``.  An array written to a stream with a byte buffer (a file, a
+pipe or a terminal) is cut into one contiguous block of rows per worker
+(``_write_rows``), the worker count, and so whether anything is forked,
+being ``experiments._resolve_workers``'s: this process formats the first
+block straight into the artifact, and each forked worker formats its own
+into an unnamed temporary file in the system temporary directory, whose
+bytes this process copies into the artifact in block order.  An artifact whose write fails or is interrupted (Ctrl-C, or
 SIGTERM to the command) is removed if it is a regular file, or emptied
 where it cannot be, and the interrupt is raised again; the workers of an
 interrupted run are killed and reaped (``experiments._map_blocks``), and
@@ -44,7 +44,6 @@ import contextlib
 import dataclasses
 import json
 import os
-import stat
 import sys
 from typing import (
     TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, TextIO,
@@ -104,23 +103,20 @@ class _Rows:
 def _write_rows(rows: _Rows, out: TextIO) -> None:
     """Write the text of ``rows`` into ``out``, in row order.
 
-    Where ``out`` is an open regular file, the rows are cut into one
-    contiguous block per worker (``experiments._split``) and run by
-    ``experiments._map_blocks``: this process formats block 0 straight into
-    ``out``, and each forked worker formats its block into an unnamed
-    temporary file in the system temporary directory (which needs room for
-    the workers' rows), whose bytes this process copies into ``out`` in
-    block order.  The temporary files are closed, and so gone, whether the
-    run succeeds or fails.  Any other ``out`` (an ``io.StringIO``), or a
-    run of one worker (``experiments._resolve_workers``, 1 on a host
-    without ``os.fork``), gets all rows as one block, written in place.
+    Where ``out`` has a byte ``buffer`` (an open file, pipe or terminal),
+    the rows are cut into one contiguous block per worker
+    (``experiments._split``) and run by ``experiments._map_blocks``: this
+    process formats block 0 straight into ``out``, and each forked worker
+    formats its block into an unnamed temporary file in the system
+    temporary directory (which needs room for the workers' rows), whose
+    bytes this process copies into ``out.buffer`` in block order.  The
+    temporary files are closed, and so gone, whether the run succeeds or
+    fails.  An ``out`` without one (an ``io.StringIO``), or a run of one
+    worker (``experiments._resolve_workers``, 1 on a host without
+    ``os.fork``), gets all rows as one block, written in place.
     """
-    try:
-        regular = stat.S_ISREG(os.fstat(out.fileno()).st_mode)
-    except (AttributeError, OSError, ValueError):  # no file descriptor
-        regular = False
     blocks = [(0, rows.n_rows)]
-    if regular:
+    if hasattr(out, "buffer"):
         from . import experiments
 
         blocks = experiments._split(rows.n_rows, experiments._resolve_workers())

@@ -15,6 +15,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -988,13 +989,43 @@ class TestArtifacts:
             if "--model.k=1e100" in flags:
                 assert b"NaN" in outs["1"] and b"Infinity" in outs["1"]
 
+    @pytest.mark.parametrize("target", ["file", "pipe"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_calling_process_formats_only_its_own_rows(self, tmp_path, monkeypatch, fmt):
+    def test_calling_process_formats_only_its_own_rows(
+        self, tmp_path, monkeypatch, fmt, target
+    ):
         # two workers cut 7 paths into rows [0, 4), formatted here, and
         # [4, 7), formatted by the forked worker: this process never reads
-        # the worker's rows of the shared trajectory
+        # the worker's rows of the shared trajectory, whether the artifact
+        # is a regular file or a pipe, and either gets the one-worker bytes
         from cevlab import _text, experiments
 
+        args = ["simulate", *STD_FLAGS, "--grid.n_steps=8", "--run.n_paths=7",
+                f"--output.format={fmt}"]
+        monkeypatch.chdir(tmp_path)
+
+        def written(threads: str) -> bytes:
+            monkeypatch.setenv("CEVLAB_THREADS", threads)
+            if target == "file":
+                out = f"t{threads}.{fmt}"
+                assert main([*args, f"--out={out}"]) == 0
+                return (tmp_path / out).read_bytes().replace(out.encode(), b"X")
+            read, write = os.pipe()
+            chunks: list[bytes] = []
+            drain = threading.Thread(
+                target=lambda: chunks.extend(iter(lambda: os.read(read, 65536), b"")))
+            drain.start()
+            out = f"/dev/fd/{write}"
+            try:
+                assert main([*args, f"--out={out}"]) == 0
+            finally:
+                os.close(write)
+                drain.join(timeout=60)
+                os.close(read)
+            assert not drain.is_alive()
+            return b"".join(chunks).replace(out.encode(), b"X")
+
+        one_worker = written("1")
         parent, seen, matrices = os.getpid(), [], []
         cells, simulate = _text.cells, experiments.simulate_paths_batch
 
@@ -1010,10 +1041,7 @@ class TestArtifacts:
 
         monkeypatch.setattr(_text, "cells", recording_cells)
         monkeypatch.setattr(experiments, "simulate_paths_batch", recording_simulate)
-        monkeypatch.setenv("CEVLAB_THREADS", "2")
-        monkeypatch.chdir(tmp_path)
-        args = ["simulate", *STD_FLAGS, "--grid.n_steps=8", "--run.n_paths=7"]
-        assert main([*args, f"--output.format={fmt}", f"--out=paths.{fmt}"]) == 0
+        assert written("2") == one_worker
         values, events = matrices
         assert any(np.shares_memory(a, values[:4]) for a in seen)
         assert any(np.shares_memory(a, events[:4]) for a in seen)
