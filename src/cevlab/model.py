@@ -9,17 +9,16 @@ with mean-reversion speed ``k >= 0``, long-run level ``l >= 0``, diffusion
 coefficient ``sigma >= 0`` and elasticity exponent ``a`` strictly inside
 (1/2, 1).  Everything in this module is a pure function of immutable value
 types and is safe to call from any number of threads, except that
-``_inner_raw`` and ``_inner_clamped`` write into the ``out`` and
-``scratch`` buffers their caller passes: a thread that passes buffers of
-its own shares nothing.
+``_inner_clamped`` writes into the ``out`` and ``scratch`` buffers its
+caller passes: a thread that passes buffers of its own shares nothing.
 
 This module also holds every input rule a run is validated by (schemes,
 payoffs, seeds, path counts, the dyadic ladder, stability) and the text of
 a float in an artifact, so that ``config`` and the CLI can validate a run,
 and print its resolved config, without the numpy engine.  Importing it
-loads no numpy; ``TimeGrid.times``, ``_inner_raw``, ``_inner_clamped``,
-``inner_value``, ``step_negativity_prob`` and ``max_step_negativity_bound``
-import it when called.
+loads no numpy; ``TimeGrid.times``, ``_inner_clamped``, ``inner_value``,
+``step_negativity_prob`` and ``max_step_negativity_bound`` import it when
+called.
 """
 
 from __future__ import annotations
@@ -305,13 +304,21 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _inner_raw(y, dt: float, params: CevParams, out=None, scratch=None):
-    """Inner deterministic expression y(1 - k dt) + dt (k l - a sigma^2 y^(2a-1) / 2)
-    at the states ``y``, an array: the one evaluation of it, which the kernel
-    runs in its own buffers ``out`` and ``scratch`` (both allocated if None).
+def _inner_clamped(y, dt: float, params: CevParams, out=None, scratch=None):
+    """(inner, clamp count): the inner deterministic expression
+    y(1 - k dt) + dt (k l - a sigma^2 y^(2a-1) / 2) at the states ``y``, an
+    array, with the rounding clamp applied in place.  This is the one
+    evaluation of it, which the kernel runs in its own buffers ``out`` and
+    ``scratch`` (both allocated if None).
 
     The y = 0 case yields dt*k*l since 0^(2a-1) = 0 for a > 1/2 (np.power
-    handles the zero base without evaluating a log).
+    handles the zero base without evaluating a log).  The clamp runs only
+    when some value is negative or NaN: a negative is set to 0 and counted;
+    a NaN is kept.
+
+    Raises NegativeInner if any value falls below -INNER_CLAMP_REL * max(1, y),
+    which signals a genuine violation of the step condition rather than
+    rounding noise.
     """
     import numpy as np
 
@@ -321,21 +328,7 @@ def _inner_raw(y, dt: float, params: CevParams, out=None, scratch=None):
     np.subtract(k * params.l, t, out=t)
     np.multiply(t, dt, out=t)
     inner = np.multiply(y, 1.0 - k * dt, out=out)
-    return np.add(inner, t, out=inner)
-
-
-def _inner_clamped(y, dt: float, params: CevParams, out=None, scratch=None):
-    """(inner, clamp count): :func:`_inner_raw` at the states ``y`` with the
-    rounding clamp applied in place, which runs only when some value is
-    negative or NaN.  A negative is set to 0 and counted; a NaN is kept.
-
-    Raises NegativeInner if any value falls below -INNER_CLAMP_REL * max(1, y),
-    which signals a genuine violation of the step condition rather than
-    rounding noise.
-    """
-    import numpy as np
-
-    inner = _inner_raw(y, dt, params, out, scratch)
+    np.add(inner, t, out=inner)
     if np.minimum.reduce(inner) >= 0.0:
         return inner, 0
     below = inner < -INNER_CLAMP_REL * np.maximum(1.0, y)
@@ -357,17 +350,22 @@ def inner_value(y: float, dt: float, params: CevParams) -> float:
 
     Under the stability conditions the exact value is nonnegative; only
     floating-point rounding can produce a tiny negative, which is clamped.
-    Larger negatives raise :class:`NegativeInner`.
+    Larger negatives raise :class:`NegativeInner`.  ``y`` must be a finite
+    number >= 0 and ``dt`` a finite number > 0, or ValidationError.
     """
     import numpy as np
 
-    _require(y >= 0.0, "y must be >= 0")
+    _require(_is_finite_number(y) and y >= 0.0,
+             f"y must be a finite number >= 0, got {_shown(y)}")
+    _require(_is_finite_number(dt) and dt > 0.0,
+             f"dt must be a finite number > 0, got {_shown(dt)}")
     return float(_inner_clamped(np.array([float(y)]), dt, params)[0][0])
 
 
 def analytic_mean(params: CevParams, t: float) -> float:
     """Exact first moment l + (x0 - l) exp(-k t) of the model at time ``t``."""
-    _require(math.isfinite(t) and t >= 0.0, "t must be >= 0")
+    _require(_is_finite_number(t) and t >= 0.0,
+             f"t must be a finite number >= 0, got {_shown(t)}")
     return params.l + (params.x0 - params.l) * math.exp(-params.k * t)
 
 
@@ -395,6 +393,7 @@ def step_negativity_prob(y: float, dt: float, params: CevParams) -> float:
 
     This is Phi(-inner^(1-a) / (sigma (1-a) sqrt(dt))) with Phi the standard
     normal CDF.  Returns 0 by convention for a noiseless model (sigma = 0).
+    ``y`` and ``dt`` follow :func:`inner_value`'s rules, or ValidationError.
     """
     import numpy as np
 

@@ -21,6 +21,7 @@ import pytest
 
 from cevlab import (
     CevParams,
+    NegativeInner,
     SchemeId,
     TimeGrid,
     max_stable_step,
@@ -29,7 +30,7 @@ from cevlab import (
     simulate_paths_batch,
     strong_error,
 )
-from cevlab.model import _inner_raw, max_step_negativity_bound
+from cevlab.model import INNER_CLAMP_REL, _inner_clamped, max_step_negativity_bound
 
 STANDARD = CevParams(k=1.0, l=1.0, sigma=1.0, a=0.75, x0=1.0)
 SHIFTED = CevParams(k=1.0, l=1.0, sigma=1.0, a=0.75, x0=2.0)
@@ -78,12 +79,13 @@ def test_c1_positivity_and_naive_euler_contrast():
 
 def test_c2_inner_nonnegative_across_feasible_region():
     """10^4 log-spaced states x 100 feasible parameter sets, drift boundary
-    and maximal step included: the raw inner expression never drops below
-    -1e-12 * max(1, y)."""
+    and maximal step included: the inner expression never drops below
+    -1e-12 * max(1, y), the floor below which ``_inner_clamped`` raises
+    NegativeInner; a value above it that is negative is clamped to 0."""
+    assert INNER_CLAMP_REL == 1e-12
     rng = np.random.default_rng(99)
     ys = np.concatenate([[0.0], np.logspace(-12, 6, 10_000)])
-    floor = -1e-12 * np.maximum(1.0, ys)
-    worst = math.inf
+    clamps, below = 0, []
     for i in range(100):
         a = rng.uniform(0.51, 0.99)
         sigma = rng.uniform(0.0, 3.0)
@@ -92,11 +94,17 @@ def test_c2_inner_nonnegative_across_feasible_region():
         l = (a * sigma**2 / 2 + (0.0 if on_boundary else rng.uniform(0.0, 2.0))) / k
         params = CevParams(k=k, l=l, sigma=sigma, a=a, x0=1.0)
         dt = max_stable_step(params)
-        raw = _inner_raw(ys, dt, params)
-        worst = min(worst, float((raw - floor).min()))
-    ok = worst >= 0.0
-    _line("C2 inner nonnegativity sweep", ok, f"worst slack above floor={worst:.3e}")
-    assert worst >= 0.0
+        try:
+            inner, count = _inner_clamped(ys, dt, params)
+        except NegativeInner as exc:
+            below.append(str(exc))
+            continue
+        assert not np.isnan(inner).any()
+        clamps += count
+    ok = not below
+    _line("C2 inner nonnegativity sweep", ok,
+          f"sets below floor={len(below)}, clamped values={clamps}")
+    assert not below, below[0]
 
 
 def test_c3_strong_order_at_least_theoretical(standard_convergence):

@@ -170,10 +170,19 @@ class TestInnerValue:
         p = CevParams(k=1, l=1, sigma=1, a=0.75, x0=1)
         assert inner_value(4.0, 0.1, p) == pytest.approx(3.625, rel=1e-15)
 
-    def test_rejects_negative_state(self):
+    @pytest.mark.parametrize(
+        "y, dt, match",
+        [(-0.5, 0.1, "y must be"), (math.inf, 0.1, "y must be"),
+         (math.nan, 0.1, "y must be"), ("1", 0.1, "y must be"),
+         (1.0, 0.0, "dt must be"), (1.0, -1.0, "dt must be"),
+         (1.0, math.nan, "dt must be"), (1.0, math.inf, "dt must be")],
+    )
+    def test_rejects_invalid_state_or_step(self, y, dt, match):
+        """A state must be a finite number >= 0 and a step a finite number
+        > 0: no NaN, no division by zero, no math domain error."""
         p = CevParams(k=1, l=1, sigma=1, a=0.75, x0=1)
-        with pytest.raises(ValidationError):
-            inner_value(-0.5, 0.1, p)
+        with pytest.raises(ValidationError, match=f"^{match} a finite number"):
+            inner_value(y, dt, p)
 
     def test_large_negative_raises(self):
         # drift condition fails badly: inner goes genuinely negative
@@ -231,6 +240,12 @@ class TestInnerValue:
 
 
 class TestAnalyticMean:
+    @pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
+    def test_rejects_negative_or_non_finite_time(self, t):
+        p = CevParams(k=1, l=1, sigma=1, a=0.75, x0=1)
+        with pytest.raises(ValidationError, match=r"^t must be a finite number >= 0"):
+            analytic_mean(p, t)
+
     def test_fixed_point(self):
         p = CevParams(k=1, l=1, sigma=1, a=0.75, x0=1)
         assert analytic_mean(p, 0.0) == 1.0
@@ -288,6 +303,19 @@ class TestStepNegativityProb:
     def test_noiseless_convention(self):
         p = CevParams(k=1, l=1, sigma=0, a=0.75, x0=1)
         assert step_negativity_prob(123.0, 0.25, p) == 0.0
+
+    @pytest.mark.parametrize(
+        "y, dt, match",
+        [(math.inf, 0.1, "y must be"), (math.nan, 0.1, "y must be"),
+         (1.0, 0.0, "dt must be"), (1.0, -1.0, "dt must be"),
+         (1.0, math.nan, "dt must be"), (1.0, math.inf, "dt must be")],
+    )
+    @pytest.mark.parametrize("sigma", [1.0, 0.0])
+    def test_rejects_invalid_state_or_step(self, y, dt, match, sigma):
+        """The noiseless convention applies only to valid inputs."""
+        p = CevParams(k=1, l=1, sigma=sigma, a=0.75, x0=1)
+        with pytest.raises(ValidationError, match=f"^{match} a finite number"):
+            step_negativity_prob(y, dt, p)
 
     def test_decreasing_in_state_inner(self, standard_params):
         # inner is increasing in y here, so the probability must decrease
