@@ -20,12 +20,12 @@ pipe or a terminal) is cut into one contiguous block of rows per worker
 being ``experiments._resolve_workers``'s: this process formats the first
 block straight into the artifact, and each forked worker formats its own
 into an unnamed temporary file in the system temporary directory, whose
-bytes this process copies into the artifact in block order.  An artifact whose write fails or is interrupted (Ctrl-C, or
-SIGTERM to the command) is removed if it is a regular file, or emptied
-where it cannot be, and the interrupt is raised again; the workers of an
-interrupted run are killed and reaped (``experiments._map_blocks``), and
-the temporary files of a run are closed, and so gone, whether it succeeds
-or fails.
+bytes this process copies into the artifact in block order.  An artifact
+whose write fails or is interrupted (Ctrl-C, or SIGTERM to the command) is
+removed if it is a regular file, or emptied where it cannot be, and the
+interrupt is raised again; the workers of an interrupted run are killed
+and reaped (``experiments._map_blocks``), and the temporary files of a run
+are closed, and so gone, whether it succeeds or fails.
 
 Every CSV line follows one rule, ``_csv_line``'s: cells joined by ``,``, a
 float as ``format_float`` writes it, anything else as ``str``, and a CRLF
