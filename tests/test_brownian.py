@@ -138,7 +138,6 @@ class TestIncrementChunks:
         want = _increment_block(seed, start, stop, n, dt).T
         assert stacked.tobytes() == np.ascontiguousarray(want).tobytes()
 
-
     @pytest.mark.parametrize("n", [40, 8])
     def test_every_tile_of_every_chunk_is_one_block_draw(self, monkeypatch, n):
         """300 paths are two tiles of at most 256; 40 steps in chunks of 8
@@ -157,6 +156,7 @@ class TestIncrementChunks:
         assert len(chunks) == n // 8
         assert draws == [(start, stop, 8) for _ in chunks
                          for start, stop in ((100, 356), (356, 400))]
+
 
 class TestKeyedStreams:
     """Live chunked streams and re-keyed block rows are the streams of
